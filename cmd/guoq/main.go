@@ -4,9 +4,9 @@
 //
 //	guoq -gateset ibm-eagle -budget 2s [-objective 2q|t|fidelity|gates]
 //	     [-epsilon 1e-8] [-seed 1] [-async] [-parallel N] [-partition]
-//	     [-adaptive] [-fixpoint] [-gateset-file set.json] [-coordinator addr]
-//	     [-session id] [-token secret] [-progress] [-metrics]
-//	     [-pprof-addr :6060] [-o out.qasm] input.qasm
+//	     [-fixpoint] [-gateset-file set.json] [-coordinator addr]
+//	     [-session id] [-token secret] [-wire json|gzip] [-progress]
+//	     [-metrics] [-pprof-addr :6060] [-o out.qasm] input.qasm
 //	guoq -list-gatesets
 //
 // The input is translated into the target gate set first, so any circuit in
@@ -33,8 +33,8 @@
 // solutions found by other machines. Runs started on the same input with
 // the same objective and epsilon share a session automatically; pass
 // -session to pin one explicitly (which skips the submit/cache step).
-// -wire selects the transport codec: gzip compression and/or the binary
-// envelope framing, both negotiated per request. The signal context
+// The wire format is JSON; -wire gzip compresses request bodies and asks
+// for compressed replies, negotiated per request. The signal context
 // propagates into the coordinator client, so an interrupt also aborts
 // in-flight exchange requests.
 //
@@ -72,12 +72,11 @@ func main() {
 		async     = flag.Bool("async", false, "apply resynthesis asynchronously")
 		parallel  = flag.Int("parallel", 1, "concurrent search workers (0 = one per CPU, capped at 8)")
 		part      = flag.Bool("partition", false, "with -parallel ≥ 2, optimize disjoint time windows of large circuits concurrently")
-		adaptive  = flag.Bool("adaptive", false, "with -parallel ≥ 2, retarget worker temperatures from live acceptance rates and park stalled workers")
 		fixpoint  = flag.Bool("fixpoint", false, "parallel local fixpoint optimization: iterated concurrent window searches for huge circuits")
 		coord     = flag.String("coordinator", "", "guoqd coordinator address for distributed best-so-far exchange")
 		session   = flag.String("session", "", "exchange session id (default: negotiated via submit, falling back to local derivation)")
 		token     = flag.String("token", os.Getenv("GUOQD_TOKEN"), "bearer token for a -coordinator started with -token (default $GUOQD_TOKEN)")
-		wire      = flag.String("wire", "json", "coordinator wire format: json|gzip|bin|bin+gzip")
+		wire      = flag.String("wire", "json", "coordinator wire format: json|gzip")
 		progress  = flag.Bool("progress", false, "stream live search progress to stderr")
 		metrics   = flag.Bool("metrics", false, "dump per-rule attribution and the full metric registry (Prometheus text) to stderr after the run")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
@@ -158,12 +157,8 @@ func main() {
 		case "json":
 		case "gzip":
 			client.Gzip = true
-		case "bin":
-			client.Binary = true
-		case "bin+gzip", "gzip+bin":
-			client.Gzip, client.Binary = true, true
 		default:
-			fatal(fmt.Errorf("unknown -wire format %q (want json|gzip|bin|bin+gzip)", *wire))
+			fatal(fmt.Errorf("unknown -wire format %q (want json|gzip)", *wire))
 		}
 		if *session == "" {
 			// Submit first: the coordinator canonicalizes the circuit and
@@ -202,7 +197,6 @@ func main() {
 		Async:             *async,
 		Parallelism:       workers,
 		PartitionParallel: *part,
-		AdaptivePortfolio: *adaptive,
 		Fixpoint:          *fixpoint,
 	}
 	var reg *guoq.MetricsRegistry

@@ -192,14 +192,6 @@ type Options struct {
 	// Circuits too small to window fall back to the portfolio. Requires
 	// Parallelism ≥ 2.
 	PartitionParallel bool
-	// AdaptivePortfolio replaces the portfolio's static temperature ladder
-	// with a feedback controller: each worker's temperature retargets from
-	// its live acceptance rate, and workers whose searches stall are parked
-	// (throttled) until the global best improves, releasing their CPU to
-	// productive workers. Requires Parallelism ≥ 2 to have any effect;
-	// seeded single-worker runs are byte-identical with it on or off.
-	// Parallel runs are not reproducible across runs either way.
-	AdaptivePortfolio bool
 	// Fixpoint selects parallel local fixpoint optimization — the strategy
 	// for circuits too large for one global search: each round splits the
 	// circuit into sliding windows, optimizes every window concurrently

@@ -32,21 +32,12 @@ type GUOQ struct {
 	// windows optimized concurrently (ε split across windows, Thm 4.2);
 	// circuits too small to window fall back to the portfolio.
 	Partition bool
-	// Adaptive enables the portfolio's feedback controller: worker
-	// temperatures retarget from their acceptance-rate streams and stalled
-	// workers park until the global best improves. No effect with
-	// Parallelism ≤ 1.
-	Adaptive bool
 	// Fixpoint selects the parallel local fixpoint strategy (internal/popt):
 	// iterated rounds of concurrent bounded window searches with alternating
 	// seam offsets, committed only on whole-circuit improvement — the
 	// huge-circuit mode. Takes precedence over Partition; circuits too small
 	// to window fall back to the portfolio.
 	Fixpoint bool
-	// UpstreamSyncEvery tunes how often a portfolio's coordinator polls an
-	// upstream (distributed) exchanger when local workers bring no
-	// improvement; 0 keeps the 100 ms default.
-	UpstreamSyncEvery time.Duration
 	// Exchanger, when set, connects the run to an external best-so-far
 	// store (a guoqd coordinator via internal/dist): a single-worker run
 	// polls it directly, a portfolio relays through its in-process
@@ -200,8 +191,6 @@ func (g *GUOQ) OptimizeStatsContext(ctx context.Context, c *circuit.Circuit, gs 
 	opts.MaxIters = g.MaxIters
 	opts.OnEvent = g.OnEvent
 	opts.Metrics = g.Metrics
-	opts.AdaptivePortfolio = g.Adaptive
-	opts.UpstreamSyncEvery = g.UpstreamSyncEvery
 	if ctx != nil {
 		opts.Context = ctx
 	}

@@ -72,10 +72,6 @@ type Client struct {
 	// gzip-compressed responses. Off by default; any guoqd with this
 	// code understands it, and it only pays off on slow links.
 	Gzip bool
-	// Binary switches the envelope-heavy endpoints (exchange, submit) to
-	// the length-prefixed binary codec. Opt-in: an older coordinator
-	// rejects the content type, so enable it only against a current one.
-	Binary bool
 	// Retries bounds the extra attempts made when an idempotent request
 	// (exchange, submit, push, complete — never lease) fails with a
 	// transient error: a network fault or a 429/502/503/504. Each retry
@@ -300,15 +296,12 @@ func (c *Client) Queue(queue string) (QueueStatus, error) {
 	return st, json.NewDecoder(resp.Body).Decode(&st)
 }
 
-// encodeRequest marshals req per the client's codec settings and returns
-// the body plus the Content-Type and Content-Encoding headers to send.
-func (c *Client) encodeRequest(req any) (body []byte, contentType, contentEncoding string, err error) {
-	contentType = contentTypeJSON
-	if bm, ok := req.(binaryMessage); ok && c.Binary {
-		body = bm.appendBinary(nil)
-		contentType = contentTypeBinary
-	} else if body, err = json.Marshal(req); err != nil {
-		return nil, "", "", err
+// encodeRequest marshals req as JSON, gzipped past the size floor when the
+// client has Gzip on, and returns the body plus the Content-Encoding
+// header to send.
+func (c *Client) encodeRequest(req any) (body []byte, contentEncoding string, err error) {
+	if body, err = json.Marshal(req); err != nil {
+		return nil, "", err
 	}
 	if c.Gzip && len(body) >= gzipMinBytes {
 		var buf bytes.Buffer
@@ -317,15 +310,15 @@ func (c *Client) encodeRequest(req any) (body []byte, contentType, contentEncodi
 			err = zw.Close()
 		}
 		if err != nil {
-			return nil, "", "", err
+			return nil, "", err
 		}
 		body, contentEncoding = buf.Bytes(), "gzip"
 	}
-	return body, contentType, contentEncoding, nil
+	return body, contentEncoding, nil
 }
 
-// decodeResponse reads a 200 body, reversing whatever encoding the server
-// chose (it only ever picks codecs this request advertised).
+// decodeResponse reads a 200 body, inflating it when the server gzipped it
+// (it only does so when this request advertised gzip).
 func (c *Client) decodeResponse(resp *http.Response, into any) error {
 	body := io.Reader(resp.Body)
 	if strings.Contains(resp.Header.Get("Content-Encoding"), "gzip") {
@@ -337,17 +330,6 @@ func (c *Client) decodeResponse(resp *http.Response, into any) error {
 		}
 		defer zr.Close()
 		body = zr
-	}
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), contentTypeBinary) {
-		bm, ok := into.(binaryMessage)
-		if !ok {
-			return fmt.Errorf("dist: unexpected binary response")
-		}
-		data, err := io.ReadAll(body)
-		if err != nil {
-			return err
-		}
-		return bm.decodeBinary(data)
 	}
 	return json.NewDecoder(body).Decode(into)
 }
@@ -368,13 +350,13 @@ func (e *httpStatusError) Error() string {
 	return fmt.Sprintf("dist: %s returned %d", e.path, e.code)
 }
 
-// post performs one request/response cycle with codec negotiation. No
+// post performs one request/response cycle with gzip negotiation. No
 // retrying — see postIdem for that.
 func (c *Client) post(path string, req, into any) error {
 	if h := c.m.requestSeconds.With(path); h != nil {
 		defer h.Time()()
 	}
-	body, ct, ce, err := c.encodeRequest(req)
+	body, ce, err := c.encodeRequest(req)
 	if err != nil {
 		return err
 	}
@@ -382,15 +364,12 @@ func (c *Client) post(path string, req, into any) error {
 	if err != nil {
 		return err
 	}
-	hreq.Header.Set("Content-Type", ct)
+	hreq.Header.Set("Content-Type", contentTypeJSON)
 	if ce != "" {
 		hreq.Header.Set("Content-Encoding", ce)
 	}
 	if c.Gzip {
 		hreq.Header.Set("Accept-Encoding", "gzip")
-	}
-	if _, ok := into.(binaryMessage); ok && c.Binary {
-		hreq.Header.Set("Accept", contentTypeBinary)
 	}
 	c.authorize(hreq)
 	resp, err := c.hc.Do(hreq)

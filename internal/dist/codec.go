@@ -2,234 +2,32 @@ package dist
 
 import (
 	"compress/gzip"
-	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strings"
 )
 
-// Wire codecs. JSON is the default and always works; two opt-in upgrades
-// target the large-circuit payloads where QASM-in-JSON is the bottleneck:
-//
-//   - gzip transport compression, negotiated with the standard headers
-//     (request: Content-Encoding; response: Accept-Encoding, applied to
-//     bodies past a size floor). QASM text compresses ~10×.
-//   - a length-prefixed binary envelope codec (Content-Type
-//     application/x-guoq-bin) for the envelope-heavy endpoints, which
-//     skips JSON string escaping and float formatting entirely. A client
-//     requests binary responses with Accept: application/x-guoq-bin.
-//
-// Both are strictly per-request: a stock JSON client never sees either,
-// and servers answer in kind, so the surface stays backward compatible.
+// Wire codec. Bodies are JSON; gzip transport compression is an opt-in
+// upgrade for large-circuit payloads (QASM text compresses ~10×),
+// negotiated with the standard headers (request: Content-Encoding;
+// response: Accept-Encoding, applied to bodies past a size floor). It is
+// strictly per-request: a client that does not ask for gzip never gets it.
 const (
-	contentTypeJSON   = "application/json"
-	contentTypeBinary = "application/x-guoq-bin"
-
-	// binMagic heads every binary body; the trailing byte is the version.
-	binMagic = "GQB1"
+	contentTypeJSON = "application/json"
 
 	// gzipMinBytes is the response-compression floor: tiny bodies cost
 	// more in gzip framing than they save.
 	gzipMinBytes = 1024
 )
 
-// binaryMessage is implemented by wire types with a binary form. Fields
-// are appended in declaration order: strings as uvarint length + bytes,
-// floats as 8-byte little-endian IEEE 754 bits, bools as one byte.
-type binaryMessage interface {
-	appendBinary(b []byte) []byte
-	decodeBinary(b []byte) error
-}
-
-func appendBinString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBinFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
-func appendBinBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-// binReader decodes the field stream with sticky error tracking, so
-// decoders read every field unconditionally and check once.
-type binReader struct {
-	b   []byte
-	err error
-}
-
-func (r *binReader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("dist: truncated binary message")
-	}
-}
-
-func (r *binReader) string_() string {
-	if r.err != nil {
-		return ""
-	}
-	n, used := binary.Uvarint(r.b)
-	if used <= 0 || uint64(len(r.b)-used) < n {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[used : used+int(n)])
-	r.b = r.b[used+int(n):]
-	return s
-}
-
-func (r *binReader) float() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *binReader) bool_() bool {
-	if r.err != nil {
-		return false
-	}
-	if len(r.b) < 1 {
-		r.fail()
-		return false
-	}
-	v := r.b[0] != 0
-	r.b = r.b[1:]
-	return v
-}
-
-// openBinary strips and verifies the magic header.
-func openBinary(b []byte) (*binReader, error) {
-	if len(b) < len(binMagic) || string(b[:len(binMagic)]) != binMagic {
-		return nil, fmt.Errorf("dist: not a %s binary message", binMagic)
-	}
-	return &binReader{b: b[len(binMagic):]}, nil
-}
-
-func appendSolution(b []byte, s Solution) []byte {
-	b = appendBinString(b, s.QASM)
-	b = appendBinFloat(b, s.Err)
-	return appendBinFloat(b, s.Cost)
-}
-
-func readSolution(r *binReader) Solution {
-	var s Solution
-	s.QASM = r.string_()
-	s.Err = r.float()
-	s.Cost = r.float()
-	return s
-}
-
-func (m *ExchangeRequest) appendBinary(b []byte) []byte {
-	b = append(b, binMagic...)
-	b = appendBinString(b, m.Session)
-	b = appendBinString(b, m.Worker)
-	b = appendBinFloat(b, m.Epsilon)
-	return appendSolution(b, m.Best)
-}
-
-func (m *ExchangeRequest) decodeBinary(b []byte) error {
-	r, err := openBinary(b)
-	if err != nil {
-		return err
-	}
-	m.Session = r.string_()
-	m.Worker = r.string_()
-	m.Epsilon = r.float()
-	m.Best = readSolution(r)
-	return r.err
-}
-
-func (m *ExchangeResponse) appendBinary(b []byte) []byte {
-	b = append(b, binMagic...)
-	b = appendBinBool(b, m.Adopt)
-	return appendSolution(b, m.Best)
-}
-
-func (m *ExchangeResponse) decodeBinary(b []byte) error {
-	r, err := openBinary(b)
-	if err != nil {
-		return err
-	}
-	m.Adopt = r.bool_()
-	m.Best = readSolution(r)
-	return r.err
-}
-
-func (m *SubmitRequest) appendBinary(b []byte) []byte {
-	b = append(b, binMagic...)
-	b = appendBinString(b, m.QASM)
-	b = appendBinString(b, m.Target)
-	b = appendBinString(b, m.Objective)
-	b = appendBinFloat(b, m.Epsilon)
-	return appendBinString(b, m.Worker)
-}
-
-func (m *SubmitRequest) decodeBinary(b []byte) error {
-	r, err := openBinary(b)
-	if err != nil {
-		return err
-	}
-	m.QASM = r.string_()
-	m.Target = r.string_()
-	m.Objective = r.string_()
-	m.Epsilon = r.float()
-	m.Worker = r.string_()
-	return r.err
-}
-
-func (m *SubmitResponse) appendBinary(b []byte) []byte {
-	b = append(b, binMagic...)
-	b = appendBinBool(b, m.Cached)
-	b = appendBinString(b, m.Session)
-	return appendSolution(b, m.Best)
-}
-
-func (m *SubmitResponse) decodeBinary(b []byte) error {
-	r, err := openBinary(b)
-	if err != nil {
-		return err
-	}
-	m.Cached = r.bool_()
-	m.Session = r.string_()
-	m.Best = readSolution(r)
-	return r.err
-}
-
-// compile-time interface checks for every binary-capable wire type.
-var (
-	_ binaryMessage = (*ExchangeRequest)(nil)
-	_ binaryMessage = (*ExchangeResponse)(nil)
-	_ binaryMessage = (*SubmitRequest)(nil)
-	_ binaryMessage = (*SubmitResponse)(nil)
-)
-
 func acceptsGzip(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept-Encoding"), "gzip")
 }
 
-func acceptsBinary(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), contentTypeBinary)
-}
-
-// readBody decodes a request body under the size cap, honoring gzip
-// Content-Encoding and the binary Content-Type. Replies with the
-// appropriate 4xx and returns false on any failure.
+// readBody decodes a JSON request body under the size cap, honoring gzip
+// Content-Encoding. Replies with the appropriate 4xx and returns false on
+// any failure.
 func readBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	body := io.Reader(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if enc := r.Header.Get("Content-Encoding"); strings.Contains(enc, "gzip") {
@@ -243,23 +41,6 @@ func readBody(w http.ResponseWriter, r *http.Request, into any) bool {
 		// one too so a compression bomb cannot bypass the cap.
 		body = io.LimitReader(zr, maxBodyBytes)
 	}
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, contentTypeBinary) {
-		bm, ok := into.(binaryMessage)
-		if !ok {
-			httpError(w, http.StatusUnsupportedMediaType, "endpoint has no binary form")
-			return false
-		}
-		data, err := io.ReadAll(body)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-			return false
-		}
-		if err := bm.decodeBinary(data); err != nil {
-			httpError(w, http.StatusBadRequest, "bad binary body: "+err.Error())
-			return false
-		}
-		return true
-	}
 	if err := json.NewDecoder(body).Decode(into); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return false
@@ -267,28 +48,16 @@ func readBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	return true
 }
 
-// writeReply encodes v per the request's negotiation: binary when the
-// client accepts it and v has a binary form, JSON otherwise; gzipped when
-// the client accepts gzip and the body clears the size floor. A nil
-// request always writes plain JSON.
+// writeReply encodes v as JSON, gzipped when the client accepts gzip and
+// the body clears the size floor. A nil request always writes plain JSON.
 func writeReply(w http.ResponseWriter, r *http.Request, v any) {
-	var payload []byte
-	ct := contentTypeJSON
-	if r != nil && acceptsBinary(r) {
-		if bm, ok := v.(binaryMessage); ok {
-			payload = bm.appendBinary(nil)
-			ct = contentTypeBinary
-		}
+	payload, err := json.Marshal(v)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
-	if payload == nil {
-		var err error
-		if payload, err = json.Marshal(v); err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		payload = append(payload, '\n')
-	}
-	w.Header().Set("Content-Type", ct)
+	payload = append(payload, '\n')
+	w.Header().Set("Content-Type", contentTypeJSON)
 	if r != nil && len(payload) >= gzipMinBytes && acceptsGzip(r) {
 		w.Header().Set("Content-Encoding", "gzip")
 		zw := gzip.NewWriter(w)

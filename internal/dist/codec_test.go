@@ -1,11 +1,13 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -14,53 +16,15 @@ import (
 	"github.com/guoq-dev/guoq/internal/gateset"
 )
 
-func TestBinaryCodecRoundTrips(t *testing.T) {
-	sol := Solution{Envelope: circuit.Envelope{QASM: "OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n", Err: 3.5e-9}, Cost: 17.25}
-	msgs := []binaryMessage{
-		&ExchangeRequest{Session: "s", Worker: "w", Epsilon: 1e-8, Best: sol},
-		&ExchangeResponse{Adopt: true, Best: sol},
-		&SubmitRequest{QASM: sol.QASM, Target: "ibm-eagle", Objective: "2q", Epsilon: 1e-8, Worker: "w"},
-		&SubmitResponse{Cached: true, Session: "abc", Best: sol},
-	}
-	for _, m := range msgs {
-		b := m.appendBinary(nil)
-		fresh := reflect.New(reflect.TypeOf(m).Elem()).Interface().(binaryMessage)
-		if err := fresh.decodeBinary(b); err != nil {
-			t.Fatalf("%T: decode: %v", m, err)
-		}
-		if !reflect.DeepEqual(m, fresh) {
-			t.Fatalf("%T round trip:\n got %+v\nwant %+v", m, fresh, m)
-		}
-	}
-}
-
-func TestBinaryCodecRejectsGarbage(t *testing.T) {
-	var req ExchangeRequest
-	if err := req.decodeBinary([]byte("not binary at all")); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	// Truncate a valid message at every prefix: never a panic, always a
-	// clean error (except the empty-payload fields of a lucky prefix).
-	full := (&ExchangeRequest{Session: "session", Worker: "worker", Epsilon: 1, Best: Solution{Envelope: circuit.Envelope{QASM: "q", Err: 1}, Cost: 1}}).appendBinary(nil)
-	for i := len(binMagic); i < len(full); i++ {
-		var m ExchangeRequest
-		if err := m.decodeBinary(full[:i]); err == nil {
-			t.Fatalf("truncation at %d accepted", i)
-		}
-	}
-}
-
-// A client speaking gzip + binary gets byte-identical semantics over the
-// wire: exchanges and submissions work end to end with both upgrades on.
+// A client speaking gzip gets identical semantics over the wire:
+// exchanges and submissions work end to end with compression on.
 func TestWireNegotiation(t *testing.T) {
 	for _, mode := range []struct {
-		name      string
-		gzip, bin bool
+		name string
+		gzip bool
 	}{
-		{"json", false, false},
-		{"gzip", true, false},
-		{"bin", false, true},
-		{"bin+gzip", true, true},
+		{"json", false},
+		{"gzip", true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			srv := NewServer(ServerOptions{})
@@ -73,7 +37,7 @@ func TestWireNegotiation(t *testing.T) {
 			c := NewClient(hs.URL, "", "w")
 			c.Epsilon = 1e-8
 			c.MinInterval = -1
-			c.Gzip, c.Binary = mode.gzip, mode.bin
+			c.Gzip = mode.gzip
 
 			resp, err := c.Submit(input, "ibm-eagle", "2q", 1e-8)
 			if err != nil {
@@ -87,7 +51,7 @@ func TestWireNegotiation(t *testing.T) {
 			c2 := NewClient(hs.URL, resp.Session, "w2")
 			c2.Epsilon = 1e-8
 			c2.MinInterval = -1
-			c2.Gzip, c2.Binary = mode.gzip, mode.bin
+			c2.Gzip = mode.gzip
 			adopted, _, ok := c2.Exchange(circuit.New(5), 0, 999)
 			if !ok {
 				t.Fatal("no adoption over negotiated codec")
@@ -99,8 +63,8 @@ func TestWireNegotiation(t *testing.T) {
 	}
 }
 
-// A stock JSON client is untouched by the upgrades existing: no
-// Content-Encoding, no binary, plain JSON replies.
+// A client that asks for no compression gets plain JSON replies with no
+// Content-Encoding.
 func TestWireDefaultsToPlainJSON(t *testing.T) {
 	srv := NewServer(ServerOptions{})
 	hs := httptest.NewServer(srv.Handler())
@@ -122,6 +86,59 @@ func TestWireDefaultsToPlainJSON(t *testing.T) {
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Fatalf("Content-Type = %q, want JSON", ct)
+	}
+}
+
+// binaryFrame builds a body in the retired binary envelope framing: magic
+// "GQB1", then the fields in order, strings uvarint-length-prefixed and
+// floats 8-byte little-endian.
+func binaryFrame(fields ...any) []byte {
+	b := []byte("GQB1")
+	for _, f := range fields {
+		switch v := f.(type) {
+		case string:
+			b = binary.AppendUvarint(b, uint64(len(v)))
+			b = append(b, v...)
+		case float64:
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	return b
+}
+
+// A client still sending the retired binary envelope framing gets a 4xx
+// on both endpoints that accepted it, never a 200 from a misparse, and
+// opens no session.
+func TestWireRejectsBinaryBody(t *testing.T) {
+	srv := NewServer(ServerOptions{})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	qasm := "OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n"
+	for path, body := range map[string][]byte{
+		// session, worker, ε, then the solution: QASM, err, cost.
+		"/v1/exchange": binaryFrame("s", "w", 1e-8, qasm, 0.0, 1.0),
+		// QASM, target, objective, ε, worker.
+		"/v1/submit": binaryFrame(qasm, "ibm-eagle", "2q", 1e-8, "w"),
+	} {
+		req, err := http.NewRequest(http.MethodPost, hs.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/x-guoq-bin")
+		req.Header.Set("Accept", "application/x-guoq-bin")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Errorf("%s with a binary body: status %d, want 4xx", path, resp.StatusCode)
+		}
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if n := len(srv.sessions); n != 0 {
+		t.Fatalf("binary bodies opened %d sessions", n)
 	}
 }
 

@@ -19,8 +19,7 @@ import (
 //	GET  /healthz                            -> "ok"
 //
 // Bodies may additionally be gzip-compressed (standard Content-Encoding /
-// Accept-Encoding negotiation) or, on the envelope-heavy endpoints, use
-// the opt-in binary codec — see codec.go. JSON remains the default.
+// Accept-Encoding negotiation) — see codec.go.
 
 // Solution is a candidate circuit on the wire: QASM text, the accumulated
 // ε bound relative to the session's original circuit, and its value under

@@ -78,21 +78,14 @@ type Options struct {
 	// fire).
 	EventEvery int
 	// Pool, when set together with Async, runs this search's slow
-	// transformations on the shared resynthesis pool instead of a private
-	// background goroutine. Many concurrent searches (portfolio members,
-	// fixpoint windows) then share one bounded set of synthesis workers —
-	// work-stealing across searches — instead of each holding its own.
-	// Each search still has at most one resynthesis in flight; the pool
-	// bounds how many of those run simultaneously. Leaving Pool nil keeps
-	// the historical one-goroutine-per-search behaviour (and seeded runs
-	// bit-identical to it).
+	// transformations on a shared resynthesis pool. Many concurrent
+	// searches (portfolio members, fixpoint windows) then share one bounded
+	// set of synthesis workers — work-stealing across searches — instead of
+	// each holding its own. Each search still has at most one resynthesis
+	// in flight; the pool bounds how many of those run simultaneously. With
+	// Pool nil an Async search creates a size-1 pool of its own for the
+	// run.
 	Pool *ResynthPool
-	// UpstreamSyncEvery is the minimum interval between a portfolio
-	// group's syncs with an upstream exchanger (two-level hierarchy, e.g.
-	// a remote guoqd coordinator). Zero means the 100 ms default;
-	// unproductive syncs back off adaptively up to 16× this base. Only
-	// meaningful for Portfolio/PartitionParallel runs with an Exchanger.
-	UpstreamSyncEvery time.Duration
 	// Metrics, when set, receives live instrumentation: iteration and
 	// accept/reject counters attributed per transformation, proposal- and
 	// synthesis-latency histograms, ε spend and best cost, and the
@@ -102,24 +95,6 @@ type Options struct {
 	// consumes no randomness, so instrumented runs stay bit-identical to
 	// uninstrumented ones.
 	Metrics *Metrics
-	// AdaptivePortfolio replaces the portfolio's static temperature rungs
-	// with a feedback controller: each worker's acceptance-rate stream
-	// (the Event heartbeats) retargets its effective temperature, and
-	// workers whose searches stall are parked — throttled to a duty cycle —
-	// until any worker improves the global best. Only meaningful for
-	// Portfolio/PartitionParallel runs; off (the default) keeps the static
-	// rungs, and single-worker seeded runs are bit-identical either way.
-	AdaptivePortfolio bool
-
-	// tempScale and parkPoint are the adaptive controller's steering hooks,
-	// wired by Portfolio (never by callers — package-private so the
-	// deterministic single-worker contract cannot be broken from outside).
-	// tempScale returns the current multiplier applied to Temperature in
-	// the acceptance rule; parkPoint runs once per iteration and may block
-	// briefly to throttle a parked worker. Nil hooks cost nothing and
-	// change nothing.
-	tempScale func() float64
-	parkPoint func()
 }
 
 // Event is a point-in-time progress report from a running search, emitted
@@ -257,13 +232,17 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 	bestCost := currCost
 
 	res := &Result{}
-	var worker slowRunner
+	var worker *poolClient
 	if opts.Async && len(slow) > 0 && len(fast) > 0 {
-		if opts.Pool != nil {
-			worker = opts.Pool.newClient()
-		} else {
-			worker = newAsyncWorker()
+		pool := opts.Pool
+		if pool == nil {
+			// A lone search: one pool worker is the single background
+			// synthesis call of §5.3. It reports no pool metrics, which
+			// describe pools shared across searches.
+			pool = NewResynthPool(1)
+			defer pool.Close()
 		}
+		worker = pool.newClient()
 		defer worker.stop()
 	}
 
@@ -402,11 +381,7 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 		improve()
 	}
 
-	// accept decides per Alg. 1 lines 10-15. The adaptive portfolio's
-	// controller, when wired, scales the temperature between calls; the
-	// rng draw happens either way, so steering never shifts the random
-	// stream (and a nil hook reproduces the static-temperature run
-	// bit-for-bit).
+	// accept decides per Alg. 1 lines 10-15.
 	accept := func(candCost float64) bool {
 		if candCost <= currCost {
 			return true
@@ -414,11 +389,7 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 		if currCost <= 0 {
 			return false
 		}
-		t := opts.Temperature
-		if opts.tempScale != nil {
-			t *= opts.tempScale()
-		}
-		return rng.Float64() < math.Exp(-t*candCost/currCost)
+		return rng.Float64() < math.Exp(-opts.Temperature*candCost/currCost)
 	}
 
 	exchangeEvery := opts.ExchangeEvery
@@ -439,12 +410,6 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 		}
 		if cancelled() {
 			break
-		}
-		if opts.parkPoint != nil {
-			// Adaptive throttle: a parked worker sleeps here (bounded by
-			// one slice, woken early by global improvement) after the
-			// termination checks above, so parking never delays shutdown.
-			opts.parkPoint()
 		}
 		if eventEvery > 0 && it > 0 && it%eventEvery == 0 {
 			emit(nil)
@@ -581,108 +546,4 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 	finish()
 	emit(nil)
 	return res
-}
-
-// slowRunner is the search loop's view of its asynchronous resynthesis
-// backend: the private per-search asyncWorker or a poolClient of the shared
-// ResynthPool. Either way the search holds at most one job in flight;
-// launch while busy is a no-op, poll never blocks, and stop drains the
-// in-flight job before returning.
-type slowRunner interface {
-	launch(ctx context.Context, t Transformation, c *circuit.Circuit, baseErr, allowed float64, seed int64)
-	poll() (asyncResult, bool)
-	inFlight() bool
-	stop()
-}
-
-// runAsyncJob executes one slow transformation — the body shared by the
-// private asyncWorker goroutine and the pooled workers. It prefers the
-// cancellation-aware path so stop() returns as soon as the synthesizer
-// notices the context, instead of after a full synthesis deadline.
-func runAsyncJob(job asyncJob) asyncResult {
-	t0 := time.Now()
-	rng := rand.New(rand.NewSource(job.seed))
-	var (
-		o   *circuit.Circuit
-		eps float64
-		ok  bool
-	)
-	if ca, cok := job.t.(ContextApplier); cok && job.ctx != nil {
-		o, eps, ok = ca.ApplyContext(job.ctx, job.c, job.allowed, rng)
-	} else {
-		o, eps, ok = job.t.Apply(job.c, job.allowed, rng)
-	}
-	return asyncResult{t: job.t, out: o, baseErr: job.baseErr, eps: eps, ok: ok, dur: time.Since(t0)}
-}
-
-// asyncWorker runs at most one slow transformation at a time in a separate
-// goroutine, as in §5.3 ("we only apply resynthesis to a single subcircuit
-// per iteration" and calls are made asynchronously).
-type asyncWorker struct {
-	in   chan asyncJob
-	out  chan asyncResult
-	busy bool
-}
-
-type asyncJob struct {
-	ctx     context.Context // nil for uncancellable runs
-	t       Transformation
-	c       *circuit.Circuit
-	baseErr float64 // accumulated error of c at launch time
-	allowed float64
-	seed    int64
-}
-
-type asyncResult struct {
-	t       Transformation // the launched transformation, for attribution
-	out     *circuit.Circuit
-	baseErr float64
-	eps     float64
-	ok      bool
-	dur     time.Duration // wall time of the job where it ran
-}
-
-func newAsyncWorker() *asyncWorker {
-	w := &asyncWorker{
-		in:  make(chan asyncJob, 1),
-		out: make(chan asyncResult, 1),
-	}
-	go func() {
-		for job := range w.in {
-			w.out <- runAsyncJob(job)
-		}
-	}()
-	return w
-}
-
-// launch starts a job if the worker is idle; otherwise the request is
-// dropped (one in-flight resynthesis at a time).
-func (w *asyncWorker) launch(ctx context.Context, t Transformation, c *circuit.Circuit, baseErr, allowed float64, seed int64) {
-	if w.busy {
-		return
-	}
-	w.busy = true
-	w.in <- asyncJob{ctx: ctx, t: t, c: c, baseErr: baseErr, allowed: allowed, seed: seed}
-}
-
-// poll returns a finished result if one is ready.
-func (w *asyncWorker) poll() (asyncResult, bool) {
-	select {
-	case r := <-w.out:
-		w.busy = false
-		return r, true
-	default:
-		return asyncResult{}, false
-	}
-}
-
-// inFlight reports whether a job is currently running.
-func (w *asyncWorker) inFlight() bool { return w.busy }
-
-// stop shuts the worker down, draining any in-flight job.
-func (w *asyncWorker) stop() {
-	close(w.in)
-	if w.busy {
-		<-w.out
-	}
 }

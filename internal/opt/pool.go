@@ -2,21 +2,21 @@ package opt
 
 import (
 	"context"
+	"math/rand"
+	"time"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/synth"
 )
 
-// ResynthPool is a shared pool of resynthesis workers for concurrent
-// searches. Historically every portfolio member or partition window with
-// Async ran its own background synthesis goroutine, so P searches admitted
-// P simultaneous numerical searches regardless of core count. A ResynthPool
-// caps that at its size while work-stealing across searches: every search
-// still holds at most one resynthesis in flight (the §5.3 discipline), but
-// a free pool worker picks up the next queued job from whichever search
-// produced it. Wire one through Options.Pool; the same pool may back any
-// number of searches and must outlive them all (Close only after every
-// search using it has returned).
+// ResynthPool is a pool of resynthesis workers for concurrent searches. A
+// ResynthPool caps the number of simultaneous numerical searches at its
+// size while work-stealing across searches: every search still holds at
+// most one resynthesis in flight (the §5.3 discipline), but a free pool
+// worker picks up the next queued job from whichever search produced it.
+// Wire one through Options.Pool; the same pool may back any number of
+// searches and must outlive them all (Close only after every search using
+// it has returned).
 type ResynthPool struct {
 	pool *synth.Pool
 }
@@ -43,15 +43,54 @@ func NewResynthPoolMetrics(size int, m *Metrics) *ResynthPool {
 }
 
 // Close drains queued jobs and stops the workers. Callers must first stop
-// every search using the pool (their deferred slowRunner.stop() drains each
-// search's in-flight job).
+// every search using the pool (their deferred poolClient.stop() drains
+// each search's in-flight job).
 func (p *ResynthPool) Close() { p.pool.Close() }
 
-// newClient returns this search's handle on the pool: a slowRunner with
-// the same one-in-flight discipline as the private asyncWorker, routing
-// results back over a dedicated channel.
+// newClient returns this search's handle on the pool. The search holds at
+// most one job in flight: launch while busy is a no-op, poll never blocks,
+// and stop drains the in-flight job before returning. Results come back
+// over a dedicated channel.
 func (p *ResynthPool) newClient() *poolClient {
 	return &poolClient{p: p, out: make(chan asyncResult, 1)}
+}
+
+type asyncJob struct {
+	ctx     context.Context // nil for uncancellable runs
+	t       Transformation
+	c       *circuit.Circuit
+	baseErr float64 // accumulated error of c at launch time
+	allowed float64
+	seed    int64
+}
+
+type asyncResult struct {
+	t       Transformation // the launched transformation, for attribution
+	out     *circuit.Circuit
+	baseErr float64
+	eps     float64
+	ok      bool
+	dur     time.Duration // wall time of the job where it ran
+}
+
+// runAsyncJob executes one slow transformation on a pool worker. It
+// prefers the cancellation-aware path so stop() returns as soon as the
+// synthesizer notices the context, instead of after a full synthesis
+// deadline.
+func runAsyncJob(job asyncJob) asyncResult {
+	t0 := time.Now()
+	rng := rand.New(rand.NewSource(job.seed))
+	var (
+		o   *circuit.Circuit
+		eps float64
+		ok  bool
+	)
+	if ca, cok := job.t.(ContextApplier); cok && job.ctx != nil {
+		o, eps, ok = ca.ApplyContext(job.ctx, job.c, job.allowed, rng)
+	} else {
+		o, eps, ok = job.t.Apply(job.c, job.allowed, rng)
+	}
+	return asyncResult{t: job.t, out: o, baseErr: job.baseErr, eps: eps, ok: ok, dur: time.Since(t0)}
 }
 
 type poolClient struct {

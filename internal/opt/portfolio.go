@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -21,15 +22,14 @@ func AutoWorkers() int {
 }
 
 // upstreamSyncDefault bounds how often an idle coordinator polls its
-// upstream exchanger when Options.UpstreamSyncEvery is unset: local
-// improvements are pushed immediately, but a coordinator whose workers are
-// stuck still checks for remote progress at this period instead of on every
-// worker exchange (which would hammer a networked upstream with no-op
-// requests). Consecutive unproductive syncs back off exponentially up to
-// upstreamSyncMaxBackoff times the base period, so a long-idle session
-// converges to a slow keepalive instead of a fixed-rate poll; any
-// productive sync — a pushed local improvement or an adopted remote one —
-// resets the period.
+// upstream exchanger: local improvements are pushed immediately, but a
+// coordinator whose workers are stuck still checks for remote progress at
+// this period instead of on every worker exchange (which would hammer a
+// networked upstream with no-op requests). Consecutive unproductive syncs
+// back off exponentially up to upstreamSyncMaxBackoff times the base
+// period, so a long-idle session converges to a slow keepalive instead of
+// a fixed-rate poll; any productive sync — a pushed local improvement or
+// an adopted remote one — resets the period.
 const (
 	upstreamSyncDefault    = 100 * time.Millisecond
 	upstreamSyncMaxBackoff = 16
@@ -47,7 +47,7 @@ const (
 // internal/dist), the coordinator forms a two-level hierarchy: workers
 // exchange with the in-process coordinator at memory speed, and the
 // coordinator relays to the upstream — pushing local improvements
-// immediately and otherwise polling at most every upstreamSyncEvery.
+// immediately and otherwise polling at most every syncWait.
 type coordinator struct {
 	mu      sync.Mutex
 	cost    Cost             // guarded by mu
@@ -70,9 +70,6 @@ type coordinator struct {
 }
 
 func newCoordinator(c *circuit.Circuit, cost Cost, onImprove func(time.Duration, *circuit.Circuit), upstream Exchanger, syncEvery time.Duration) *coordinator {
-	if syncEvery <= 0 {
-		syncEvery = upstreamSyncDefault
-	}
 	return &coordinator{
 		cost:      cost,
 		best:      c,
@@ -179,23 +176,15 @@ func Portfolio(c *circuit.Circuit, ts []Transformation, opts Options, workers in
 	start := time.Now()
 	// One resynthesis pool shared by every member: each still holds one
 	// call in flight (§5.3), but the pool bounds how many run at once and
-	// steals work across members, instead of each member spawning a private
-	// synthesis goroutine. A caller-supplied pool (a fixpoint run sharing
-	// with its fallback portfolio) is reused as-is.
+	// steals work across members, instead of each member creating a
+	// one-worker pool of its own. A caller-supplied pool (a fixpoint run
+	// sharing with its fallback portfolio) is reused as-is.
 	if opts.Async && opts.Pool == nil && len(FilterSlow(ts)) > 0 && len(FilterFast(ts)) > 0 {
 		pool := NewResynthPoolMetrics(workers, opts.Metrics)
 		defer pool.Close()
 		opts.Pool = pool
 	}
-	co := newCoordinator(c, opts.Cost, opts.OnImprove, opts.Exchanger, opts.UpstreamSyncEvery)
-
-	// The adaptive controller taps every worker's event stream and steers
-	// through the unexported Options hooks; without AdaptivePortfolio no
-	// hook is wired and the static temperature rungs stand alone.
-	var ctrl *adaptiveController
-	if opts.AdaptivePortfolio {
-		ctrl = newAdaptiveController(workers)
-	}
+	co := newCoordinator(c, opts.Cost, opts.OnImprove, opts.Exchanger, upstreamSyncDefault)
 
 	results := make([]*Result, workers)
 	var wg sync.WaitGroup
@@ -218,22 +207,6 @@ func Portfolio(c *circuit.Circuit, ts []Transformation, opts Options, workers in
 				e.Worker = wid
 				ev(e)
 			}
-		}
-		if ctrl != nil {
-			// Feed the controller ahead of the caller's consumer, and give
-			// this worker its steering hooks. The wrapper keeps OnEvent
-			// non-nil even without a caller hook, so heartbeats — the
-			// controller's clock — always flow.
-			ev, wid := wOpts.OnEvent, w
-			wOpts.OnEvent = func(e Event) {
-				e.Worker = wid
-				ctrl.observe(e)
-				if ev != nil {
-					ev(e)
-				}
-			}
-			wOpts.tempScale = func() float64 { return ctrl.scale(wid) }
-			wOpts.parkPoint = func() { ctrl.parkPoint(wid) }
 		}
 		wg.Add(1)
 		go func(w int, o Options) {
@@ -270,6 +243,24 @@ func Portfolio(c *circuit.Circuit, ts []Transformation, opts Options, workers in
 	}
 	merged.Elapsed = time.Since(start)
 	return merged
+}
+
+// tempRung returns worker w's temperature multiplier: worker 0 keeps the
+// caller's configuration, odd workers explore (2^-1, 2^-2, …: accepting
+// more uphill moves), even workers exploit (2^1, 2^2, …: stricter). The
+// first seven rungs reproduce the historical fixed ladder exactly; beyond
+// that the progression continues instead of wrapping — the old table's
+// trailing rung silently repeated worker 0's multiplier for the eighth
+// worker and then cycled, so large portfolios ran duplicate
+// configurations.
+func tempRung(w int) float64 {
+	if w <= 0 {
+		return 1
+	}
+	if w%2 == 1 {
+		return math.Exp2(-float64((w + 1) / 2))
+	}
+	return math.Exp2(float64(w / 2))
 }
 
 // minWindowGates is the smallest time window worth optimizing on its own;

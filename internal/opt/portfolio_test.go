@@ -25,6 +25,32 @@ func eagleSetup(t *testing.T, seed int64, gates int) (*circuit.Circuit, []Transf
 	return c, ts
 }
 
+// TestTempRung pins the portfolio temperature ladder: the first seven
+// workers reproduce the historical fixed table exactly (so existing tuned
+// deployments keep their configurations), and beyond that the progression
+// keeps generating distinct rungs instead of wrapping — the old table
+// repeated worker 0's multiplier at worker 7 and then cycled, so portfolios
+// with ≥ 8 workers burned CPU on duplicate configurations.
+func TestTempRung(t *testing.T) {
+	legacy := []float64{1, 0.5, 2, 0.25, 4, 0.125, 8}
+	for w, want := range legacy {
+		if got := tempRung(w); got != want {
+			t.Errorf("tempRung(%d) = %v, want legacy rung %v", w, got, want)
+		}
+	}
+	seen := map[float64]int{}
+	for w := 0; w < 16; w++ {
+		r := tempRung(w)
+		if r <= 0 {
+			t.Fatalf("tempRung(%d) = %v, want > 0", w, r)
+		}
+		if prev, dup := seen[r]; dup {
+			t.Errorf("tempRung wraps: workers %d and %d share rung %v", prev, w, r)
+		}
+		seen[r] = w
+	}
+}
+
 // Same seed ⇒ byte-identical output in synchronous single-worker mode: the
 // reproducibility contract documented on Options.Seed.
 func TestSynchronousDeterminism(t *testing.T) {
@@ -87,7 +113,7 @@ func TestCoordinatorExchange(t *testing.T) {
 }
 
 // countingExchanger counts upstream polls and never offers anything back —
-// the "stuck remote session" the adaptive backoff is for.
+// the "stuck remote session" the exponential backoff is for.
 type countingExchanger struct{ calls int }
 
 func (e *countingExchanger) Exchange(*circuit.Circuit, float64, float64) (*circuit.Circuit, float64, bool) {
@@ -131,11 +157,6 @@ func TestCoordinatorUpstreamBackoff(t *testing.T) {
 	}
 	if co.syncWait != time.Hour {
 		t.Fatalf("productive sync left syncWait at %v, want reset to base", co.syncWait)
-	}
-
-	// The zero value selects the documented 100 ms default.
-	if d := newCoordinator(base, cost, nil, up, 0); d.syncBase != upstreamSyncDefault {
-		t.Fatalf("default sync base %v, want %v", d.syncBase, upstreamSyncDefault)
 	}
 }
 
@@ -216,13 +237,15 @@ func (s stubSlow) Apply(c *circuit.Circuit, _ float64, _ *rand.Rand) (*circuit.C
 	return c.Clone(), s.eps, true
 }
 
-// The async worker must report results against the error base the job was
+// A pool client must report results against the error base the job was
 // launched with: an exchange adoption can replace the loop's accumulated
 // error while a job is in flight, and charging the job's eps against the
 // adopted (smaller) base would understate the true bound and let the loop
 // overspend the hard ε budget.
-func TestAsyncWorkerCarriesErrorBase(t *testing.T) {
-	w := newAsyncWorker()
+func TestPoolClientCarriesErrorBase(t *testing.T) {
+	pool := NewResynthPool(1)
+	defer pool.Close()
+	w := pool.newClient()
 	defer w.stop()
 	w.launch(context.Background(), stubSlow{eps: 0.125}, circuit.New(1), 0.25, 0.5, 1)
 	deadline := time.Now().Add(2 * time.Second)

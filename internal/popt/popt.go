@@ -65,7 +65,8 @@ type Options struct {
 // The result is never worse than the input and its BestError is within
 // Search.Epsilon. Search.MaxIters, when set, bounds the total iterations
 // summed across all window searches (checked between rounds, so a run may
-// overshoot by at most one round).
+// overshoot by at most one round). Search.Exchanger, when set, receives
+// the stitched result when the run ends (window searches do not exchange).
 func Fixpoint(c *circuit.Circuit, ts []opt.Transformation, o Options) *opt.Result {
 	so := o.Search
 	if so.Cost == nil {
@@ -111,8 +112,8 @@ func Fixpoint(c *circuit.Circuit, ts []opt.Transformation, o Options) *opt.Resul
 	}
 
 	// One shared resynthesis pool for every window search of every round:
-	// without it, W concurrent windows in Async mode would each spawn a
-	// private synthesis goroutine and admit W simultaneous numerical
+	// without it, W concurrent windows in Async mode would each create a
+	// one-worker pool of their own and admit W simultaneous numerical
 	// searches; the pool work-steals across windows and caps concurrency at
 	// the worker count. A caller-supplied pool (a portfolio sharing with a
 	// fixpoint run) is reused as-is.
@@ -201,20 +202,19 @@ func Fixpoint(c *circuit.Circuit, ts []opt.Transformation, o Options) *opt.Resul
 			wOpts.Epsilon = epsPer
 			wOpts.Seed = so.Seed + int64(round)*0x3779B97F4A7C15 + int64(i)*0x9E3779B9
 			wOpts.MaxIters = roundIters
-			if so.TimeBudget > 0 {
-				rem := time.Until(deadline)
-				if rem <= 0 {
-					rem = time.Millisecond
-				}
-				wOpts.TimeBudget = rem
-			}
-			wOpts.Exchanger = nil
+			wOpts.Exchanger = nil // a window is not a whole-circuit solution
 			wOpts.OnImprove = nil // a window-local best is not a global one
 			wOpts.OnEvent = nil   // rounds report as one worker, see emit
 			wOpts.Pool = pool
 			go func(i int, sub *circuit.Circuit, wo opt.Options) {
 				sem <- struct{}{}
 				defer func() { <-sem; doneCh <- struct{}{} }()
+				if so.TimeBudget > 0 {
+					// Measured after the semaphore: a window queued behind
+					// the others gets what is left of the run, not a fresh
+					// copy of the remainder at spawn time.
+					wo.TimeBudget = max(time.Until(deadline), time.Millisecond)
+				}
 				outs[i] = winOut{out: opt.GUOQ(sub, ts, wo), base: wo.Cost(sub)}
 			}(i, sub, wOpts)
 		}
@@ -284,6 +284,20 @@ func Fixpoint(c *circuit.Circuit, ts []opt.Transformation, o Options) *opt.Resul
 		// Unreachable for additive costs (commits are strictly improving);
 		// keeps the never-worse contract under exotic caller costs.
 		res.Best, res.BestError = c, 0
+	}
+	// The stitched circuit (summed bound ≤ Epsilon) is a valid session
+	// solution: publish it to a distributed coordinator and adopt a remote
+	// solution that is strictly ahead, with its own bound, as Portfolio
+	// and PartitionParallel do.
+	if so.Exchanger != nil {
+		bestCost := so.Cost(res.Best)
+		if adopt, adoptErr, ok := so.Exchanger.Exchange(res.Best, res.BestError, bestCost); ok {
+			if cost := so.Cost(adopt); cost < bestCost {
+				res.Best, res.BestError = adopt, adoptErr
+				res.Migrations++
+				currCost, totalErr = cost, adoptErr
+			}
+		}
 	}
 	res.Elapsed = time.Since(start)
 	emit(nil)

@@ -203,3 +203,84 @@ func TestFixpointCancelNoGoroutineLeak(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// Windows queued behind the worker semaphore must share the run's wall
+// clock, not each start with a fresh copy of it: with 2 workers and dozens
+// of time-bound windows, the run may overrun its budget only by one
+// synchronous synthesis call (the deadline is checked between iterations)
+// plus scheduling slack.
+func TestFixpointHonorsTimeBudget(t *testing.T) {
+	const synthTime = 25 * time.Millisecond // setup's synthesis deadline
+	c, ts := setup(t, 8, 2000)
+	so := opt.DefaultOptions()
+	so.Cost = opt.TwoQubitCost()
+	so.Seed = 4
+	so.Async = false
+	so.TimeBudget = 200 * time.Millisecond
+	o := testOptions(so)
+	o.Workers = 2
+	o.RoundIters = 1 << 30 // windows end on the clock, not on iterations
+	o.MaxRounds = 0
+	start := time.Now()
+	res := Fixpoint(c, ts, o)
+	elapsed := time.Since(start)
+	if limit := so.TimeBudget + synthTime + 500*time.Millisecond; elapsed > limit {
+		t.Fatalf("fixpoint with a %v budget ran %v (limit %v)", so.TimeBudget, elapsed, limit)
+	}
+	if got, in := so.Cost(res.Best), so.Cost(c); got > in {
+		t.Fatalf("cost went up %g -> %g", in, got)
+	}
+}
+
+// fakeUpstream is a canned remote coordinator: it offers a fixed solution
+// when it beats the publisher and records what was published to it.
+// Fixpoint exchanges from its calling goroutine, so it needs no lock.
+type fakeUpstream struct {
+	offer     *circuit.Circuit
+	offerErr  float64
+	offerCost float64
+	published int
+	lastCost  float64
+}
+
+func (f *fakeUpstream) Exchange(best *circuit.Circuit, bestErr, bestCost float64) (*circuit.Circuit, float64, bool) {
+	f.published++
+	f.lastCost = bestCost
+	if f.offer != nil && f.offerCost < bestCost {
+		return f.offer, f.offerErr, true
+	}
+	return nil, 0, false
+}
+
+// A windowed fixpoint run publishes its stitched result to an upstream
+// exchanger and adopts a strictly better remote solution with that
+// solution's own ε, so -fixpoint runs take part in a distributed session
+// (and fill guoqd's result cache) instead of dropping the Exchanger.
+func TestFixpointUpstreamExchanger(t *testing.T) {
+	c, ts := setup(t, 14, 220) // large enough to window
+	so := opt.DefaultOptions()
+	so.Cost = opt.TwoQubitCost()
+	so.Seed = 5
+	so.Async = false
+	so.TimeBudget = 0
+
+	up := &fakeUpstream{}
+	so.Exchanger = up
+	res := Fixpoint(c, ts, testOptions(so))
+	if up.published == 0 {
+		t.Fatal("fixpoint never published to the upstream coordinator")
+	}
+	if got := so.Cost(res.Best); up.lastCost != got {
+		t.Fatalf("published cost %g does not match the returned result's %g", up.lastCost, got)
+	}
+
+	ahead := &fakeUpstream{offer: circuit.New(c.NumQubits), offerErr: 3e-9, offerCost: 0}
+	so.Exchanger = ahead
+	res = Fixpoint(c, ts, testOptions(so))
+	if got := so.Cost(res.Best); got != 0 {
+		t.Fatalf("fixpoint did not adopt the upstream offer: cost %g, want 0", got)
+	}
+	if res.BestError != 3e-9 || res.Migrations != 1 {
+		t.Fatalf("adoption gave BestError %g and %d migrations, want 3e-9 and 1", res.BestError, res.Migrations)
+	}
+}

@@ -168,7 +168,6 @@ func Start(ctx context.Context, c *Circuit, o Options) (*Session, error) {
 	runner.Async = o.Async
 	runner.Parallelism = o.Parallelism
 	runner.Partition = o.PartitionParallel
-	runner.Adaptive = o.AdaptivePortfolio
 	runner.Fixpoint = o.Fixpoint
 	runner.Exchanger = o.Exchanger
 	runner.MaxIters = o.MaxIters
