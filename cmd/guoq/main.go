@@ -4,9 +4,9 @@
 //
 //	guoq -gateset ibm-eagle -budget 2s [-objective 2q|t|fidelity|gates]
 //	     [-epsilon 1e-8] [-seed 1] [-async] [-parallel N] [-partition]
-//	     [-fixpoint] [-gateset-file set.json] [-coordinator addr]
-//	     [-session id] [-token secret] [-wire json|gzip] [-progress]
-//	     [-metrics] [-pprof-addr :6060] [-o out.qasm] input.qasm
+//	     [-gateset-file set.json] [-coordinator addr] [-session id]
+//	     [-token secret] [-wire json|gzip] [-progress] [-metrics]
+//	     [-pprof-addr :6060] [-o out.qasm] input.qasm
 //	guoq -list-gatesets
 //
 // The input is translated into the target gate set first, so any circuit in
@@ -72,7 +72,6 @@ func main() {
 		async     = flag.Bool("async", false, "apply resynthesis asynchronously")
 		parallel  = flag.Int("parallel", 1, "concurrent search workers (0 = one per CPU, capped at 8)")
 		part      = flag.Bool("partition", false, "with -parallel ≥ 2, optimize disjoint time windows of large circuits concurrently")
-		fixpoint  = flag.Bool("fixpoint", false, "parallel local fixpoint optimization: iterated concurrent window searches for huge circuits")
 		coord     = flag.String("coordinator", "", "guoqd coordinator address for distributed best-so-far exchange")
 		session   = flag.String("session", "", "exchange session id (default: negotiated via submit, falling back to local derivation)")
 		token     = flag.String("token", os.Getenv("GUOQD_TOKEN"), "bearer token for a -coordinator started with -token (default $GUOQD_TOKEN)")
@@ -197,7 +196,6 @@ func main() {
 		Async:             *async,
 		Parallelism:       workers,
 		PartitionParallel: *part,
-		Fixpoint:          *fixpoint,
 	}
 	var reg *guoq.MetricsRegistry
 	if *metrics {

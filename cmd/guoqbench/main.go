@@ -7,11 +7,14 @@
 //	          [-shard i/n] [-remote addr] [-json out.json]
 //
 // Experiments: table2, table3, fig1, fig7, fig8, fig9, fig10, fig11,
-// fig12, fig13, fig14, fig15, parallel, bench, all. -limit 0 runs the full
-// 247-circuit suite (slow); smaller limits subsample evenly. Output mirrors
-// the rows and series the paper reports ("parallel" compares the portfolio
-// and partition-parallel engines against the single-threaded loop); see
-// EXPERIMENTS.md for the recorded runs.
+// fig12, fig13, fig14, fig15, parallel, huge, bench, all. -limit 0 runs
+// the full 247-circuit suite (slow); smaller limits subsample evenly.
+// Output mirrors the rows and series the paper reports ("parallel" compares
+// the portfolio and partition-parallel engines against the single-threaded
+// loop); see EXPERIMENTS.md for the recorded runs. "huge" runs guoq and
+// the -workers portfolio and partition-parallel runners on one generated
+// ibmq20 circuit of -huge-gates gates; its -json output is the
+// BENCH_huge.json snapshot the repository's perf gate replays.
 //
 // Distributed sweeps: -shard i/n statically runs every n-th circuit
 // starting at i (any experiment), so n machines cover one suite exactly
@@ -57,20 +60,20 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "fig1", "experiment id (table2, table3, fig1, fig7..fig15, parallel, fixpoint, bench, all)")
+		exp     = flag.String("exp", "fig1", "experiment id (table2, table3, fig1, fig7..fig15, parallel, huge, bench, all)")
 		budget  = flag.Duration("budget", 300*time.Millisecond, "per-tool per-circuit budget")
 		trials  = flag.Int("trials", 3, "GUOQ trials per benchmark")
 		limit   = flag.Int("limit", 40, "suite subsample size (0 = full 247)")
 		seed    = flag.Int64("seed", 1, "base random seed")
 		shard   = flag.String("shard", "", "static shard i/n: run every n-th circuit starting at i (e.g. 0/4)")
 		remote  = flag.String("remote", "", "guoqd coordinator address for dynamic sharding (bench only)")
-		jsonOut = flag.String("json", "", "write results as JSON (bench and fixpoint; \"-\" = stdout)")
+		jsonOut = flag.String("json", "", "write results as JSON (bench and huge; \"-\" = stdout)")
 		gateSet = flag.String("gateset", "ibmq20", "target gate set for bench (built-in or loaded via -gateset-file)")
 		gsFile  = flag.String("gateset-file", "", "register a custom gate set from a JSON description (guoq.ParseGateSetJSON) before resolving -gateset")
 		workers = flag.Int("workers", 1, "per-circuit portfolio size for bench")
 		metrics = flag.Bool("metrics", false, "embed a per-circuit metrics snapshot (allocs/iter, cache hits, per-rule accepts) in bench results")
 		queue   = flag.String("queue", "bench", "work queue name on the coordinator")
-		fpGates = flag.Int("fixpoint-gates", 10000, "generated circuit size for the fixpoint experiment")
+		hgGates = flag.Int("huge-gates", 10000, "generated circuit size for the huge experiment")
 		ttl     = flag.Duration("lease-ttl", 60*time.Second, "job lease duration in remote mode")
 		token   = flag.String("token", os.Getenv("GUOQD_TOKEN"), "bearer token for a -remote coordinator started with -token (default $GUOQD_TOKEN)")
 	)
@@ -158,7 +161,7 @@ func main() {
 		return nil
 	}
 
-	runFixpoint := func() error {
+	runHuge := func() error {
 		var w *os.File
 		if *jsonOut != "" {
 			w = os.Stdout
@@ -175,7 +178,7 @@ func main() {
 		if w != nil {
 			jw = w
 		}
-		_, err := experiments.Fixpoint(cfg, *workers, 20, *fpGates, jw)
+		_, err := experiments.Huge(cfg, *workers, 20, *hgGates, jw)
 		return err
 	}
 
@@ -211,8 +214,8 @@ func main() {
 			_, err = experiments.Fig15(cfg)
 		case "parallel":
 			sums, err = experiments.Parallel(cfg)
-		case "fixpoint":
-			err = runFixpoint()
+		case "huge":
+			err = runHuge()
 		case "bench":
 			err = runBench()
 		default:

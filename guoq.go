@@ -186,23 +186,14 @@ type Options struct {
 	// exchange the best-so-far solution. Parallel runs are not bit-for-bit
 	// reproducible; the ε guarantee is unchanged.
 	Parallelism int
-	// PartitionParallel additionally splits large circuits into disjoint
-	// time windows optimized concurrently, dividing Epsilon across windows
-	// (the summed window errors stay within the global budget, Thm 4.2).
+	// PartitionParallel is the large-circuit mode: it splits the circuit
+	// into up to Parallelism disjoint time windows optimized concurrently,
+	// dividing Epsilon across windows (the summed window errors stay within
+	// the global budget, Thm 4.2). The windows are stitched back once, when
+	// they all finish, so a Session's mid-run Best stays at the input.
 	// Circuits too small to window fall back to the portfolio. Requires
 	// Parallelism ≥ 2.
 	PartitionParallel bool
-	// Fixpoint selects parallel local fixpoint optimization — the strategy
-	// for circuits too large for one global search: each round splits the
-	// circuit into sliding windows, optimizes every window concurrently
-	// with a bounded search, stitches improved windows back in one
-	// transaction, and alternates window offsets so seams re-optimize;
-	// rounds repeat until none improves. Epsilon composes across windows
-	// and rounds (Thm 4.2), so the returned Error stays within budget.
-	// Parallelism bounds the concurrent window searches (0 = one per CPU).
-	// Circuits too small to window fall back to the portfolio. Mutually
-	// exclusive with PartitionParallel.
-	Fixpoint bool
 	// Exchanger, when set, connects this run to an external best-so-far
 	// store so several processes (or machines) optimize one circuit as a
 	// single search: the run publishes its best solution with its
@@ -336,9 +327,6 @@ func (o Options) Validate() error {
 	}
 	if o.PartitionParallel && o.Parallelism < 2 {
 		return fmt.Errorf("guoq: Options.PartitionParallel requires Parallelism ≥ 2, got %d", o.Parallelism)
-	}
-	if o.Fixpoint && o.PartitionParallel {
-		return fmt.Errorf("guoq: Options.Fixpoint and Options.PartitionParallel are mutually exclusive (set one)")
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gateset"
 	"github.com/guoq-dev/guoq/internal/opt"
-	"github.com/guoq-dev/guoq/internal/popt"
 )
 
 // GUOQ wraps the paper's algorithm behind the Optimizer interface, with the
@@ -29,15 +28,10 @@ type GUOQ struct {
 	// diversified seeds/temperatures exchanging the best solution.
 	Parallelism int
 	// Partition additionally splits large circuits into disjoint time
-	// windows optimized concurrently (ε split across windows, Thm 4.2);
-	// circuits too small to window fall back to the portfolio.
+	// windows optimized concurrently (ε split across windows, Thm 4.2) —
+	// the huge-circuit mode; circuits too small to window fall back to the
+	// portfolio.
 	Partition bool
-	// Fixpoint selects the parallel local fixpoint strategy (internal/popt):
-	// iterated rounds of concurrent bounded window searches with alternating
-	// seam offsets, committed only on whole-circuit improvement — the
-	// huge-circuit mode. Takes precedence over Partition; circuits too small
-	// to window fall back to the portfolio.
-	Fixpoint bool
 	// Exchanger, when set, connects the run to an external best-so-far
 	// store (a guoqd coordinator via internal/dist): a single-worker run
 	// polls it directly, a portfolio relays through its in-process
@@ -112,16 +106,6 @@ func NewPartitionParallel(eps float64, workers int) *GUOQ {
 	p.Tool = "partition-parallel"
 	p.Partition = true
 	return p
-}
-
-// NewFixpoint builds the parallel local fixpoint runner (internal/popt):
-// the strategy for circuits too large for one global search. workers ≤ 0
-// selects one per available CPU, capped at 8.
-func NewFixpoint(eps float64, workers int) *GUOQ {
-	if workers <= 0 {
-		workers = opt.AutoWorkers()
-	}
-	return &GUOQ{Tool: "fixpoint", Mode: ModeFull, Epsilon: eps, Async: true, Parallelism: workers, Fixpoint: true}
 }
 
 // Name implements Optimizer.
@@ -212,8 +196,6 @@ func (g *GUOQ) OptimizeStatsContext(ctx context.Context, c *circuit.Circuit, gs 
 		res = opt.Beam(c, ts, opts, 32)
 	default:
 		switch {
-		case g.Fixpoint:
-			res = popt.Fixpoint(c, ts, popt.Options{Search: opts, Workers: g.Parallelism})
 		case g.Partition && g.Parallelism > 1:
 			res = opt.PartitionParallel(c, ts, opts, g.Parallelism)
 		case g.Parallelism > 1:

@@ -43,8 +43,6 @@ func ByName(name string, eps float64) (Optimizer, error) {
 		return NewPortfolio(eps, 0), nil
 	case "partition-parallel":
 		return NewPartitionParallel(eps, 0), nil
-	case "fixpoint":
-		return NewFixpoint(eps, 0), nil
 	case "guoq-rewrite":
 		return NewGUOQVariant("guoq-rewrite", ModeRewrite, eps), nil
 	case "guoq-resynth":

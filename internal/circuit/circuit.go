@@ -120,23 +120,6 @@ func (c *Circuit) Depth() int {
 	return depth
 }
 
-// UsedQubits returns the sorted qubits touched by at least one gate.
-func (c *Circuit) UsedQubits() []int {
-	seen := make([]bool, c.NumQubits)
-	for _, g := range c.Gates {
-		for _, q := range g.Qubits {
-			seen[q] = true
-		}
-	}
-	var out []int
-	for q, s := range seen {
-		if s {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
 // Equal reports structural equality: same qubit count and identical gate
 // sequences (names, qubits, and parameters bitwise-equal).
 func Equal(a, b *Circuit) bool {

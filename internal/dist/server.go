@@ -265,8 +265,9 @@ func (ss *session) status() SessionStatus {
 	}
 }
 
-// Push seeds a queue directly (the in-process path used by guoqd at
-// startup); the HTTP POST /v1/jobs/push endpoint is the remote path.
+// Push seeds a queue and persists the jobs it added: the in-process path
+// used by guoqd at startup, and the body of the HTTP POST /v1/jobs/push
+// endpoint.
 func (s *Server) Push(queue string, jobs []Job) int {
 	q := s.queue(queue)
 	s.mu.Lock()
@@ -505,13 +506,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "missing queue")
 		return
 	}
-	q := s.queue(req.Queue)
-	s.mu.Lock()
-	added := q.push(req.Jobs)
-	s.mu.Unlock()
-	if added > 0 {
-		s.persist(recPush, pushRecord{Queue: req.Queue, Jobs: req.Jobs})
-	}
+	added := s.Push(req.Queue, req.Jobs)
 	s.logf("queue %s: pushed %d/%d jobs", req.Queue, added, len(req.Jobs))
 	writeReply(w, r, PushResponse{Added: added})
 }

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -154,5 +156,42 @@ func TestSubsampleEven(t *testing.T) {
 	// Fig10; here check bounds logic inline for documentation purposes.
 	if got := 247 * 5 / 6; got >= 247 {
 		t.Fatal("subsample index out of range")
+	}
+}
+
+// The huge experiment behind BENCH_huge.json, at toy scale: one row per
+// tool in a fixed order, every row never worse than the generated input
+// and within ε, and the JSON snapshot decodes back to the returned report
+// (the perf gate reads it that way).
+func TestHugeSmallRun(t *testing.T) {
+	cfg := tinyConfig()
+	var js bytes.Buffer
+	rep, err := Huge(cfg, 2, 6, 240, &js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.InputGates != 240 || rep.Workers != 2 || rep.BudgetMS != cfg.Budget.Milliseconds() {
+		t.Fatalf("report header %+v does not echo the configuration", rep)
+	}
+	var tools []string
+	for _, row := range rep.Rows {
+		tools = append(tools, row.Tool)
+		if row.Gates > rep.InputGates || row.TwoQubit > rep.InputTwoQubit {
+			t.Errorf("%s: %d gates / %d 2q from %d / %d, worse than the input",
+				row.Tool, row.Gates, row.TwoQubit, rep.InputGates, rep.InputTwoQubit)
+		}
+		if row.Error > cfg.Epsilon {
+			t.Errorf("%s: error %g exceeds ε %g", row.Tool, row.Error, cfg.Epsilon)
+		}
+	}
+	if want := []string{"guoq", "portfolio", "partition-parallel"}; !reflect.DeepEqual(tools, want) {
+		t.Fatalf("tools %v, want %v", tools, want)
+	}
+	var back HugeReport
+	if err := json.Unmarshal(js.Bytes(), &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&back, rep) {
+		t.Fatalf("JSON snapshot decodes to %+v, want %+v", back, *rep)
 	}
 }

@@ -13,8 +13,8 @@ import (
 	"github.com/guoq-dev/guoq/internal/opt"
 )
 
-// FixpointRow is one tool's outcome on the huge-circuit benchmark.
-type FixpointRow struct {
+// HugeRow is one tool's outcome on the huge-circuit benchmark.
+type HugeRow struct {
 	Tool      string  `json:"tool"`
 	Gates     int     `json:"gates"`
 	TwoQubit  int     `json:"two_qubit"`
@@ -23,28 +23,25 @@ type FixpointRow struct {
 	ElapsedMS int64   `json:"elapsed_ms"`
 }
 
-// FixpointReport is the JSON snapshot written by the fixpoint experiment.
-type FixpointReport struct {
-	GateSet       string        `json:"gateset"`
-	Qubits        int           `json:"qubits"`
-	InputGates    int           `json:"input_gates"`
-	InputTwoQubit int           `json:"input_two_qubit"`
-	BudgetMS      int64         `json:"budget_ms"`
-	Workers       int           `json:"workers"`
-	Seed          int64         `json:"seed"`
-	Rows          []FixpointRow `json:"rows"`
+// HugeReport is the JSON snapshot written by the huge experiment.
+type HugeReport struct {
+	GateSet       string    `json:"gateset"`
+	Qubits        int       `json:"qubits"`
+	InputGates    int       `json:"input_gates"`
+	InputTwoQubit int       `json:"input_two_qubit"`
+	BudgetMS      int64     `json:"budget_ms"`
+	Workers       int       `json:"workers"`
+	Seed          int64     `json:"seed"`
+	Rows          []HugeRow `json:"rows"`
 }
 
-// Fixpoint benchmarks the parallel local-fixpoint optimizer against the
-// global annealer on a circuit far past the practical size for a single
-// global search. The suite's real benchmarks top out around a thousand
-// gates, so the huge input is generated: a seeded random ibmq20-native
-// circuit (redundancy-rich, like the QFT/adder family at scale). All tools
-// get the same wall-clock budget; the headline is the fixpoint runner
-// matching or beating the global annealer's cost at equal time, because
-// bounded window searches keep making progress where one annealer's moves
-// drown in a 10k-gate state.
-func Fixpoint(cfg Config, workers, qubits, gates int, jsonOut io.Writer) (*FixpointReport, error) {
+// Huge benchmarks the large-circuit mode (partition-parallel time windows)
+// against the global annealer and the portfolio on a circuit far past the
+// practical size for a single global search. The suite's real benchmarks
+// top out around a thousand gates, so the huge input is generated: a
+// seeded random ibmq20-native circuit (redundancy-rich, like the QFT/adder
+// family at scale). All tools get the same wall-clock budget.
+func Huge(cfg Config, workers, qubits, gates int, jsonOut io.Writer) (*HugeReport, error) {
 	cfg.normalize()
 	if workers <= 0 {
 		workers = 4
@@ -57,7 +54,7 @@ func Fixpoint(cfg Config, workers, qubits, gates int, jsonOut io.Writer) (*Fixpo
 	}
 	gs := gateset.IBMQ20
 	in := circuit.Random(qubits, gates, gs.Gates, rand.New(rand.NewSource(cfg.Seed)))
-	rep := &FixpointReport{
+	rep := &HugeReport{
 		GateSet:       gs.Name,
 		Qubits:        qubits,
 		InputGates:    in.Len(),
@@ -66,16 +63,16 @@ func Fixpoint(cfg Config, workers, qubits, gates int, jsonOut io.Writer) (*Fixpo
 		Workers:       workers,
 		Seed:          cfg.Seed,
 	}
-	fmt.Fprintf(cfg.Out, "fixpoint benchmark: %s, %d qubits, %d gates (%d two-qubit), budget %s\n",
+	fmt.Fprintf(cfg.Out, "huge-circuit benchmark: %s, %d qubits, %d gates (%d two-qubit), budget %s\n",
 		gs.Name, qubits, rep.InputGates, rep.InputTwoQubit, cfg.Budget)
 	for _, tool := range []*baselines.GUOQ{
 		baselines.NewGUOQ(cfg.Epsilon),
 		baselines.NewPortfolio(cfg.Epsilon, workers),
-		baselines.NewFixpoint(cfg.Epsilon, workers),
+		baselines.NewPartitionParallel(cfg.Epsilon, workers),
 	} {
 		start := time.Now()
 		out, res := tool.OptimizeStats(in, gs, opt.TwoQubitCost(), cfg.Budget, cfg.Seed)
-		row := FixpointRow{
+		row := HugeRow{
 			Tool:      tool.Name(),
 			Gates:     out.Len(),
 			TwoQubit:  out.TwoQubitCount(),
@@ -84,7 +81,7 @@ func Fixpoint(cfg Config, workers, qubits, gates int, jsonOut io.Writer) (*Fixpo
 			ElapsedMS: time.Since(start).Milliseconds(),
 		}
 		rep.Rows = append(rep.Rows, row)
-		fmt.Fprintf(cfg.Out, "  %-12s gates %6d  two-qubit %6d  eps %.2e  iters %8d  %6dms\n",
+		fmt.Fprintf(cfg.Out, "  %-18s gates %6d  two-qubit %6d  eps %.2e  iters %8d  %6dms\n",
 			row.Tool, row.Gates, row.TwoQubit, row.Error, row.Iters, row.ElapsedMS)
 	}
 	if jsonOut != nil {

@@ -116,9 +116,6 @@ func New(n Name, qubits []int, params []float64) Gate {
 	return Gate{Name: n, Qubits: qubits, Params: params}
 }
 
-// Arity returns the number of qubits the gate acts on.
-func (g Gate) Arity() int { return len(g.Qubits) }
-
 // Equal reports structural equality with h: same name, qubits, and
 // float-equal parameters. This is the per-gate comparison circuit.Equal
 // applies, and the one the changed-count passes use to certify no-ops.
@@ -187,16 +184,15 @@ func (g Gate) String() string {
 
 // Convenience constructors for the common gates.
 
-func NewH(q int) Gate    { return New(H, []int{q}, nil) }
-func NewX(q int) Gate    { return New(X, []int{q}, nil) }
-func NewY(q int) Gate    { return New(Y, []int{q}, nil) }
-func NewZ(q int) Gate    { return New(Z, []int{q}, nil) }
-func NewS(q int) Gate    { return New(S, []int{q}, nil) }
-func NewSdg(q int) Gate  { return New(Sdg, []int{q}, nil) }
-func NewT(q int) Gate    { return New(T, []int{q}, nil) }
-func NewTdg(q int) Gate  { return New(Tdg, []int{q}, nil) }
-func NewSX(q int) Gate   { return New(SX, []int{q}, nil) }
-func NewSXdg(q int) Gate { return New(SXdg, []int{q}, nil) }
+func NewH(q int) Gate   { return New(H, []int{q}, nil) }
+func NewX(q int) Gate   { return New(X, []int{q}, nil) }
+func NewY(q int) Gate   { return New(Y, []int{q}, nil) }
+func NewZ(q int) Gate   { return New(Z, []int{q}, nil) }
+func NewS(q int) Gate   { return New(S, []int{q}, nil) }
+func NewSdg(q int) Gate { return New(Sdg, []int{q}, nil) }
+func NewT(q int) Gate   { return New(T, []int{q}, nil) }
+func NewTdg(q int) Gate { return New(Tdg, []int{q}, nil) }
+func NewSX(q int) Gate  { return New(SX, []int{q}, nil) }
 
 func NewRx(theta float64, q int) Gate { return New(Rx, []int{q}, []float64{theta}) }
 func NewRy(theta float64, q int) Gate { return New(Ry, []int{q}, []float64{theta}) }

@@ -79,7 +79,7 @@ type Options struct {
 	EventEvery int
 	// Pool, when set together with Async, runs this search's slow
 	// transformations on a shared resynthesis pool. Many concurrent
-	// searches (portfolio members, fixpoint windows) then share one bounded
+	// searches (portfolio members, partition windows) then share one bounded
 	// set of synthesis workers — work-stealing across searches — instead of
 	// each holding its own. Each search still has at most one resynthesis
 	// in flight; the pool bounds how many of those run simultaneously. With

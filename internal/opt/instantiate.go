@@ -51,7 +51,7 @@ func Instantiate(gs *gateset.GateSet, io InstantiateOptions) ([]Transformation, 
 		}
 		rules = nil // custom set without a rule library: τ_0 passes + resynthesis only
 	}
-	ts := []Transformation{&CleanupTransformation{GateSetName: gs.Name, GateSet: gs}}
+	ts := []Transformation{&CleanupTransformation{GateSet: gs}}
 	for _, r := range rules {
 		ts = append(ts, &RuleTransformation{Rule: r})
 	}

@@ -13,8 +13,8 @@ import (
 // overhead when unset.
 //
 // One Metrics may back any number of concurrent searches (portfolio
-// members, partition windows, fixpoint rounds): counters sum and gauges
-// show the latest writer, which is the fleet-level view a scrape wants.
+// members, partition windows): counters sum and gauges show the latest
+// writer, which is the fleet-level view a scrape wants.
 type Metrics struct {
 	// Search loop.
 	Iterations      *obs.Counter
@@ -46,11 +46,6 @@ type Metrics struct {
 	PoolTasks       *obs.Counter
 	PoolSteals      *obs.Counter
 	PoolTaskSeconds *obs.Histogram
-
-	// popt.Fixpoint rounds.
-	FixpointWindows   *obs.Counter
-	FixpointAdopted   *obs.Counter
-	FixpointDryRounds *obs.Counter
 }
 
 // NewMetrics registers the optimizer's metric families on reg and returns
@@ -86,10 +81,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		PoolTasks:       reg.Counter("guoq_resynth_tasks_total", "Resynthesis jobs executed by the shared pool."),
 		PoolSteals:      reg.Counter("guoq_resynth_steals_total", "Jobs queued while every pool worker was busy (picked up by whichever frees first)."),
 		PoolTaskSeconds: reg.Histogram("guoq_resynth_task_seconds", "Resynthesis job execution latency on the shared pool.", nil),
-
-		FixpointWindows:   reg.Counter("guoq_fixpoint_windows_searched_total", "Fixpoint windows searched."),
-		FixpointAdopted:   reg.Counter("guoq_fixpoint_windows_adopted_total", "Fixpoint windows whose improvement was stitched in."),
-		FixpointDryRounds: reg.Counter("guoq_fixpoint_dry_rounds_total", "Fixpoint rounds that improved nothing."),
 	}
 }
 

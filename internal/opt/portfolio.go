@@ -177,8 +177,7 @@ func Portfolio(c *circuit.Circuit, ts []Transformation, opts Options, workers in
 	// One resynthesis pool shared by every member: each still holds one
 	// call in flight (§5.3), but the pool bounds how many run at once and
 	// steals work across members, instead of each member creating a
-	// one-worker pool of its own. A caller-supplied pool (a fixpoint run
-	// sharing with its fallback portfolio) is reused as-is.
+	// one-worker pool of its own. A caller-supplied pool is reused as-is.
 	if opts.Async && opts.Pool == nil && len(FilterSlow(ts)) > 0 && len(FilterFast(ts)) > 0 {
 		pool := NewResynthPoolMetrics(workers, opts.Metrics)
 		defer pool.Close()

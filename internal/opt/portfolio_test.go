@@ -3,6 +3,7 @@ package opt
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -352,5 +353,90 @@ func TestPartitionParallelSmallCircuitFallback(t *testing.T) {
 	res := PartitionParallel(c, ts, opts, 4)
 	if err := verify.MustBeEquivalent(c, res.Best, 1e-6, 19); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Cancelling a windowed run mid-search must end every window search
+// promptly, return a never-worse stitch, and leak no window searchers or
+// resynthesis pool workers — with the shared pool (async) and without it.
+func TestPartitionParallelCancelNoGoroutineLeak(t *testing.T) {
+	for _, async := range []bool{true, false} {
+		name := "sync"
+		if async {
+			name = "async"
+		}
+		t.Run(name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			for trial := 0; trial < 3; trial++ {
+				c, ts := eagleSetup(t, int64(11+trial), 260)
+				ctx, cancel := context.WithCancel(context.Background())
+				opts := DefaultOptions()
+				opts.Cost = TwoQubitCost()
+				opts.Seed = int64(trial)
+				opts.Async = async
+				opts.TimeBudget = 0 // run until cancelled
+				opts.Context = ctx
+				done := make(chan *Result, 1)
+				go func() { done <- PartitionParallel(c, ts, opts, 4) }()
+				time.Sleep(50 * time.Millisecond)
+				cancel()
+				select {
+				case res := <-done:
+					if got, in := opts.Cost(res.Best), opts.Cost(c); got > in {
+						t.Fatalf("cancelled run cost went up %g -> %g", in, got)
+					}
+					if res.BestError > opts.Epsilon {
+						t.Fatalf("cancelled run error %g exceeds the budget %g", res.BestError, opts.Epsilon)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("cancelled partition-parallel run did not return")
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				runtime.GC()
+				if n := runtime.NumGoroutine(); n <= base+2 {
+					return
+				}
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					n := runtime.Stack(buf, true)
+					t.Fatalf("goroutines leaked after cancelled runs: %d -> %d\n%s",
+						base, runtime.NumGoroutine(), buf[:n])
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// Window searches run concurrently against one shared wall clock: a
+// windowed run may overrun its budget only by one synthesis call (the
+// deadline is checked between iterations), the pool's drain of in-flight
+// jobs, and scheduling slack.
+func TestPartitionParallelHonorsTimeBudget(t *testing.T) {
+	const synthTime = 25 * time.Millisecond // eagleSetup's synthesis deadline
+	for _, async := range []bool{true, false} {
+		name := "sync"
+		if async {
+			name = "async"
+		}
+		t.Run(name, func(t *testing.T) {
+			c, ts := eagleSetup(t, 8, 2000)
+			opts := DefaultOptions()
+			opts.Cost = TwoQubitCost()
+			opts.Seed = 4
+			opts.Async = async
+			opts.TimeBudget = 200 * time.Millisecond
+			start := time.Now()
+			res := PartitionParallel(c, ts, opts, 2)
+			elapsed := time.Since(start)
+			if limit := opts.TimeBudget + synthTime + 500*time.Millisecond; elapsed > limit {
+				t.Fatalf("partition-parallel with a %v budget ran %v (limit %v)", opts.TimeBudget, elapsed, limit)
+			}
+			if got, in := opts.Cost(res.Best), opts.Cost(c); got > in {
+				t.Fatalf("cost went up %g -> %g", in, got)
+			}
+		})
 	}
 }

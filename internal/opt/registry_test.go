@@ -78,8 +78,8 @@ func TestRegistryDefaultBitIdentical(t *testing.T) {
 // does not mutate the receiver.
 func TestRegistryWithAppends(t *testing.T) {
 	gs := gateset.Nam
-	marker := &CleanupTransformation{GateSetName: "marker"}
-	base := NewRegistry(Static(&CleanupTransformation{GateSetName: "a"}))
+	marker := &CleanupTransformation{}
+	base := NewRegistry(Static(&CleanupTransformation{}))
 	ext := base.With(Static(marker))
 	ts, err := ext.Build(gs, InstantiateOptions{})
 	if err != nil {
@@ -310,7 +310,7 @@ func TestInstantiateCustomSets(t *testing.T) {
 // TestRegistryProviderFilter: a provider can filter by gate set, extending
 // the build for its target and leaving every other set untouched.
 func TestRegistryProviderFilter(t *testing.T) {
-	marker := &CleanupTransformation{GateSetName: "filter-marker"}
+	marker := &CleanupTransformation{}
 	reg := DefaultRegistry().With(func(gs *gateset.GateSet, _ InstantiateOptions) ([]Transformation, error) {
 		if gs.Name != "reg-test-filter" {
 			return nil, nil

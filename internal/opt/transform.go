@@ -100,28 +100,19 @@ func (t *RuleTransformation) ApplyEngine(e *rewrite.Engine, _ float64, rng *rand
 	return 0, n > 0
 }
 
-// CleanupTransformation wraps the normalization pass as a τ_0. GateSet,
-// when non-nil, carries the resolved target so the pass emits natively
-// even for ad-hoc sets that are not name-addressable; GateSetName alone
-// resolves through the registry.
+// CleanupTransformation wraps the normalization pass as a τ_0. GateSet is
+// the resolved target, so the pass emits natively even for ad-hoc sets
+// that are not name-addressable.
 type CleanupTransformation struct {
-	GateSetName string
-	GateSet     *gateset.GateSet
+	GateSet *gateset.GateSet
 }
 
 func (t *CleanupTransformation) Name() string     { return "cleanup" }
 func (t *CleanupTransformation) Epsilon() float64 { return 0 }
 func (t *CleanupTransformation) Slow() bool       { return false }
 
-func (t *CleanupTransformation) cleanup(c *circuit.Circuit) (*circuit.Circuit, int) {
-	if t.GateSet != nil {
-		return rewrite.CleanupChangedFor(c, t.GateSet)
-	}
-	return rewrite.CleanupChanged(c, t.GateSetName)
-}
-
 func (t *CleanupTransformation) Apply(c *circuit.Circuit, _ float64, _ *rand.Rand) (*circuit.Circuit, float64, bool) {
-	out, changed := t.cleanup(c)
+	out, changed := rewrite.CleanupChangedFor(c, t.GateSet)
 	if changed == 0 {
 		return c, 0, false
 	}
@@ -131,7 +122,7 @@ func (t *CleanupTransformation) Apply(c *circuit.Circuit, _ float64, _ *rand.Ran
 // ApplyEngine implements EngineApplier: a whole-circuit pass adopted via
 // SetCircuit (full cache invalidation) only when it changed something.
 func (t *CleanupTransformation) ApplyEngine(e *rewrite.Engine, _ float64, _ *rand.Rand) (float64, bool) {
-	out, changed := t.cleanup(e.Circuit())
+	out, changed := rewrite.CleanupChangedFor(e.Circuit(), t.GateSet)
 	if changed == 0 {
 		return 0, false
 	}

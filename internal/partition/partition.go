@@ -94,11 +94,13 @@ func Blocks(c *circuit.Circuit, maxQubits int) []*circuit.Region {
 // reproduces the original unitary up to the summed per-window error.
 // minGates is a hard floor: no returned window is narrower, and a circuit
 // below 2×minGates (or n < 2) yields nil — partitioning is pointless.
-// End windows that would fall below the floor are rebalanced with their
-// neighbour rather than merged wholesale, so no window silently grows past
-// its intended share either (see sized). Callers that need windows on
-// smaller circuits — the parallel local fixpoint optimizer — use
-// SizedWindows, whose floor adapts to the circuit.
+//
+// Windows are cut every per = ⌈total/n⌉ gates (at least minGates). A
+// trailing sliver narrower than minGates is repaired against its
+// predecessor: the pair is split evenly when it carries 2×minGates gates
+// (both halves stay within [minGates, per]), and merged only when it does
+// not — so a merged window is itself below 2×minGates, never the
+// per+minGates−1 an append-to-predecessor merge would produce.
 func TimeWindows(c *circuit.Circuit, n, minGates int) []*circuit.Region {
 	total := len(c.Gates)
 	if n < 2 || total < 2*minGates || total < 2 {
@@ -108,89 +110,20 @@ func TimeWindows(c *circuit.Circuit, n, minGates int) []*circuit.Region {
 	if per < minGates {
 		per = minGates
 	}
-	return sized(c, per, minGates, 0)
-}
-
-// SizedWindows splits the gate list into consecutive disjoint windows of
-// about size gates each, with the first interior boundary shifted to
-// offset — alternating the offset between rounds is how the fixpoint
-// optimizer re-optimizes the seams left by the previous round's windows.
-// Unlike TimeWindows, minGates here is advisory: it is clamped to half the
-// circuit so any circuit with at least two gates and room for two windows
-// partitions, which is what iterated local optimization needs (a hard
-// floor would reject exactly the tail ends of a shrinking circuit).
-// Returns nil when fewer than two windows fit.
-func SizedWindows(c *circuit.Circuit, size, minGates, offset int) []*circuit.Region {
-	total := len(c.Gates)
-	if size < 1 || total < 2 {
-		return nil
-	}
-	if minGates > total/2 {
-		minGates = total / 2
-	}
-	if minGates < 1 {
-		minGates = 1
-	}
-	offset %= size
-	if offset < 0 {
-		offset += size
-	}
-	return sized(c, size, minGates, offset)
-}
-
-// sized builds consecutive windows with boundaries at offset, offset+size,
-// offset+2·size, …, then repairs end slivers narrower than minGates: a
-// sliver and its neighbour are split evenly when they jointly carry
-// 2×minGates gates (both halves stay within [minGates, size] for any
-// minGates ≤ size), and merged only when they do not — so a merged window
-// is itself below 2×minGates, never the size+minGates−1 the old
-// append-to-predecessor merge could silently produce. Requires
-// 1 ≤ minGates ≤ total/2, size ≥ 1, 0 ≤ offset < size.
-func sized(c *circuit.Circuit, size, minGates, offset int) []*circuit.Region {
-	total := len(c.Gates)
 	type span struct{ lo, hi int } // inclusive
 	var spans []span
-	lo := 0
-	for cut := offset; cut < total; cut += size {
-		if cut > lo {
-			spans = append(spans, span{lo, cut - 1})
-			lo = cut
-		}
+	for lo := 0; lo < total; lo += per {
+		spans = append(spans, span{lo, min(lo+per, total) - 1})
 	}
-	spans = append(spans, span{lo, total - 1})
-
-	// width is the gate count of a span; rebalance repairs spans[i] (an end
-	// sliver below minGates) against its inward neighbour spans[j].
-	width := func(s span) int { return s.hi - s.lo + 1 }
-	rebalance := func(i, j int) {
-		if width(spans[i]) >= minGates {
-			return
-		}
-		combined := width(spans[i]) + width(spans[j])
-		if combined >= 2*minGates {
-			// Split the pair evenly instead of letting one window balloon.
-			first, second := i, j
-			if first > second {
-				first, second = second, first
-			}
-			mid := spans[first].lo + combined/2
-			spans[first].hi = mid - 1
-			spans[second].lo = mid
-			return
-		}
-		// Too small to split: merge the pair.
-		if i < j {
-			spans[j].lo = spans[i].lo
+	if k := len(spans); k >= 2 && spans[k-1].hi-spans[k-1].lo+1 < minGates {
+		prev, last := &spans[k-2], &spans[k-1]
+		if combined := last.hi - prev.lo + 1; combined >= 2*minGates {
+			mid := prev.lo + combined/2
+			prev.hi, last.lo = mid-1, mid
 		} else {
-			spans[j].hi = spans[i].hi
+			prev.hi = last.hi
+			spans = spans[:k-1]
 		}
-		spans = append(spans[:i], spans[i+1:]...)
-	}
-	if len(spans) >= 2 {
-		rebalance(0, 1)
-	}
-	if len(spans) >= 2 {
-		rebalance(len(spans)-1, len(spans)-2)
 	}
 	if len(spans) < 2 {
 		return nil
@@ -202,10 +135,8 @@ func sized(c *circuit.Circuit, size, minGates, offset int) []*circuit.Region {
 		for i := s.lo; i <= s.hi; i++ {
 			r.Indices = append(r.Indices, i)
 		}
+		fillQubits(c, r)
 		windows = append(windows, r)
-	}
-	for _, w := range windows {
-		fillQubits(c, w)
 	}
 	return windows
 }

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
@@ -78,6 +79,85 @@ func TestTimeWindowsMergesSliver(t *testing.T) {
 	}
 }
 
+// FuzzTimeWindows checks the whole TimeWindows contract on arbitrary sizes:
+// nil exactly when partitioning is pointless; otherwise between 2 and n
+// contiguous windows in order, covering every gate once, each selecting its
+// full index range with the sorted union of its gates' qubits, none below
+// minGates, and none above the larger of the cut width per and a merged
+// pair (2×minGates−1). The seeds are the sizes where the trailing-sliver
+// repair changes behaviour.
+func FuzzTimeWindows(f *testing.F) {
+	for _, seed := range [][3]int{
+		{85, 4, 20},   // trailing sliver rebalanced (pair ≥ 2×minGates)
+		{85, 4, 22},   // trailing sliver merged (pair < 2×minGates)
+		{97, 3, 32},   // pair carries exactly 2×minGates: split, not merged
+		{97, 3, 33},   // pair one short of 2×minGates: merged
+		{48, 2, 24},   // smallest circuit accepted at this floor
+		{47, 2, 24},   // one gate below the floor: nil
+		{120, 4, 24},  // even division, no sliver
+		{100, 50, 10}, // per clamped up to minGates: fewer than n windows
+		{600, 8, 24},  // PartitionParallel's floor on a larger input
+		{2, 2, 0},     // two gates, no floor
+		{1, 2, 0},     // one gate: nil
+		{0, 3, 0},     // empty circuit: nil
+		{100, 1, 10},  // n < 2: nil
+	} {
+		f.Add(seed[0], seed[1], seed[2])
+	}
+	f.Fuzz(func(t *testing.T, gates, n, minGates int) {
+		if gates < 0 || gates > 2000 || n > 64 || minGates < 0 || minGates > 256 {
+			t.Skip()
+		}
+		c := randomCircuit(int64(gates), 6, gates)
+		windows := TimeWindows(c, n, minGates)
+		if n < 2 || gates < 2*minGates || gates < 2 {
+			if windows != nil {
+				t.Fatalf("%d gates, n=%d, min=%d: got %d windows, want nil", gates, n, minGates, len(windows))
+			}
+			return
+		}
+		if len(windows) < 2 || len(windows) > n {
+			t.Fatalf("%d gates, n=%d, min=%d: got %d windows, want 2..%d", gates, n, minGates, len(windows), n)
+		}
+		per := max((gates+n-1)/n, minGates)
+		maxW := max(per, 2*minGates-1)
+		next := 0
+		for wi, w := range windows {
+			if w.Lo != next {
+				t.Fatalf("window %d starts at %d, want %d", wi, w.Lo, next)
+			}
+			next = w.Hi + 1
+			if width := w.Hi - w.Lo + 1; width < minGates || width > maxW {
+				t.Fatalf("window %d has %d gates, want %d..%d", wi, width, minGates, maxW)
+			}
+			if len(w.Indices) != w.Hi-w.Lo+1 {
+				t.Fatalf("window %d selects %d of its %d gates", wi, len(w.Indices), w.Hi-w.Lo+1)
+			}
+			used := make([]bool, c.NumQubits)
+			for k, i := range w.Indices {
+				if i != w.Lo+k {
+					t.Fatalf("window %d: index %d at position %d", wi, i, k)
+				}
+				for _, q := range c.Gates[i].Qubits {
+					used[q] = true
+				}
+			}
+			var want []int
+			for q, u := range used {
+				if u {
+					want = append(want, q)
+				}
+			}
+			if !slices.Equal(w.Qubits, want) {
+				t.Fatalf("window %d qubits %v, want %v", wi, w.Qubits, want)
+			}
+		}
+		if next != gates {
+			t.Fatalf("windows end at gate %d of %d", next, gates)
+		}
+	})
+}
+
 // checkWindows pins the three window invariants every partition promises:
 // pairwise-disjoint selections, full coverage of the gate list, and indices
 // confined to their window bounds.
@@ -102,7 +182,7 @@ func checkWindows(t *testing.T, c *circuit.Circuit, windows []*circuit.Region) {
 
 // The sliver-merge boundary, table-driven: window counts, per-window size
 // bounds, coverage, and disjointness must hold exactly at the sizes where
-// the trailing (or, with an offset, leading) window degenerates. The old
+// the trailing window degenerates. The old
 // merge appended a sliver to its predecessor wholesale, silently emitting
 // windows of up to per+minGates-1 gates; the rebalanced construction keeps
 // every window within [minGates, per] whenever the pair carries 2×minGates.
@@ -149,66 +229,6 @@ func TestTimeWindowsBoundaries(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// SizedWindows adapts the floor to the circuit (the fixpoint mode's need:
-// TimeWindows' hard 2×minGates floor rejected the very circuits iterated
-// local optimization shrinks toward) and supports a boundary offset for
-// seam re-optimization.
-func TestSizedWindowsBoundaries(t *testing.T) {
-	cases := []struct {
-		name                  string
-		gates, size, min, off int
-		wantWindows           int
-	}{
-		{"basic", 100, 25, 10, 0, 4},
-		{"offset-shifts-seams", 100, 25, 10, 12, 5},
-		{"offset-leading-sliver-merges", 100, 25, 24, 5, 3},
-		{"below-timewindows-floor-still-splits", 30, 24, 24, 0, 2},
-		{"one-gate", 1, 24, 24, 0, 0},
-		{"size-swallows-circuit", 40, 64, 8, 0, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := randomCircuit(8, 6, tc.gates)
-			windows := SizedWindows(c, tc.size, tc.min, tc.off)
-			if tc.wantWindows == 0 {
-				if windows != nil {
-					t.Fatalf("expected nil, got %d windows", len(windows))
-				}
-				return
-			}
-			if len(windows) != tc.wantWindows {
-				t.Fatalf("got %d windows, want %d", len(windows), tc.wantWindows)
-			}
-			checkWindows(t, c, windows)
-		})
-	}
-}
-
-// Alternating the offset must shift every interior seam of the previous
-// round strictly inside some window of the next — the property the fixpoint
-// optimizer's seam re-optimization rounds rely on.
-func TestSizedWindowsOffsetCoversSeams(t *testing.T) {
-	c := randomCircuit(9, 6, 200)
-	even := SizedWindows(c, 48, 16, 0)
-	odd := SizedWindows(c, 48, 16, 24)
-	if even == nil || odd == nil {
-		t.Fatal("expected windows at both offsets")
-	}
-	for _, w := range even[:len(even)-1] {
-		seam := w.Hi // boundary between w and its successor
-		inside := false
-		for _, o := range odd {
-			if o.Lo <= seam && seam+1 <= o.Hi {
-				inside = true
-				break
-			}
-		}
-		if !inside {
-			t.Fatalf("seam after gate %d not interior to any offset window", seam)
-		}
 	}
 }
 

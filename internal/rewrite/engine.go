@@ -495,64 +495,6 @@ func (e *Engine) ReplaceRegion(r *circuit.Region, replacement *circuit.Circuit) 
 	e.multiSplice(ws, true, true)
 }
 
-// ReplaceRegions splices one replacement per region in a single logged
-// transaction — the stitching step of partition-parallel optimization:
-// windows optimized independently land together, with one DAG sweep, one
-// cache splice, and one halo invalidation instead of len(rs) of each.
-// Regions must be ascending and non-overlapping (in current coordinates,
-// which replacing them simultaneously preserves, unlike sequential
-// ReplaceRegion calls whose later indices shift). Equivalent to applying
-// the regions back-to-front one at a time.
-func (e *Engine) ReplaceRegions(rs []*circuit.Region, repls []*circuit.Circuit) {
-	if len(rs) != len(repls) {
-		panic(fmt.Sprintf("rewrite: ReplaceRegions: %d regions, %d replacements", len(rs), len(repls)))
-	}
-	if len(rs) == 0 {
-		return
-	}
-	for i, r := range rs {
-		if repls[i].NumQubits != len(r.Qubits) {
-			panic(fmt.Sprintf("rewrite: ReplaceRegions: replacement %d has %d qubits, region spans %d",
-				i, repls[i].NumQubits, len(r.Qubits)))
-		}
-		if i > 0 && r.Lo <= rs[i-1].Hi {
-			panic(fmt.Sprintf("rewrite: ReplaceRegions: regions %d and %d overlap or are out of order", i-1, i))
-		}
-	}
-	// Emit every window's gates into one shared backing buffer, recording
-	// offsets (the buffer may reallocate while growing, so subslices are
-	// taken only afterwards) — the FullPass assembly pattern.
-	repl := e.replBuf[:0]
-	offs := e.levels[:0]
-	for ri, r := range rs {
-		offs = append(offs, len(repl))
-		ti := 0
-		for i := r.Lo; i <= r.Hi; i++ {
-			if ti < len(r.Indices) && r.Indices[ti] == i {
-				ti++
-				continue
-			}
-			repl = append(repl, e.c.Gates[i])
-		}
-		for _, g := range repls[ri].Gates {
-			ng := g.Clone()
-			for k, q := range ng.Qubits {
-				ng.Qubits[k] = r.Qubits[q]
-			}
-			repl = append(repl, ng)
-		}
-	}
-	offs = append(offs, len(repl))
-	e.replBuf = repl
-	ws := e.winBuf[:0]
-	for i, r := range rs {
-		ws = append(ws, circuit.SpliceWindow{Lo: r.Lo, Hi: r.Hi, Repl: repl[offs[i]:offs[i+1]]})
-	}
-	e.winBuf = ws
-	e.levels = offs[:0]
-	e.multiSplice(ws, true, true)
-}
-
 // SetCircuit replaces the engine's entire gate list with out's — the result
 // of a whole-circuit pass (cleanup, fusion, phase folding) — as a logged
 // transaction with full cache invalidation. The engine takes ownership of

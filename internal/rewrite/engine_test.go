@@ -8,7 +8,6 @@ import (
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gate"
 	"github.com/guoq-dev/guoq/internal/gateset"
-	"github.com/guoq-dev/guoq/internal/partition"
 )
 
 // TestEngineMatchesScratchFullPass is the metamorphic contract of the
@@ -240,72 +239,6 @@ func TestMultiSpliceBytes(t *testing.T) {
 		}
 		if s != tc.want {
 			t.Errorf("case %d: got %q, want %q", i, s, tc.want)
-		}
-	}
-}
-
-// TestReplaceRegionsMatchesSequential pins the batch stitching step against
-// its two references: back-to-front sequential ReplaceRegion calls on a
-// second engine, and the pure Region.Replace pipeline — then checks the
-// transaction log undoes the whole batch as one unit and that the DAG and
-// caches stay sound for a subsequent full pass.
-func TestReplaceRegionsMatchesSequential(t *testing.T) {
-	gs, err := gateset.ByName("nam")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rules := namRules()
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 25; trial++ {
-		c := circuit.Random(6, 80, gs.Gates, rng)
-		windows := partition.TimeWindows(c, 2+rng.Intn(3), 8)
-		if windows == nil {
-			t.Fatal("expected windows")
-		}
-		// Replacements: each window's own extraction with a random suffix
-		// dropped, so splices shrink windows by varying amounts.
-		repls := make([]*circuit.Circuit, len(windows))
-		for i, w := range windows {
-			sub := w.Extract(c)
-			sub.Gates = sub.Gates[:rng.Intn(len(sub.Gates)+1)]
-			repls[i] = sub
-		}
-
-		engA := NewEngine(c.Clone())
-		mark := engA.Mark()
-		engA.ReplaceRegions(windows, repls)
-
-		engB := NewEngine(c.Clone())
-		for i := len(windows) - 1; i >= 0; i-- {
-			engB.ReplaceRegion(windows[i], repls[i])
-		}
-		if !circuit.Equal(engA.Circuit(), engB.Circuit()) {
-			t.Fatalf("trial %d: batch splice diverged from sequential\nbatch: %s\nseq: %s",
-				trial, engA.Circuit(), engB.Circuit())
-		}
-
-		out := c
-		for i := len(windows) - 1; i >= 0; i-- {
-			out = windows[i].Replace(out, repls[i])
-		}
-		if !circuit.Equal(engA.Circuit(), out) {
-			t.Fatalf("trial %d: batch splice diverged from pure Replace", trial)
-		}
-
-		// The engine must remain a sound incremental pipeline after the batch.
-		r := rules[rng.Intn(len(rules))]
-		refOut, n1 := FullPass(out, r, 0)
-		if n2 := engA.FullPass(r, 0); n1 != n2 {
-			t.Fatalf("trial %d: post-splice pass replaced %d sites, scratch %d", trial, n2, n1)
-		}
-		if !circuit.Equal(engA.Circuit(), refOut) {
-			t.Fatalf("trial %d: post-splice pass diverged from scratch", trial)
-		}
-
-		// One rollback to the pre-batch mark must restore the input exactly.
-		engA.Rollback(mark)
-		if !circuit.Equal(engA.Circuit(), c) {
-			t.Fatalf("trial %d: rollback did not restore the pre-batch circuit", trial)
 		}
 	}
 }

@@ -19,7 +19,6 @@ func TestProgressEventDroppedAccounting(t *testing.T) {
 		start:   time.Now(),
 		events:  make(chan ProgressEvent, 1),
 		workers: map[int]opt.Event{},
-		resynth: map[int]int{},
 	}
 
 	// First event fills the buffer; the next four overflow and must be
@@ -49,6 +48,34 @@ func TestProgressEventDroppedAccounting(t *testing.T) {
 	s.onEvent(opt.Event{Worker: 0, Iters: 9})
 	if got := (<-s.events).Dropped; got != 5 {
 		t.Fatalf("Dropped = %d, want 5 after one more overflow", got)
+	}
+}
+
+// ProgressEvent.ResynthInFlight is the resynthesis queue depth across
+// workers: the sum of each worker's latest report, so a worker whose job
+// finished stops counting and the other workers' jobs still do. White-box,
+// like the drop accounting above.
+func TestProgressEventResynthInFlight(t *testing.T) {
+	s := &Session{
+		cost:    func(c *Circuit) float64 { return 0 },
+		start:   time.Now(),
+		events:  make(chan ProgressEvent, 8),
+		workers: map[int]opt.Event{},
+	}
+	for _, step := range []struct {
+		ev   opt.Event
+		want int
+	}{
+		{opt.Event{Worker: 0, ResynthInFlight: 1}, 1},
+		{opt.Event{Worker: 1, ResynthInFlight: 1}, 2},
+		{opt.Event{Worker: 1, ResynthInFlight: 1}, 2}, // a heartbeat repeats, not adds
+		{opt.Event{Worker: 0, ResynthInFlight: 0}, 1},
+		{opt.Event{Worker: 1, ResynthInFlight: 0}, 0},
+	} {
+		s.onEvent(step.ev)
+		if got := (<-s.events).ResynthInFlight; got != step.want {
+			t.Fatalf("after %+v: ResynthInFlight = %d, want %d", step.ev, got, step.want)
+		}
 	}
 }
 

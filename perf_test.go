@@ -141,9 +141,9 @@ func TestPerfTrajectory(t *testing.T) {
 	}
 }
 
-const fixpointSnapshotPath = "BENCH_fixpoint.json"
+const hugeSnapshotPath = "BENCH_huge.json"
 
-// Reduction-quality tolerances for the fixpoint gate. Gate counts after a
+// Reduction-quality tolerances for the huge-circuit gate. Gate counts after a
 // time-budgeted anytime search are machine-dependent (a slower runner does
 // fewer iterations), so the gate is on the achieved reduction FRACTION
 // relative to the snapshot's, not on absolute gate counts: a runner must
@@ -151,32 +151,33 @@ const fixpointSnapshotPath = "BENCH_fixpoint.json"
 // structural broke (a rule regression, a scheduler bug, a broken window
 // search) rather than the machine being slow.
 const (
-	fixpointTotalReductionShare = 0.75 // of snapshot's total-gate reduction
-	fixpoint2QReductionShare    = 0.50 // of snapshot's two-qubit reduction
+	hugeTotalReductionShare = 0.75 // of snapshot's total-gate reduction
+	huge2QReductionShare    = 0.50 // of snapshot's two-qubit reduction
 )
 
-// TestPerfTrajectoryFixpoint gates the parallel local-fixpoint optimizer
-// (the huge-circuit path) the same way TestPerfTrajectory gates the hot
-// loop: opt-in via GUOQ_PERF_CHECK, snapshot refresh via GUOQ_PERF_UPDATE,
-// pinned input in BENCH_fixpoint.json. The -run TestPerfTrajectory regex
-// CI uses matches this test too, so both gates share one serial CI step.
-func TestPerfTrajectoryFixpoint(t *testing.T) {
+// TestPerfTrajectoryHuge gates the huge-circuit path (guoq, portfolio and
+// partition-parallel on a generated 10k-gate input) the same way
+// TestPerfTrajectory gates the hot loop: opt-in via GUOQ_PERF_CHECK,
+// snapshot refresh via GUOQ_PERF_UPDATE, pinned input in BENCH_huge.json.
+// The -run TestPerfTrajectory regex CI uses matches this test too, so both
+// gates share one serial CI step.
+func TestPerfTrajectoryHuge(t *testing.T) {
 	update := os.Getenv("GUOQ_PERF_UPDATE") != ""
 	if os.Getenv("GUOQ_PERF_CHECK") == "" && !update {
 		t.Skip("perf gate is opt-in: set GUOQ_PERF_CHECK=1 (gate) or GUOQ_PERF_UPDATE=1 (refresh)")
 	}
-	data, err := os.ReadFile(fixpointSnapshotPath)
+	data, err := os.ReadFile(hugeSnapshotPath)
 	if err != nil {
-		t.Fatalf("no fixpoint snapshot (guoqbench -fixpoint writes one): %v", err)
+		t.Fatalf("no huge-circuit snapshot (guoqbench -exp huge -json writes one): %v", err)
 	}
-	var snap experiments.FixpointReport
+	var snap experiments.HugeReport
 	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("corrupt %s: %v", fixpointSnapshotPath, err)
+		t.Fatalf("corrupt %s: %v", hugeSnapshotPath, err)
 	}
 
 	// Re-run the pinned experiment: same seed, same circuit size, same
 	// per-tool budget.
-	rep, err := experiments.Fixpoint(experiments.Config{
+	rep, err := experiments.Huge(experiments.Config{
 		Budget:  time.Duration(snap.BudgetMS) * time.Millisecond,
 		Seed:    snap.Seed,
 		Epsilon: 1e-8,
@@ -190,8 +191,8 @@ func TestPerfTrajectoryFixpoint(t *testing.T) {
 			rep.InputGates, rep.InputTwoQubit, snap.InputGates, snap.InputTwoQubit)
 	}
 
-	rows := func(r *experiments.FixpointReport) map[string]experiments.FixpointRow {
-		m := map[string]experiments.FixpointRow{}
+	rows := func(r *experiments.HugeReport) map[string]experiments.HugeRow {
+		m := map[string]experiments.HugeRow{}
 		for _, row := range r.Rows {
 			m[row.Tool] = row
 		}
@@ -204,19 +205,19 @@ func TestPerfTrajectoryFixpoint(t *testing.T) {
 			t.Errorf("%s: pinned in snapshot but no longer measured", tool)
 			continue
 		}
-		t.Logf("%-10s %5d -> %5d gates (%5d -> %5d 2q), snapshot reached %d gates", tool, rep.InputGates, h.Gates, rep.InputTwoQubit, h.TwoQubit, w.Gates)
+		t.Logf("%-18s %5d -> %5d gates (%5d -> %5d 2q), snapshot reached %d gates", tool, rep.InputGates, h.Gates, rep.InputTwoQubit, h.TwoQubit, w.Gates)
 		if h.Error > 1e-8 {
 			t.Errorf("%s: error %g exceeds the ε budget", tool, h.Error)
 		}
 		snapTotal := rep.InputGates - w.Gates
-		if got, floor := rep.InputGates-h.Gates, int(float64(snapTotal)*fixpointTotalReductionShare); got < floor {
+		if got, floor := rep.InputGates-h.Gates, int(float64(snapTotal)*hugeTotalReductionShare); got < floor {
 			t.Errorf("%s: removed %d gates, below %d (%d%% of snapshot's %d)",
-				tool, got, floor, int(fixpointTotalReductionShare*100), snapTotal)
+				tool, got, floor, int(hugeTotalReductionShare*100), snapTotal)
 		}
 		snap2Q := rep.InputTwoQubit - w.TwoQubit
-		if got, floor := rep.InputTwoQubit-h.TwoQubit, int(float64(snap2Q)*fixpoint2QReductionShare); got < floor {
+		if got, floor := rep.InputTwoQubit-h.TwoQubit, int(float64(snap2Q)*huge2QReductionShare); got < floor {
 			t.Errorf("%s: removed %d two-qubit gates, below %d (%d%% of snapshot's %d)",
-				tool, got, floor, int(fixpoint2QReductionShare*100), snap2Q)
+				tool, got, floor, int(huge2QReductionShare*100), snap2Q)
 		}
 	}
 
@@ -225,9 +226,9 @@ func TestPerfTrajectoryFixpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(fixpointSnapshotPath, append(out, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(hugeSnapshotPath, append(out, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s", fixpointSnapshotPath)
+		t.Logf("wrote %s", hugeSnapshotPath)
 	}
 }

@@ -77,7 +77,6 @@ type Session struct {
 	bestErr  float64           // guarded by mu
 	bestCost float64           // guarded by mu
 	workers  map[int]opt.Event // latest event per worker, for aggregation; guarded by mu
-	resynth  map[int]int       // in-flight resynthesis per worker; guarded by mu
 	finalC   *Circuit          // guarded by mu
 	finalRes *Result           // guarded by mu
 }
@@ -159,7 +158,6 @@ func Start(ctx context.Context, c *Circuit, o Options) (*Session, error) {
 		best:     c,
 		bestCost: cost(c),
 		workers:  map[int]opt.Event{},
-		resynth:  map[int]int{},
 		reg:      reg,
 		droppedC: reg.Counter("guoq_events_dropped_total", "Progress events dropped because the consumer lagged."),
 	}
@@ -168,7 +166,6 @@ func Start(ctx context.Context, c *Circuit, o Options) (*Session, error) {
 	runner.Async = o.Async
 	runner.Parallelism = o.Parallelism
 	runner.Partition = o.PartitionParallel
-	runner.Fixpoint = o.Fixpoint
 	runner.Exchanger = o.Exchanger
 	runner.MaxIters = o.MaxIters
 	runner.OnEvent = s.onEvent
@@ -208,7 +205,6 @@ func (s *Session) onEvent(e opt.Event) {
 	}
 	s.mu.Lock()
 	s.workers[e.Worker] = e
-	s.resynth[e.Worker] = e.ResynthInFlight
 	improved := false
 	if e.Best != nil && candCost < s.bestCost {
 		s.best, s.bestErr, s.bestCost = e.Best, e.BestErr, candCost
@@ -224,9 +220,7 @@ func (s *Session) onEvent(e opt.Event) {
 		pe.Iters += w.Iters
 		pe.Accepted += w.Accepted
 		pe.Migrations += w.Migrations
-	}
-	for _, n := range s.resynth {
-		pe.ResynthInFlight += n
+		pe.ResynthInFlight += w.ResynthInFlight
 	}
 	pe.Rejected = pe.Iters - pe.Accepted
 	if pe.Iters > 0 {

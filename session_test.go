@@ -12,6 +12,7 @@ import (
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gateset"
 	"github.com/guoq-dev/guoq/internal/linalg"
+	"github.com/guoq-dev/guoq/internal/opt"
 )
 
 // nativeRandom builds a random circuit already native to the nam gate set.
@@ -237,19 +238,21 @@ func TestSessionEvents(t *testing.T) {
 	}
 }
 
-// A fixpoint session streams per-round convergence events: each round's
-// Worker-0 event lands in Session.Events with consistent cumulative
-// counters, and the final result is never worse than the input and within
-// the ε budget.
-func TestSessionFixpointEvents(t *testing.T) {
-	// Big enough to actually window at the default 256-gate window size;
-	// smaller circuits would silently exercise the portfolio fallback.
-	c := nativeRandom(t, 37, 600)
+// A partition-parallel session streams its window workers' events with
+// consistent cumulative counters. Windows are stitched back only when they
+// all finish, so no mid-run event carries a whole-circuit best: BestCost
+// stays at the input's until the end, which also shows the run really
+// windowed instead of falling back to the portfolio. The final result is
+// never worse than the input and within the ε budget.
+func TestSessionPartitionEvents(t *testing.T) {
+	c := nativeRandom(t, 37, 600)   // two 300-gate windows at Parallelism 2
+	inCost := opt.TwoQubitCost()(c) // nam's default objective
 	sess, err := Start(context.Background(), c, Options{
-		GateSet:  "nam",
-		Budget:   2 * time.Second,
-		Seed:     7,
-		Fixpoint: true,
+		GateSet:           "nam",
+		Budget:            2 * time.Second,
+		Seed:              7,
+		Parallelism:       2,
+		PartitionParallel: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,16 +263,20 @@ func TestSessionFixpointEvents(t *testing.T) {
 		if ev.Rejected != ev.Iters-ev.Accepted {
 			t.Fatalf("inconsistent counters: %+v", ev)
 		}
+		if ev.BestCost != inCost {
+			t.Fatalf("mid-run event reports best cost %g, want the input's %g (window results leaked before the stitch, or the run did not window)",
+				ev.BestCost, inCost)
+		}
 	}
 	if events == 0 {
-		t.Fatal("no round events observed from a fixpoint session")
+		t.Fatal("no events observed from a partition-parallel session")
 	}
 	out, res, err := sess.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out == nil || res.TwoQubitAfter > res.TwoQubitBefore {
-		t.Fatalf("fixpoint worsened the objective: %d -> %d two-qubit gates",
+		t.Fatalf("partition-parallel worsened the objective: %d -> %d two-qubit gates",
 			res.TwoQubitBefore, res.TwoQubitAfter)
 	}
 	if res.Error > 1e-8 {
