@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/guoq-dev/guoq/internal/gate"
+	"github.com/guoq-dev/guoq/internal/gateset"
 	"github.com/guoq-dev/guoq/internal/linalg"
 	"github.com/guoq-dev/guoq/internal/verify"
 )
@@ -339,6 +340,27 @@ func TestCustomSynthesizerMetamorphic(t *testing.T) {
 	}
 	if d := linalg.HSDistance(in.Unitary(), out2.Unitary()); d > res.Error+res2.Error+1e-9 {
 		t.Fatalf("composed distance %g exceeds composed bound %g", d, res.Error+res2.Error)
+	}
+}
+
+// TestUseSynthesizerEpsClasses: a user synthesizer enters the search at the
+// classes of built-in resynthesis, ε_f, ε_f/4 and ε_f/16. Alg. 1 admits a
+// τ_ε only while the spent error plus its ε fits ε_f, so with ε_f alone the
+// synthesizer would never run again once any transformation had spent ε.
+func TestUseSynthesizerEpsClasses(t *testing.T) {
+	const epsF = 1e-2
+	ts, err := UseSynthesizer(&countingSynth{}).compile(gateset.Nam, epsF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{epsF, epsF / 4, epsF / 16}
+	if len(ts) != len(want) {
+		t.Fatalf("compiled to %d transformations, want %d", len(ts), len(want))
+	}
+	for i, ct := range ts {
+		if !ct.Slow() || ct.Epsilon() != want[i] {
+			t.Errorf("class %d: slow=%v ε=%g, want a slow transformation at ε=%g", i, ct.Slow(), ct.Epsilon(), want[i])
+		}
 	}
 }
 

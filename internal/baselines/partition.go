@@ -65,9 +65,7 @@ func (p *Partition) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs 
 		fs.Seed = seed
 		syn = fs
 	} else {
-		ns := numeric.New(gs)
-		ns.Seed = seed
-		syn = ns
+		syn = numeric.New(gs)
 	}
 	deadline := time.Now().Add(budget)
 

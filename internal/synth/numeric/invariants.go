@@ -50,6 +50,16 @@ func gammaTraces(u linalg.Matrix) (complex128, complex128) {
 	return t1, t2
 }
 
+func transpose(m linalg.Matrix) linalg.Matrix {
+	out := linalg.New(m.N)
+	for i := 0; i < m.N; i++ {
+		for j := 0; j < m.N; j++ {
+			out.Data[j*m.N+i] = m.Data[i*m.N+j]
+		}
+	}
+	return out
+}
+
 // MinCXCount returns the minimal CX count (0..3) needed to implement the
 // 4×4 unitary u with arbitrary single-qubit gates.
 func MinCXCount(u linalg.Matrix) int {

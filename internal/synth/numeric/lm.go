@@ -18,7 +18,7 @@ import (
 // residuals writes the stacked real/imaginary parts of
 // e^{-iφ}·U(params) − target into out, with φ the aligning phase.
 func (t *Template) residuals(target linalg.Matrix, params []float64, out []float64) {
-	u := t.Unitary(params)
+	u := t.unitaryScratch(params)
 	tr := linalg.TraceAdjointMul(target, u)
 	ph := cmplx.Exp(complex(0, -cmplx.Phase(tr)))
 	for i, v := range u.Data {
@@ -29,9 +29,9 @@ func (t *Template) residuals(target linalg.Matrix, params []float64, out []float
 }
 
 // PolishLM refines params in place with Levenberg–Marquardt, returning the
-// achieved HS distance. The Jacobian is numeric (forward differences) —
-// templates have tens of parameters and 4×4/8×8 unitaries, so an iteration
-// costs microseconds.
+// achieved HS distance. The Jacobian is numeric (forward differences):
+// templates have tens of parameters and 4×4/8×8 unitaries, and each column
+// is one allocation-free evaluation of the template in its scratch.
 func (t *Template) PolishLM(target linalg.Matrix, params []float64, maxIter int, tol float64) float64 {
 	p := t.nparam
 	if p == 0 {
@@ -43,6 +43,7 @@ func (t *Template) PolishLM(target linalg.Matrix, params []float64, maxIter int,
 	jac := make([]float64, m*p)
 	jtj := make([]float64, p*p)
 	jtr := make([]float64, p)
+	sys := make([]float64, p*p)
 	delta := make([]float64, p)
 	trial := make([]float64, p)
 
@@ -93,7 +94,6 @@ func (t *Template) PolishLM(target linalg.Matrix, params []float64, maxIter int,
 		improved := false
 		for attempt := 0; attempt < 8; attempt++ {
 			// (JᵀJ + λ·diag(JᵀJ))·δ = −Jᵀr
-			sys := make([]float64, p*p)
 			copy(sys, jtj)
 			for a := 0; a < p; a++ {
 				d := jtj[a*p+a]

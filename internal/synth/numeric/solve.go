@@ -24,107 +24,104 @@ import (
 // maximizing θ has the closed form θ* = atan2(C, A−B) with A = |a|²,
 // B = |b|², C = 2·Re(a·conj(b)). Each sweep monotonically increases |τ|.
 
-// overlap returns |Tr(A†·U(params))| / N.
-func (t *Template) overlap(adj linalg.Matrix, params []float64) float64 {
-	u := t.Unitary(params)
-	return cmplx.Abs(linalg.Trace(linalg.Mul(adj, u))) / float64(u.N)
-}
-
 // Distance returns the HS distance of the instantiated template from the
 // target (given as the target itself, not its adjoint).
 func (t *Template) Distance(target linalg.Matrix, params []float64) float64 {
-	return linalg.HSDistance(target, t.Unitary(params))
+	return linalg.HSDistance(target, t.unitaryScratch(params))
 }
 
 // sweep performs one coordinate-ascent pass over all parameters, returning
-// the final |τ|. adj is the target's adjoint.
+// the final |τ|. adj is the target's adjoint. When it returns, t.r holds
+// U(params) for the updated params.
+//
+// Element i needs W_i = A†·S[i+1], where S[i+1] = M_{k−1}···M_{i+1} is
+// the product of the elements after it, and the prefix R = M_{i−1}···M_0
+// with the angles already updated: a = Tr(W_i·R), b = Tr(W_i·(−iP)·R).
+// The sweep stores the transposes W_iᵀ, built back to front by
+// W_{i−1}ᵀ = M_iᵀ·W_iᵀ, so both passes are the row operations of apply
+// and each coefficient is an elementwise sum over one d×d block. That is
+// O(d²) per element, and the sweep allocates nothing once the scratch
+// exists.
+//
+//guoq:hotpath
 func (t *Template) sweep(adj linalg.Matrix, params []float64) float64 {
-	dim := 1 << t.N
-	// Suffix products S[i] = M_k ··· M_i (matrices applied after element i).
+	t.ensureScratch()
+	d := 1 << t.N
+	dd := d * d
 	k := len(t.Elems)
-	suffix := make([]linalg.Matrix, k+1)
-	suffix[k] = linalg.Identity(dim)
-	pidx := make([]int, k)
+	w, r := t.w, t.r
+	// Backward pass, with the angles the sweep starts from: W_{k−1}ᵀ =
+	// (A†)ᵀ, and rzᵀ = rz, cxᵀ = cx, ry(θ)ᵀ = ry(−θ).
+	last := w[(k-1)*dd:]
+	for i := 0; i < d; i++ {
+		for j := 0; j < d; j++ {
+			last[j*d+i] = adj.Data[i*d+j]
+		}
+	}
 	pi := t.nparam
-	for i := k - 1; i >= 0; i-- {
+	for i := k - 1; i > 0; i-- {
 		e := t.Elems[i]
+		c, s := 1.0, 0.0
 		if !e.fixed {
 			pi--
-			pidx[i] = pi
-		} else {
-			pidx[i] = -1
+			s, c = math.Sincos(params[pi] / 2)
+			if e.name == gate.Ry {
+				s = -s
+			}
 		}
-		m := suffix[i+1].Clone()
-		// Left-multiplication by M_i happens on the right side of the
-		// suffix: S[i] = S[i+1]·M_i, i.e. apply M_i's adjoint… Instead keep
-		// S[i] = S[i+1]·Expand(M_i) by multiplying on the right:
-		var gm linalg.Matrix
-		if e.fixed {
-			gm = gate.Matrix(gate.New(e.name, e.qubits, nil))
-		} else {
-			gm = gate.Matrix(gate.New(e.name, e.qubits, []float64{params[pidx[i]]}))
-		}
-		m = mulRight(m, gm, e.qubits, t.N)
-		suffix[i] = m
+		t.apply(e, c, s, w[(i-1)*dd:i*dd], w[i*dd:(i+1)*dd])
 	}
-	// Prefix R = M_{i-1} ··· M_1, updated as we move right.
-	prefix := linalg.Identity(dim)
-	var tau float64
-	for i := 0; i < k; i++ {
-		e := t.Elems[i]
+	// Forward pass: set each angle to its optimum given R, then fold the
+	// element into R.
+	setIdentity(r, d)
+	pi = 0
+	var a, b complex128
+	var c, s float64
+	for i, e := range t.Elems {
 		if e.fixed {
-			gm := gate.Matrix(gate.New(e.name, e.qubits, nil))
-			linalg.ApplyGateLeft(gm, e.qubits, t.N, prefix)
+			t.apply(e, 1, 0, r, r)
 			continue
 		}
-		// L = A†·S[i+1]; a = Tr(L·R), b = Tr(L·(−iP)·R).
-		L := linalg.Mul(adj, suffix[i+1])
-		LR := linalg.Mul(L, prefix)
-		a := linalg.Trace(LR)
-		// (−iP)·R: apply the Pauli generator to prefix.
-		pr := prefix.Clone()
-		var pauli linalg.Matrix
-		if e.name == gate.Rz {
-			pauli = linalg.FromRows([][]complex128{{-1i, 0}, {0, 1i}}) // −i·σz
-		} else {
-			pauli = linalg.FromRows([][]complex128{{0, -1}, {1, 0}}) // −i·σy
+		wt := w[i*dd : (i+1)*dd]
+		mask := 1 << linalg.BitPos(t.N, e.qubits[0])
+		rz := e.name == gate.Rz
+		// Row l of (−iP)·R is −i·R[l] or +i·R[l] for rz, by bit q of l;
+		// for ry it is −R[l|q] on the 0 row and R[l&^q] on the 1 row.
+		a, b = 0, 0
+		for l := 0; l < d; l++ {
+			if l&mask != 0 {
+				continue
+			}
+			w0, w1 := rowPair(wt, d, l, mask)
+			r0, r1 := rowPair(r, d, l, mask)
+			var t00, t11 complex128
+			for j, v := range w0 {
+				t00 += v * r0[j]
+				t11 += w1[j] * r1[j]
+			}
+			a += t00 + t11
+			if rz {
+				b += complex(0, 1) * (t11 - t00)
+				continue
+			}
+			var t01, t10 complex128
+			for j, v := range w0 {
+				t01 += v * r1[j]
+				t10 += w1[j] * r0[j]
+			}
+			b += t10 - t01
 		}
-		linalg.ApplyGateLeft(pauli, e.qubits, t.N, pr)
-		b := linalg.Trace(linalg.Mul(L, pr))
 		A := real(a)*real(a) + imag(a)*imag(a)
 		B := real(b)*real(b) + imag(b)*imag(b)
 		C := 2 * (real(a)*real(b) + imag(a)*imag(b))
 		theta := math.Atan2(C, A-B)
-		params[pidx[i]] = theta
-		// Fold the updated element into the prefix.
-		gm := gate.Matrix(gate.New(e.name, e.qubits, []float64{theta}))
-		linalg.ApplyGateLeft(gm, e.qubits, t.N, prefix)
-		// |τ| at the optimum of this coordinate.
-		x := theta / 2
-		v := complex(math.Cos(x), 0)*a + complex(math.Sin(x), 0)*b
-		tau = cmplx.Abs(v) / float64(dim)
+		params[pi] = theta
+		pi++
+		s, c = math.Sincos(theta / 2)
+		t.apply(e, c, s, r, r)
 	}
-	return tau
-}
-
-// mulRight returns m·Expand(g, qs) without materializing the expansion:
-// right-multiplication acts on columns, which is left-multiplication of the
-// adjoint; equivalently apply g^T to the row space. We implement it via
-// (m·G) = (G^T·m^T)^T using ApplyGateLeft on the transpose.
-func mulRight(m, g linalg.Matrix, qs []int, n int) linalg.Matrix {
-	mt := transpose(m)
-	linalg.ApplyGateLeft(transpose(g), qs, n, mt)
-	return transpose(mt)
-}
-
-func transpose(m linalg.Matrix) linalg.Matrix {
-	out := linalg.New(m.N)
-	for i := 0; i < m.N; i++ {
-		for j := 0; j < m.N; j++ {
-			out.Data[j*m.N+i] = m.Data[i*m.N+j]
-		}
-	}
-	return out
+	// |τ| at the optimum of the last coordinate.
+	return cmplx.Abs(complex(c, 0)*a+complex(s, 0)*b) / float64(d)
 }
 
 // Optimize runs coordinate ascent from each initial parameter vector (plus
@@ -162,7 +159,7 @@ func (t *Template) Optimize(target linalg.Matrix, inits [][]float64, restarts, m
 		for s := 0; s < maxSweeps; s++ {
 			t.sweep(adj, params)
 			if s%5 == 4 || s == maxSweeps-1 {
-				d := t.Distance(target, params)
+				d := linalg.HSDistance(target, linalg.Matrix{N: target.N, Data: t.r})
 				if d < bestDist {
 					bestDist = d
 					copy(best, params)

@@ -30,16 +30,17 @@ type Synthesizer struct {
 	// Beam is the number of structures kept per depth in 3-qubit search.
 	Beam int
 	// MaxTime bounds one Synthesize call; zero means unbounded. Resynthesis
-	// is the "slow" transformation (§5.3) — the budget keeps a single call
-	// from starving the whole search.
+	// is the "slow" transformation (§5.3), and the cap is its safety net
+	// against starving the whole search: the structure space (MaxBlocks,
+	// Beam, Restarts, MaxSweeps) ends most calls well before it.
 	MaxTime time.Duration
-	// Seed makes synthesis deterministic per target unitary.
-	Seed int64
 }
 
-// New returns a synthesizer with the default budgets, tuned so a 3-qubit
-// call takes tens to hundreds of milliseconds — the "slow" timescale of the
-// paper, compressed proportionally to our compressed search budgets.
+// New returns a synthesizer with the default budgets. With them a 2-qubit
+// call takes under a millisecond and a 3-qubit call 10–100 ms on one core
+// of a 2-vCPU x86 VM; the longest 3-qubit calls are those that try every
+// structure and fail. That is the "slow" timescale of the paper, compressed
+// in proportion to our compressed search budgets.
 func New(gs *gateset.GateSet) *Synthesizer {
 	return &Synthesizer{
 		GateSet:   gs,
@@ -48,7 +49,6 @@ func New(gs *gateset.GateSet) *Synthesizer {
 		MaxBlocks: 8,
 		Beam:      2,
 		MaxTime:   500 * time.Millisecond,
-		Seed:      1,
 	}
 }
 

@@ -23,12 +23,20 @@ type elem struct {
 	qubits []int
 }
 
-// Template is a parameterized circuit skeleton on n qubits.
+// Template is a parameterized circuit skeleton on n qubits. It owns the
+// scratch space of its instantiation kernel, so one template must not be
+// used from two goroutines at once.
 type Template struct {
 	N      int
 	Elems  []elem
 	NumCX  int
 	nparam int
+
+	// Kernel scratch, allocated on first use. w holds one d×d block per
+	// element, W_iᵀ (see sweep); r holds the running prefix product, which
+	// is U(θ) when sweep or unitaryScratch returns.
+	w []complex128
+	r []complex128
 }
 
 // NewTemplate builds the standard bottom-up skeleton: a U3 on every qubit,
@@ -60,21 +68,113 @@ func (t *Template) addU3(q int) {
 // NumParams returns the number of free angles.
 func (t *Template) NumParams() int { return t.nparam }
 
-// Unitary evaluates the template at the given parameters.
+// Unitary evaluates the template at the given parameters as a fresh matrix.
 func (t *Template) Unitary(params []float64) linalg.Matrix {
 	u := linalg.Identity(1 << t.N)
+	t.product(params, u.Data)
+	return u
+}
+
+// unitaryScratch evaluates the template into its own scratch and returns a
+// view of it, valid until the template's next kernel call.
+func (t *Template) unitaryScratch(params []float64) linalg.Matrix {
+	t.ensureScratch()
+	setIdentity(t.r, 1<<t.N)
+	t.product(params, t.r)
+	return linalg.Matrix{N: 1 << t.N, Data: t.r}
+}
+
+// product left-multiplies every element, in execution order, onto the
+// 2^N × 2^N row-major matrix m in place.
+//
+//guoq:hotpath
+func (t *Template) product(params []float64, m []complex128) {
 	pi := 0
 	for _, e := range t.Elems {
-		var m linalg.Matrix
-		if e.fixed {
-			m = gate.Matrix(gate.New(e.name, e.qubits, nil))
-		} else {
-			m = gate.Matrix(gate.New(e.name, e.qubits, []float64{params[pi]}))
+		c, s := 1.0, 0.0
+		if !e.fixed {
+			s, c = math.Sincos(params[pi] / 2)
 			pi++
 		}
-		linalg.ApplyGateLeft(m, e.qubits, t.N, u)
+		t.apply(e, c, s, m, m)
 	}
-	return u
+}
+
+// ensureScratch allocates the kernel scratch on the template's first use.
+func (t *Template) ensureScratch() {
+	dd := 1 << (2 * t.N)
+	if len(t.r) != dd {
+		t.w = make([]complex128, len(t.Elems)*dd)
+		t.r = make([]complex128, dd)
+	}
+}
+
+// apply writes M·src into dst, where M is element e expanded to 2^N
+// qubits and, for a rotation, c and s are the cosine and sine of half its
+// angle. Both matrices are 2^N × 2^N row-major, and dst may be src. M acts
+// on rows only: rz scales them, ry mixes pairs of them and cx swaps them,
+// so one call costs O(d²) where a dense product would cost O(d³).
+//
+//guoq:hotpath
+func (t *Template) apply(e elem, c, s float64, dst, src []complex128) {
+	d := 1 << t.N
+	mask := 1 << linalg.BitPos(t.N, e.qubits[0])
+	switch e.name {
+	case gate.CX:
+		tmask := 1 << linalg.BitPos(t.N, e.qubits[1])
+		for l := 0; l < d; l++ {
+			if l&mask == 0 {
+				copy(dst[l*d:(l+1)*d], src[l*d:(l+1)*d])
+				continue
+			}
+			if l&tmask != 0 {
+				continue
+			}
+			x0, x1 := rowPair(src, d, l, tmask)
+			y0, y1 := rowPair(dst, d, l, tmask)
+			for j, v := range x0 {
+				y0[j], y1[j] = x1[j], v
+			}
+		}
+	case gate.Rz:
+		p0, p1 := complex(c, -s), complex(c, s)
+		for l := 0; l < d; l++ {
+			if l&mask != 0 {
+				continue
+			}
+			x0, x1 := rowPair(src, d, l, mask)
+			y0, y1 := rowPair(dst, d, l, mask)
+			for j, v := range x0 {
+				y0[j], y1[j] = p0*v, p1*x1[j]
+			}
+		}
+	case gate.Ry:
+		for l := 0; l < d; l++ {
+			if l&mask != 0 {
+				continue
+			}
+			x0, x1 := rowPair(src, d, l, mask)
+			y0, y1 := rowPair(dst, d, l, mask)
+			for j, v := range x0 {
+				u := x1[j]
+				y0[j] = complex(c*real(v)-s*real(u), c*imag(v)-s*imag(u))
+				y1[j] = complex(s*real(v)+c*real(u), s*imag(v)+c*imag(u))
+			}
+		}
+	}
+}
+
+// rowPair returns rows l and l|mask of the d×d row-major matrix m.
+func rowPair(m []complex128, d, l, mask int) ([]complex128, []complex128) {
+	l1 := l | mask
+	return m[l*d : (l+1)*d], m[l1*d : (l1+1)*d]
+}
+
+func setIdentity(m []complex128, d int) {
+	clear(m)
+	for i := 0; i < d; i++ {
+		m[i*d+i] = 1
+	}
 }
 
 // Instantiate renders the template at the given parameters as a circuit of

@@ -34,8 +34,9 @@ type Transformation interface {
 	// Name identifies the transformation in logs and events.
 	Name() string
 	// compile lowers the transformation for a concrete target set and
-	// global budget; unexported to seal the interface.
-	compile(gs *gateset.GateSet, epsF float64) (opt.Transformation, error)
+	// global budget into one or more search transformations; unexported to
+	// seal the interface.
+	compile(gs *gateset.GateSet, epsF float64) ([]opt.Transformation, error)
 }
 
 // ---------------------------------------------------------------------------
@@ -202,7 +203,7 @@ func MustNewRule(name string, numQubits int, pattern, replacement []Gate) *Rule 
 // Name implements Transformation.
 func (r *Rule) Name() string { return "rule:" + r.name }
 
-func (r *Rule) compile(gs *gateset.GateSet, _ float64) (opt.Transformation, error) {
+func (r *Rule) compile(gs *gateset.GateSet, _ float64) ([]opt.Transformation, error) {
 	// The pattern can only match native circuits, but the replacement is
 	// spliced in verbatim — it must not push the search out of the target.
 	for _, g := range r.compiled.Replacement {
@@ -210,7 +211,7 @@ func (r *Rule) compile(gs *gateset.GateSet, _ float64) (opt.Transformation, erro
 			return nil, fmt.Errorf("guoq: rule %s: replacement gate %s is not native to gate set %s", r.name, g.Name, gs.Name)
 		}
 	}
-	return &opt.RuleTransformation{Rule: r.compiled}, nil
+	return []opt.Transformation{&opt.RuleTransformation{Rule: r.compiled}}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -245,7 +246,10 @@ type Synthesizer interface {
 }
 
 // UseSynthesizer wraps a Synthesizer as a slow Transformation for
-// Options.Transformations or RegisterTransformation.
+// Options.Transformations or RegisterTransformation. Like built-in
+// resynthesis it enters the search at three declared ε classes, ε_f, ε_f/4
+// and ε_f/16, so it stays admissible after the run has spent part of its
+// budget.
 func UseSynthesizer(s Synthesizer) Transformation {
 	return &synthTransformation{s: s}
 }
@@ -257,16 +261,21 @@ type synthTransformation struct {
 // Name implements Transformation.
 func (t *synthTransformation) Name() string { return "synth:" + t.s.Name() }
 
-func (t *synthTransformation) compile(gs *gateset.GateSet, epsF float64) (opt.Transformation, error) {
+func (t *synthTransformation) compile(gs *gateset.GateSet, epsF float64) ([]opt.Transformation, error) {
 	if t.s == nil {
 		return nil, fmt.Errorf("guoq: UseSynthesizer(nil)")
 	}
-	return &opt.CircuitResynthTransformation{
-		Synth:       t.s,
-		MaxQubits:   3,
-		DeclaredEps: epsF,
-		GateSet:     gs,
-	}, nil
+	// The classes of opt.Instantiate's built-in resynthesis.
+	var out []opt.Transformation
+	for _, div := range []float64{1, 4, 16} {
+		out = append(out, &opt.CircuitResynthTransformation{
+			Synth:       t.s,
+			MaxQubits:   3,
+			DeclaredEps: epsF / div,
+			GateSet:     gs,
+		})
+	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -323,7 +332,7 @@ func compileExtensions(gs *gateset.GateSet, epsF float64, perRun []Transformatio
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, ct)
+		out = append(out, ct...)
 	}
 	for _, t := range perRun {
 		if t == nil {
@@ -333,7 +342,7 @@ func compileExtensions(gs *gateset.GateSet, epsF float64, perRun []Transformatio
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, ct)
+		out = append(out, ct...)
 	}
 	return out, nil
 }
