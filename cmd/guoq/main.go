@@ -250,8 +250,8 @@ func main() {
 	}
 	if *metrics {
 		snap := sess.Metrics()
-		fmt.Fprintf(os.Stderr, "engine     %.0f cache hits, %.0f positive replays, %.0f misses, %.0f splices, %.0f invalidated (halo depth %.0f)\n",
-			snap["guoq_engine_cache_hits_total"], snap["guoq_engine_positive_hits_total"],
+		fmt.Fprintf(os.Stderr, "engine     %.0f cache hits, %.0f misses, %.0f splices, %.0f invalidated (halo depth %.0f)\n",
+			snap["guoq_engine_cache_hits_total"],
 			snap["guoq_engine_cache_misses_total"], snap["guoq_engine_splices_total"],
 			snap["guoq_engine_invalidated_total"], snap["guoq_engine_halo_depth"])
 		if len(res.Rules) > 0 {

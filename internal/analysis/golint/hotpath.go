@@ -5,8 +5,8 @@ import (
 )
 
 // HotPathAnalyzer enforces allocation hygiene in functions marked with the
-// `//guoq:hotpath` directive — the match/replay/invalidate loop that PR 8
-// drove to 0 allocs/op and that the CI perf gate pins:
+// `//guoq:hotpath` directive — the match/splice/invalidate loop whose
+// allocations per search iteration the CI perf gate pins:
 //
 //   - no calls into fmt (formatting allocates and the error paths that
 //     want it are never hot);

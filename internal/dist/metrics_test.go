@@ -58,11 +58,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// A guoq worker colocated with the daemon shares the registry: engine
-	// counters — including the positive-cache and halo families — surface
-	// through the same scrape.
+	// counters — including the halo families — surface through the same
+	// scrape.
 	em := opt.NewMetrics(reg)
 	em.AddEngineStats(rewrite.EngineStats{
-		CacheSkips: 5, PositiveHits: 7, Reinstalls: 3, HaloGates: 11, HaloDepth: 4,
+		CacheSkips: 5, HaloGates: 11, HaloDepth: 4,
 	})
 
 	// Unauthenticated scrape must succeed despite -token.
@@ -94,8 +94,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`guoqd_request_seconds_count{path="/v1/exchange"} 3`,
 		"guoqd_uptime_seconds",
 		"guoq_engine_cache_hits_total 5",
-		"guoq_engine_positive_hits_total 7",
-		"guoq_engine_reinstalls_total 3",
 		"guoq_engine_halo_gates_total 11",
 		"guoq_engine_halo_depth 4",
 	} {

@@ -29,17 +29,15 @@ type Metrics struct {
 	// rewrite.Engine activity, flushed once per finished run (the engine
 	// keeps its own cheap int counters; moving them here per splice would
 	// put atomics inside FullPass).
-	EngineCacheHits    *obs.Counter
-	EngineCacheMisses  *obs.Counter
-	EnginePositiveHits *obs.Counter
-	EngineReinstalls   *obs.Counter
-	EngineSplices      *obs.Counter
-	EngineInvalidated  *obs.Counter
-	EngineHaloGates    *obs.Counter
-	EngineHaloDepth    *obs.Gauge
-	EngineCommits      *obs.Counter
-	EngineRollbacks    *obs.Counter
-	EngineResets       *obs.Counter
+	EngineCacheHits   *obs.Counter
+	EngineCacheMisses *obs.Counter
+	EngineSplices     *obs.Counter
+	EngineInvalidated *obs.Counter
+	EngineHaloGates   *obs.Counter
+	EngineHaloDepth   *obs.Gauge
+	EngineCommits     *obs.Counter
+	EngineRollbacks   *obs.Counter
+	EngineResets      *obs.Counter
 
 	// Shared resynthesis pool (wired through NewResynthPoolMetrics).
 	PoolQueueDepth  *obs.Gauge
@@ -65,17 +63,15 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		BestCost:        reg.Gauge("guoq_best_cost", "Cost of the best solution found so far."),
 		Migrations:      reg.Counter("guoq_migrations_total", "Exchange adoptions across all searches."),
 
-		EngineCacheHits:    reg.Counter("guoq_engine_cache_hits_total", "Anchors skipped via a cached no-match verdict."),
-		EngineCacheMisses:  reg.Counter("guoq_engine_cache_misses_total", "Match attempts the cache could not answer."),
-		EnginePositiveHits: reg.Counter("guoq_engine_positive_hits_total", "Anchors served by replaying a cached match instead of rematching."),
-		EngineReinstalls:   reg.Counter("guoq_engine_reinstalls_total", "Positive cache entries restored by transaction rollbacks."),
-		EngineSplices:      reg.Counter("guoq_engine_splices_total", "Window replacements applied (including rollbacks)."),
-		EngineInvalidated:  reg.Counter("guoq_engine_invalidated_total", "Cache entries cleared by halo invalidation."),
-		EngineHaloGates:    reg.Counter("guoq_engine_halo_gates_total", "Gates swept by halo invalidation BFS passes."),
-		EngineHaloDepth:    reg.Gauge("guoq_engine_halo_depth", "Deepest per-rule (per-wire extent) halo radius in use."),
-		EngineCommits:      reg.Counter("guoq_engine_commits_total", "Accepted transactions."),
-		EngineRollbacks:    reg.Counter("guoq_engine_rollbacks_total", "Rejected (reverted) transactions."),
-		EngineResets:       reg.Counter("guoq_engine_resets_total", "Full cache invalidations (SetCircuit/Reset)."),
+		EngineCacheHits:   reg.Counter("guoq_engine_cache_hits_total", "Anchors skipped via a cached no-match verdict."),
+		EngineCacheMisses: reg.Counter("guoq_engine_cache_misses_total", "Match attempts the cache could not answer."),
+		EngineSplices:     reg.Counter("guoq_engine_splices_total", "Window replacements applied (including rollbacks)."),
+		EngineInvalidated: reg.Counter("guoq_engine_invalidated_total", "Cache entries cleared by halo invalidation."),
+		EngineHaloGates:   reg.Counter("guoq_engine_halo_gates_total", "Gates swept by halo invalidation BFS passes."),
+		EngineHaloDepth:   reg.Gauge("guoq_engine_halo_depth", "Deepest per-rule (per-wire extent) halo radius in use."),
+		EngineCommits:     reg.Counter("guoq_engine_commits_total", "Accepted transactions."),
+		EngineRollbacks:   reg.Counter("guoq_engine_rollbacks_total", "Rejected (reverted) transactions."),
+		EngineResets:      reg.Counter("guoq_engine_resets_total", "Full cache invalidations (SetCircuit/Reset)."),
 
 		PoolQueueDepth:  reg.Gauge("guoq_resynth_queue_depth", "Resynthesis jobs waiting for a pool worker."),
 		PoolTasks:       reg.Counter("guoq_resynth_tasks_total", "Resynthesis jobs executed by the shared pool."),
@@ -92,8 +88,6 @@ func (m *Metrics) AddEngineStats(st rewrite.EngineStats) {
 	}
 	m.EngineCacheHits.Add(int64(st.CacheSkips))
 	m.EngineCacheMisses.Add(int64(st.MatchCalls))
-	m.EnginePositiveHits.Add(int64(st.PositiveHits))
-	m.EngineReinstalls.Add(int64(st.Reinstalls))
 	m.EngineSplices.Add(int64(st.Splices))
 	m.EngineInvalidated.Add(int64(st.Invalidated))
 	m.EngineHaloGates.Add(int64(st.HaloGates))

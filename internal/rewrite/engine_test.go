@@ -107,6 +107,73 @@ func TestEngineMatchesScratchFullPass(t *testing.T) {
 	}
 }
 
+// TestEngineRollbackHeavyMatchesScratch is the adversarial companion of
+// TestEngineMatchesScratchFullPass: long sequences dominated by nested
+// marks and rollbacks, across every rule library. An undo splice that left
+// a stale no-match verdict in its halo would hide a real match from a later
+// pass, which surfaces here as a divergence from the from-scratch pipeline.
+func TestEngineRollbackHeavyMatchesScratch(t *testing.T) {
+	for name, rules := range AllLibraries() {
+		name, rules := name, rules
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			gs, err := gateset.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(11))
+			ref := circuit.Random(8, 150, gs.Gates, rng)
+			eng := NewEngine(ref)
+			ref = ref.Clone()
+
+			for step := 0; step < 250; step++ {
+				// Open a transaction, stack 1-3 passes inside it, then
+				// reject the whole stack three times out of four.
+				mark := eng.Mark()
+				depth := 1 + rng.Intn(3)
+				inner := make([]int, 0, depth)
+				states := []*circuit.Circuit{ref} // states[k] = shadow after k inner passes
+				for k := 0; k < depth; k++ {
+					r := rules[rng.Intn(len(rules))]
+					shadow := states[len(states)-1]
+					start := 0
+					if shadow.Len() > 0 {
+						start = rng.Intn(shadow.Len())
+					}
+					inner = append(inner, eng.Mark())
+					refOut, n1 := FullPass(shadow, r, start)
+					if n2 := eng.FullPass(r, start); n1 != n2 {
+						t.Fatalf("step %d: rule %s replaced %d sites, scratch %d", step, r.Name, n2, n1)
+					}
+					states = append(states, refOut)
+				}
+				switch rng.Intn(4) {
+				case 0: // accept the whole stack
+					eng.Commit()
+					ref = states[depth]
+				case 1: // partial rollback: keep a random prefix of the stack
+					j := rng.Intn(depth + 1)
+					if j < depth {
+						eng.Rollback(inner[j])
+					}
+					eng.Commit()
+					ref = states[j]
+				default: // roll back the whole stack
+					eng.Rollback(mark)
+				}
+				if !circuit.Equal(eng.Circuit(), ref) {
+					t.Fatalf("step %d: engine diverged from scratch pipeline", step)
+				}
+			}
+			st := eng.Stats()
+			if st.Rollbacks == 0 {
+				t.Fatalf("test exercised nothing: %+v", st)
+			}
+			t.Logf("%s: %+v", name, st)
+		})
+	}
+}
+
 // TestEngineCacheEngages asserts the negative cache short-circuits rescans
 // in its two production shapes. First, the fixpoint shape (fixed-pass
 // pipelines, warm start): once the reducing rules stop matching, another
@@ -194,6 +261,38 @@ func TestEngineRollbackRestoresExactly(t *testing.T) {
 	}
 }
 
+// TestEngineRollbackInvalidatesHalo pins the undo half of the invalidation
+// contract on a hand-built case. A region replacement breaks a cx·cx pair
+// whose anchor lies just outside the replaced window, and a pass then
+// records a no-match verdict at that anchor. Rolling back restores the
+// pair, so the undo splice must clear the verdict in its halo: the next
+// pass has to find the match, as the from-scratch FullPass does.
+func TestEngineRollbackInvalidatesHalo(t *testing.T) {
+	cxcx := findRule(t, "nam", "nam/cx-cx")
+	c := circuit.New(2)
+	c.Append(gate.NewH(0), gate.NewCX(0, 1), gate.NewCX(0, 1))
+	eng := NewEngine(c)
+
+	mark := eng.Mark()
+	repl := circuit.New(2)
+	repl.Append(gate.NewX(1))
+	eng.ReplaceRegion(&circuit.Region{Lo: 2, Hi: 2, Qubits: []int{0, 1}, Indices: []int{2}}, repl)
+	if n := eng.FullPass(cxcx, 0); n != 0 {
+		t.Fatalf("cx-cx matched %d sites after the pair was broken", n)
+	}
+	eng.Rollback(mark)
+	if !circuit.Equal(eng.Circuit(), c) {
+		t.Fatal("rollback did not restore the original circuit")
+	}
+	want, n1 := FullPass(c, cxcx, 0)
+	if n1 != 1 {
+		t.Fatalf("scratch FullPass replaced %d sites, want 1", n1)
+	}
+	if n2 := eng.FullPass(cxcx, 0); n2 != n1 || !circuit.Equal(eng.Circuit(), want) {
+		t.Fatalf("engine replaced %d sites after the rollback, scratch %d: a stale no-match verdict survived the undo splice", n2, n1)
+	}
+}
+
 // TestEngineDegenerate covers the empty-circuit and empty-replacement
 // edges.
 func TestEngineDegenerate(t *testing.T) {
@@ -239,6 +338,54 @@ func TestMultiSpliceBytes(t *testing.T) {
 		}
 		if s != tc.want {
 			t.Errorf("case %d: got %q, want %q", i, s, tc.want)
+		}
+	}
+}
+
+// TestRuleHaloDepth checks the compile-time halo sizing invariants for
+// every rule in every library: the per-rule radius is at least 1, never
+// exceeds the old global bound len(Pattern)+1 it replaced, and the
+// per-wire extents sum to the pattern size.
+func TestRuleHaloDepth(t *testing.T) {
+	for name, rules := range AllLibraries() {
+		for _, r := range rules {
+			if d := r.HaloDepth(); d < 1 || d > len(r.Pattern)+1 {
+				t.Errorf("%s/%s: halo depth %d outside [1, %d]", name, r.Name, d, len(r.Pattern)+1)
+			}
+			ext := r.WireExtents()
+			if len(ext) != r.NumQubits {
+				t.Errorf("%s/%s: %d wire extents for %d qubits", name, r.Name, len(ext), r.NumQubits)
+				continue
+			}
+			for q, e := range ext {
+				if e < 1 {
+					t.Errorf("%s/%s: wire %d has extent %d, want ≥ 1 (unused pattern wire)", name, r.Name, q, e)
+				}
+				wires := 0
+				for _, pg := range r.Pattern {
+					for _, pq := range pg.Qubits {
+						if pq == q {
+							wires++
+						}
+					}
+				}
+				if e != wires {
+					t.Errorf("%s/%s: wire %d extent %d, want %d", name, r.Name, q, e, wires)
+				}
+			}
+		}
+	}
+	// A single-gate pattern has BFS eccentricity 0, so its halo radius is
+	// exactly 1 — pin one known rule so the derivation can't silently grow.
+	rules, err := RulesFor("nam")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rules {
+		if len(r.Pattern) == 1 {
+			if d := r.HaloDepth(); d != 1 {
+				t.Errorf("%s: single-gate pattern has halo depth %d, want 1", r.Name, d)
+			}
 		}
 	}
 }

@@ -9,11 +9,6 @@ import (
 // Match records one occurrence of a rule pattern in a circuit: the matched
 // gate indices (ascending), the qubit mapping (pattern-local → global), and
 // the bound angle variables.
-//
-// QubitMap and Binding are functions of the matched gates alone, so they
-// stay valid while the gates are unchanged even as splices elsewhere shift
-// indices; Indices/Lo/Hi are positional and are recomputed by replay (see
-// the Engine's positive match cache).
 type Match struct {
 	Rule     *Rule
 	Indices  []int
@@ -241,58 +236,6 @@ func (s *matchScratch) match(c *circuit.Circuit, d *circuit.DAG, r *Rule, anchor
 	}, true
 }
 
-// replayAt refreshes a cached positive match at an anchor whose
-// neighbourhood is unchanged (the Engine's invalidation contract). Because
-// QubitMap and Binding are index-free, only the gate positions need
-// re-deriving, and that is pure DAG navigation: each pattern gate is
-// located through its first available wire constraint, with no name,
-// parameter, injectivity, or window-purity checks — those all held when the
-// match was first computed and nothing in reach has changed since. The
-// match is updated in place (no allocation). A false return means
-// navigation fell off a wire, which a correct halo never produces for a
-// live entry; callers treat it as a cache miss and rematch from scratch.
-//
-//guoq:hotpath
-func replayAt(d *circuit.DAG, anchor int, m *Match, s *matchScratch) bool {
-	r := m.Rule
-	for i := range r.Pattern {
-		s.matched[i] = false
-	}
-	s.pos[0] = anchor
-	s.matched[0] = true
-	for _, gi := range r.matchOrder[1:] {
-		cand := -1
-		for k, pq := range r.Pattern[gi].Qubits {
-			cq := m.QubitMap[pq]
-			if pp := r.prevPat[gi][k]; pp >= 0 && s.matched[pp] {
-				cand = d.NextOnWire(s.pos[pp], cq)
-				break
-			}
-			if np := r.nextPat[gi][k]; np >= 0 && s.matched[np] {
-				cand = d.PrevOnWire(s.pos[np], cq)
-				break
-			}
-		}
-		if cand < 0 {
-			return false
-		}
-		s.pos[gi] = cand
-		s.matched[gi] = true
-	}
-	idx := m.Indices[:0]
-	for gi := range r.Pattern {
-		idx = append(idx, s.pos[gi])
-	}
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	m.Indices = idx
-	m.Lo, m.Hi = idx[0], idx[len(idx)-1]
-	return true
-}
-
 func intsContain(s []int, v int) bool {
 	for _, x := range s {
 		if x == v {
@@ -306,12 +249,11 @@ func intsContain(s []int, v int) bool {
 // non-overlapping matches of r collected from start, wrapping around, in
 // anchor order. used must be all-false with length len(c.Gates). rc, when
 // non-nil, is the Engine's per-anchor match cache: anchors with a recorded
-// no-match verdict are skipped without rematching, anchors with a cached
-// positive match replay it by DAG navigation instead of re-running the
-// matcher, and fresh verdicts of both kinds are recorded — sound because
-// matchAt is a pure function of the circuit around the anchor, and the
-// Engine clears entries whose neighbourhood changed. st, when non-nil,
-// accumulates cache-effectiveness counters.
+// no-match verdict are skipped without rematching, and fresh no-match
+// verdicts are recorded — sound because matchAt is a pure function of the
+// circuit around the anchor, and the Engine clears entries whose
+// neighbourhood changed. st, when non-nil, accumulates cache-effectiveness
+// counters.
 //
 //guoq:hotpath
 func findMatches(c *circuit.Circuit, d *circuit.DAG, r *Rule, start int, s *matchScratch, used []bool, rc *ruleCache, out []*Match, st *EngineStats) []*Match {
@@ -324,46 +266,21 @@ func findMatches(c *circuit.Circuit, d *circuit.DAG, r *Rule, start int, s *matc
 		if used[anchor] {
 			continue
 		}
-		var m *Match
-		if rc != nil {
-			switch rc.state[anchor] {
-			case cacheNoMatch:
-				if st != nil {
-					st.CacheSkips++
-				}
-				continue
-			case cacheMatch:
-				cm := rc.posGet(anchor)
-				s.ensure(c, r)
-				if cm != nil && replayAt(d, anchor, cm, s) {
-					if st != nil {
-						st.PositiveHits++
-					}
-					m = cm
-				} else {
-					// Should not happen under the halo contract; fall back
-					// to a full rematch rather than trust the entry.
-					rc.state[anchor] = cacheUnknown
-					rc.posDelete(anchor)
-				}
-			}
-		}
-		if m == nil {
+		if rc != nil && rc.state[anchor] == cacheNoMatch {
 			if st != nil {
-				st.MatchCalls++
+				st.CacheSkips++
 			}
-			var ok bool
-			m, ok = matchAt(c, d, r, anchor, s)
-			if !ok {
-				if rc != nil {
-					rc.state[anchor] = cacheNoMatch
-				}
-				continue
-			}
+			continue
+		}
+		if st != nil {
+			st.MatchCalls++
+		}
+		m, ok := matchAt(c, d, r, anchor, s)
+		if !ok {
 			if rc != nil {
-				rc.state[anchor] = cacheMatch
-				rc.posSet(anchor, m)
+				rc.state[anchor] = cacheNoMatch
 			}
+			continue
 		}
 		clash := false
 		for i := m.Lo; i <= m.Hi; i++ {

@@ -8,10 +8,10 @@
 // and returns a fresh circuit — the right tool for one-shot rewrites and
 // for callers that need value semantics. Engine is the incremental API for
 // iterated search: it owns a mutable circuit whose DAG is maintained by
-// in-place window splices, caches per-rule three-state match verdicts —
-// known failures are skipped, known matches replayed without rematching —
-// that survive across calls (invalidated only inside a wire-adjacency halo
-// of the gates a transformation touched), and exposes a transaction log
+// in-place window splices, caches per-rule no-match verdicts — known
+// failures are skipped without rematching — that survive across calls
+// (invalidated only inside a wire-adjacency halo of the gates a
+// transformation touched), and exposes a transaction log
 // (Mark/Rollback/Commit) so speculative candidates — a rejected GUOQ move,
 // a lookahead branch — are reverted without copying circuits. Engine and
 // FullPass produce bit-for-bit identical results for identical inputs; the

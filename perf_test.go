@@ -3,47 +3,59 @@ package guoq
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
+	"github.com/guoq-dev/guoq/internal/baselines"
+	"github.com/guoq-dev/guoq/internal/benchmarks"
+	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/experiments"
+	"github.com/guoq-dev/guoq/internal/gateset"
+	"github.com/guoq-dev/guoq/internal/obs"
+	"github.com/guoq-dev/guoq/internal/opt"
 )
 
-// TestPerfTrajectory is the CI perf gate: it re-measures the hot-loop
-// benchmarks and fails if they regress past the pinned snapshot in
-// BENCH_hotloop.json plus the documented noise tolerance. It is opt-in —
-// benchmarks are meaningless under `go test ./...` parallelism — and runs
-// as its own serial CI step:
+// TestPerfTrajectory is the CI hot-loop gate. It re-measures the search
+// loop's real traffic — a seeded, MaxIters-bounded GUOQ-REWRITE run on a
+// fixed slice of the ibm-eagle suite — plus the stateless RuleFullPass
+// microbenchmark, and fails if either regresses past the pinned snapshot in
+// BENCH_hotloop.json. It is opt-in — timings are meaningless under
+// `go test ./...` parallelism — and runs as its own serial CI step:
 //
 //	GUOQ_PERF_CHECK=1  go test -run TestPerfTrajectory -count=1 .   # gate
 //	GUOQ_PERF_UPDATE=1 go test -run TestPerfTrajectory -count=1 .   # refresh snapshot
 //
-// Three gates, strictest first:
+// Gates, strictest first:
 //
-//   - allocs/op is machine-independent and near-deterministic, so it gets
-//     the tight tolerance (AllocsFrac) plus a hard absolute ceiling
-//     (MaxAllocs) that holds even if someone refreshes the snapshot past it.
-//   - the engine-vs-stateless speedup ratio is measured in-process, so it
-//     cancels out machine speed; it must not fall below the snapshot ratio
-//     by more than RatioFrac, and never below MinSpeedup.
-//   - raw ns/op is machine-dependent; it is gated loosely (NsFrac) to catch
-//     order-of-magnitude slips, and snapshots must be refreshed on the CI
-//     runner class (see BENCH_hotloop.json's note).
+//   - the loop's iteration count and output fingerprint (a hash of the
+//     outputs' QASM) must equal the snapshot. The run is seeded and bounded
+//     by iterations, so a difference means the search itself changed, and
+//     the pin must be refreshed on purpose;
+//   - match calls and full cache resets are deterministic counts of the
+//     engine's work; each may rise at most CountFrac;
+//   - allocations per loop iteration and per RuleFullPass op are
+//     near-deterministic and may rise at most AllocsFrac;
+//   - ns per iteration and per op are machine-dependent, so they are gated
+//     loosely (NsFrac) to catch order-of-magnitude slips, and snapshots must
+//     be refreshed on the CI runner class (see BENCH_hotloop.json's note).
+//
+// Cache skips, rollbacks and commits are logged for the record, not gated.
 type perfSnapshot struct {
 	Note       string               `json:"note"`
 	Updated    string               `json:"updated"`
 	Tolerance  perfTolerance        `json:"tolerance"`
-	MaxAllocs  float64              `json:"max_allocs_engine_full_pass"`
-	MinSpeedup float64              `json:"min_speedup_engine_vs_stateless"`
+	Loop       loopPerf             `json:"rewrite_loop"`
 	Benchmarks map[string]perfEntry `json:"benchmarks"`
 }
 
 type perfTolerance struct {
+	CountFrac  float64 `json:"count_frac"`
 	AllocsFrac float64 `json:"allocs_frac"`
 	NsFrac     float64 `json:"ns_frac"`
-	RatioFrac  float64 `json:"ratio_frac"`
 }
 
 type perfEntry struct {
@@ -51,20 +63,91 @@ type perfEntry struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
+// loopPerf is one measurement of the gate workload. The engine counts come
+// from the run's metrics registry, summed over all circuits.
+type loopPerf struct {
+	Circuits      int     `json:"circuits"`
+	Iters         int     `json:"iters"`
+	Fingerprint   string  `json:"fingerprint"`
+	AllocsPerIter float64 `json:"allocs_per_iter"`
+	NsPerIter     float64 `json:"ns_per_iter"`
+	MatchCalls    float64 `json:"match_calls"`
+	CacheSkips    float64 `json:"cache_skips"`
+	Resets        float64 `json:"resets"`
+	Rollbacks     float64 `json:"rollbacks"`
+	Commits       float64 `json:"commits"`
+}
+
 const perfSnapshotPath = "BENCH_hotloop.json"
+
+// The gate workload: GUOQ-REWRITE with seed 1 and no wall-clock budget on
+// every perfLoopStride-th ibm-eagle suite circuit, perfLoopIters
+// iterations each.
+const (
+	perfLoopStride = 8
+	perfLoopIters  = 700
+)
+
+func measureRewriteLoop(t *testing.T) loopPerf {
+	t.Helper()
+	suite, err := benchmarks.SuiteFor(gateset.IBMEagle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	g := baselines.NewGUOQVariant("guoq-rewrite", baselines.ModeRewrite, 1e-8)
+	g.MaxIters = perfLoopIters
+	g.Metrics = opt.NewMetrics(reg)
+	cost := opt.TwoQubitCost()
+
+	var lp loopPerf
+	var outs []*circuit.Circuit
+	var mem runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&mem)
+	mallocs := mem.Mallocs
+	start := time.Now()
+	for i := 0; i < len(suite); i += perfLoopStride {
+		out, res := g.OptimizeStats(suite[i].Circuit, gateset.IBMEagle, cost, 0, 1)
+		outs = append(outs, out)
+		lp.Iters += res.Iters
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&mem)
+	lp.Circuits = len(outs)
+	if lp.Iters == 0 {
+		t.Fatal("gate workload ran no iterations")
+	}
+	lp.AllocsPerIter = float64(mem.Mallocs-mallocs) / float64(lp.Iters)
+	lp.NsPerIter = float64(elapsed.Nanoseconds()) / float64(lp.Iters)
+
+	h := fnv.New64a()
+	for _, out := range outs {
+		io.WriteString(h, out.WriteQASM())
+	}
+	lp.Fingerprint = fmt.Sprintf("%016x", h.Sum64())
+	snap := reg.Snapshot()
+	lp.MatchCalls = snap["guoq_engine_cache_misses_total"]
+	lp.CacheSkips = snap["guoq_engine_cache_hits_total"]
+	lp.Resets = snap["guoq_engine_resets_total"]
+	lp.Rollbacks = snap["guoq_engine_rollbacks_total"]
+	lp.Commits = snap["guoq_engine_commits_total"]
+	return lp
+}
 
 func TestPerfTrajectory(t *testing.T) {
 	update := os.Getenv("GUOQ_PERF_UPDATE") != ""
 	if os.Getenv("GUOQ_PERF_CHECK") == "" && !update {
 		t.Skip("perf gate is opt-in: set GUOQ_PERF_CHECK=1 (gate) or GUOQ_PERF_UPDATE=1 (refresh)")
 	}
-	run := func(f func(*testing.B)) perfEntry {
-		r := testing.Benchmark(f)
-		return perfEntry{NsPerOp: float64(r.NsPerOp()), AllocsPerOp: float64(r.AllocsPerOp())}
-	}
+	loop := measureRewriteLoop(t)
+	t.Logf("rewrite loop: %d circuits, %d iters, fingerprint %s, %.1f allocs/iter, %.0f ns/iter",
+		loop.Circuits, loop.Iters, loop.Fingerprint, loop.AllocsPerIter, loop.NsPerIter)
+	t.Logf("rewrite loop engine: %.0f match calls, %.0f cache skips, %.0f resets, %.0f rollbacks, %.0f commits",
+		loop.MatchCalls, loop.CacheSkips, loop.Resets, loop.Rollbacks, loop.Commits)
+	r := testing.Benchmark(BenchmarkRuleFullPass)
 	got := map[string]perfEntry{
-		"EngineFullPass": run(BenchmarkEngineFullPass),
-		"RuleFullPass":   run(BenchmarkRuleFullPass),
+		"RuleFullPass": {NsPerOp: float64(r.NsPerOp()), AllocsPerOp: float64(r.AllocsPerOp())},
 	}
 	for name, e := range got {
 		t.Logf("%-16s %10.0f ns/op %6.0f allocs/op", name, e.NsPerOp, e.AllocsPerOp)
@@ -73,16 +156,15 @@ func TestPerfTrajectory(t *testing.T) {
 	if update {
 		snap := perfSnapshot{
 			Note: "Hot-loop perf snapshot for the CI perf gate (TestPerfTrajectory). " +
-				"Refresh on the CI runner class with GUOQ_PERF_UPDATE=1; ns/op from " +
+				"Refresh on the CI runner class with GUOQ_PERF_UPDATE=1; ns from " +
 				"other machines makes the loose ns gate meaningless.",
 			Updated: time.Now().UTC().Format("2006-01-02"),
 			Tolerance: perfTolerance{
-				AllocsFrac: 0.10, // allocs/op are near-deterministic
+				CountFrac:  0.01, // match calls and resets are deterministic
+				AllocsFrac: 0.10, // allocations are near-deterministic
 				NsFrac:     0.60, // shared-runner noise; catches big slips only
-				RatioFrac:  0.25, // machine-independent speedup ratio
 			},
-			MaxAllocs:  84,  // acceptance floor for the zero-allocation hot loop work
-			MinSpeedup: 1.2, // engine must beat the stateless pipeline by ≥ this
+			Loop:       loop,
 			Benchmarks: got,
 		}
 		data, err := json.MarshalIndent(snap, "", "  ")
@@ -104,37 +186,50 @@ func TestPerfTrajectory(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatalf("corrupt %s: %v", perfSnapshotPath, err)
 	}
+	tol := snap.Tolerance
 
 	var failures []string
-	for name, want := range snap.Benchmarks {
+	fail := func(format string, args ...any) { failures = append(failures, fmt.Sprintf(format, args...)) }
+	want := snap.Loop
+	if loop.Circuits != want.Circuits || loop.Iters != want.Iters || loop.Fingerprint != want.Fingerprint {
+		fail("rewrite loop: %d circuits, %d iters, fingerprint %s; snapshot %d, %d, %s: the seeded search changed, "+
+			"so refresh the pin on purpose (GUOQ_PERF_UPDATE=1)",
+			loop.Circuits, loop.Iters, loop.Fingerprint, want.Circuits, want.Iters, want.Fingerprint)
+	}
+	for _, c := range []struct {
+		what       string
+		have, want float64
+	}{
+		{"match calls", loop.MatchCalls, want.MatchCalls},
+		{"resets", loop.Resets, want.Resets},
+	} {
+		if limit := c.want * (1 + tol.CountFrac); c.have > limit {
+			fail("rewrite loop: %.0f %s, snapshot %.0f (+%g%% tolerance = %.0f)",
+				c.have, c.what, c.want, tol.CountFrac*100, limit)
+		}
+	}
+	if limit := want.AllocsPerIter * (1 + tol.AllocsFrac); loop.AllocsPerIter > limit {
+		fail("rewrite loop: %.1f allocs/iter, snapshot %.1f (+%g%% tolerance = %.1f)",
+			loop.AllocsPerIter, want.AllocsPerIter, tol.AllocsFrac*100, limit)
+	}
+	if limit := want.NsPerIter * (1 + tol.NsFrac); loop.NsPerIter > limit {
+		fail("rewrite loop: %.0f ns/iter, snapshot %.0f (+%g%% tolerance = %.0f)",
+			loop.NsPerIter, want.NsPerIter, tol.NsFrac*100, limit)
+	}
+	for name, w := range snap.Benchmarks {
 		have, ok := got[name]
 		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: pinned in snapshot but no longer measured", name))
+			fail("%s: pinned in snapshot but no longer measured", name)
 			continue
 		}
-		if limit := want.AllocsPerOp*(1+snap.Tolerance.AllocsFrac) + 0.5; have.AllocsPerOp > limit {
-			failures = append(failures, fmt.Sprintf("%s: %.0f allocs/op, snapshot %.0f (+%d%% tolerance = %.1f)",
-				name, have.AllocsPerOp, want.AllocsPerOp, int(snap.Tolerance.AllocsFrac*100), limit))
+		if limit := w.AllocsPerOp*(1+tol.AllocsFrac) + 0.5; have.AllocsPerOp > limit {
+			fail("%s: %.0f allocs/op, snapshot %.0f (+%g%% tolerance = %.1f)",
+				name, have.AllocsPerOp, w.AllocsPerOp, tol.AllocsFrac*100, limit)
 		}
-		if limit := want.NsPerOp * (1 + snap.Tolerance.NsFrac); have.NsPerOp > limit {
-			failures = append(failures, fmt.Sprintf("%s: %.0f ns/op, snapshot %.0f (+%d%% tolerance = %.0f)",
-				name, have.NsPerOp, want.NsPerOp, int(snap.Tolerance.NsFrac*100), limit))
+		if limit := w.NsPerOp * (1 + tol.NsFrac); have.NsPerOp > limit {
+			fail("%s: %.0f ns/op, snapshot %.0f (+%g%% tolerance = %.0f)",
+				name, have.NsPerOp, w.NsPerOp, tol.NsFrac*100, limit)
 		}
-	}
-	if have := got["EngineFullPass"].AllocsPerOp; snap.MaxAllocs > 0 && have > snap.MaxAllocs {
-		failures = append(failures, fmt.Sprintf("EngineFullPass: %.0f allocs/op breaches the hard ceiling %.0f", have, snap.MaxAllocs))
-	}
-	ratio := got["RuleFullPass"].NsPerOp / got["EngineFullPass"].NsPerOp
-	t.Logf("engine vs stateless speedup: %.2fx", ratio)
-	if se, sr := snap.Benchmarks["EngineFullPass"], snap.Benchmarks["RuleFullPass"]; se.NsPerOp > 0 {
-		snapRatio := sr.NsPerOp / se.NsPerOp
-		if floor := snapRatio * (1 - snap.Tolerance.RatioFrac); ratio < floor {
-			failures = append(failures, fmt.Sprintf("speedup ratio %.2fx below snapshot %.2fx - %d%% = %.2fx",
-				ratio, snapRatio, int(snap.Tolerance.RatioFrac*100), floor))
-		}
-	}
-	if snap.MinSpeedup > 0 && ratio < snap.MinSpeedup {
-		failures = append(failures, fmt.Sprintf("speedup ratio %.2fx below the hard floor %.2fx", ratio, snap.MinSpeedup))
 	}
 	for _, f := range failures {
 		t.Error(f)
