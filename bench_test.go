@@ -518,22 +518,82 @@ func BenchmarkEngineFullPass(b *testing.B) {
 	}
 }
 
-func BenchmarkCleanupPass(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	c := circuit.Random(16, 600, gateset.CliffordT.Gates, rng)
+// The τ0 pass benchmarks time each pass on a random circuit, where it
+// changes something and builds an output, and (the Noop variants) on a
+// circuit already at its fixpoint, which is what most of the search loop's
+// calls see.
+
+// passSink keeps the benchmarked pass results live.
+var passSink *circuit.Circuit
+
+// toFixpoint applies pass until it reports no change. Fusion does not
+// reach a fixpoint on every circuit (re-fusing a fused run can round its
+// angles differently each time), so the rounds are bounded.
+func toFixpoint(b *testing.B, c *circuit.Circuit, pass func(*circuit.Circuit) (*circuit.Circuit, int)) *circuit.Circuit {
+	for round := 0; round < 100; round++ {
+		out, changed := pass(c)
+		if changed == 0 {
+			return c
+		}
+		c = out
+	}
+	b.Fatal("no fixpoint after 100 rounds")
+	return nil
+}
+
+func benchPass(b *testing.B, c *circuit.Circuit, pass func(*circuit.Circuit) (*circuit.Circuit, int)) {
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = rewrite.Cleanup(c, "cliffordt")
+		passSink, _ = pass(c)
 	}
 }
 
-func BenchmarkPhaseFold(b *testing.B) {
+func cleanupCT(c *circuit.Circuit) (*circuit.Circuit, int) {
+	return rewrite.CleanupChangedFor(c, gateset.CliffordT)
+}
+
+func foldCT(c *circuit.Circuit) (*circuit.Circuit, int) {
+	return phasepoly.FoldChangedFor(c, gateset.CliffordT)
+}
+
+func fuseEagle(c *circuit.Circuit) (*circuit.Circuit, int) {
+	return rewrite.Fuse1QChanged(c, gateset.IBMEagle)
+}
+
+func BenchmarkCleanupPass(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	benchPass(b, circuit.Random(16, 600, gateset.CliffordT.Gates, rng), cleanupCT)
+}
+
+func BenchmarkCleanupPassNoop(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	benchPass(b, toFixpoint(b, circuit.Random(16, 600, gateset.CliffordT.Gates, rng), cleanupCT), cleanupCT)
+}
+
+func phaseFoldInput() *circuit.Circuit {
 	rng := rand.New(rand.NewSource(4))
-	c := circuit.Random(16, 600, []gate.Name{gate.T, gate.Tdg, gate.S, gate.X, gate.H, gate.CX}, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = phasepoly.Fold(c, "cliffordt")
-	}
+	return circuit.Random(16, 600, []gate.Name{gate.T, gate.Tdg, gate.S, gate.X, gate.H, gate.CX}, rng)
+}
+
+func BenchmarkPhaseFold(b *testing.B) {
+	benchPass(b, phaseFoldInput(), foldCT)
+}
+
+func BenchmarkPhaseFoldNoop(b *testing.B) {
+	benchPass(b, toFixpoint(b, phaseFoldInput(), foldCT), foldCT)
+}
+
+func fuseInput() *circuit.Circuit {
+	return circuit.Random(16, 600, gateset.IBMEagle.Gates, rand.New(rand.NewSource(1)))
+}
+
+func BenchmarkFuse1QPass(b *testing.B) {
+	benchPass(b, fuseInput(), fuseEagle)
+}
+
+func BenchmarkFuse1QPassNoop(b *testing.B) {
+	benchPass(b, toFixpoint(b, fuseInput(), fuseEagle), fuseEagle)
 }
 
 func BenchmarkGrowConvex(b *testing.B) {

@@ -19,8 +19,6 @@ type GUOQ struct {
 	Epsilon float64
 	// ResynthProb overrides the 1.5% default when nonzero.
 	ResynthProb float64
-	// WithPhaseFold includes the phase-folding τ_0 (FTQC instantiation).
-	WithPhaseFold bool
 	// Async enables asynchronous resynthesis.
 	Async bool
 	// Parallelism is the number of concurrent search workers (0 or 1 =

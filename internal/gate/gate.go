@@ -9,6 +9,7 @@ package gate
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -217,3 +218,41 @@ func NewCP(theta float64, c, t int) Gate {
 }
 func NewCCX(c1, c2, t int) Gate { return New(CCX, []int{c1, c2, t}, nil) }
 func NewCCZ(a, b, c int) Gate   { return New(CCZ, []int{a, b, c}, nil) }
+
+// ZPhase returns the z-rotation angle of a diagonal phase gate (rz, u1, z,
+// s, s†, t, t†), modulo global phase, and whether g is one. Cleanup's
+// phase merging and phase folding both read this one table.
+func ZPhase(g Gate) (float64, bool) {
+	switch g.Name {
+	case Rz, U1:
+		return g.Params[0], true
+	case Z:
+		return math.Pi, true
+	case S:
+		return math.Pi / 2, true
+	case Sdg:
+		return -math.Pi / 2, true
+	case T:
+		return math.Pi / 4, true
+	case Tdg:
+		return -math.Pi / 4, true
+	}
+	return 0, false
+}
+
+// phaseLadders[k] is the minimal sequence over {S, S†, T, T†} for a
+// z-rotation by kπ/4.
+var phaseLadders = [8][]Name{
+	{}, {T}, {S}, {S, T}, {S, S}, {Sdg, Tdg}, {Sdg}, {Tdg},
+}
+
+// PhaseLadder returns the minimal sequence over {S, S†, T, T†} for a
+// z-rotation by theta rounded to a multiple of π/4. The slice is shared
+// and must not be modified.
+func PhaseLadder(theta float64) []Name {
+	k := int(math.Round(theta/(math.Pi/4))) % 8
+	if k < 0 {
+		k += 8
+	}
+	return phaseLadders[k]
+}

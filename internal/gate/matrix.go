@@ -10,60 +10,9 @@ import (
 
 // Matrix returns the unitary matrix of the gate application g in its own
 // 2^arity-dimensional space (first listed qubit = most significant bit).
+// Single-qubit gates read from Matrix2.
 func Matrix(g Gate) linalg.Matrix {
 	switch g.Name {
-	case I:
-		return linalg.Identity(2)
-	case H:
-		h := complex(1/math.Sqrt2, 0)
-		return linalg.FromRows([][]complex128{{h, h}, {h, -h}})
-	case X:
-		return linalg.FromRows([][]complex128{{0, 1}, {1, 0}})
-	case Y:
-		return linalg.FromRows([][]complex128{{0, -1i}, {1i, 0}})
-	case Z:
-		return linalg.FromRows([][]complex128{{1, 0}, {0, -1}})
-	case S:
-		return linalg.FromRows([][]complex128{{1, 0}, {0, 1i}})
-	case Sdg:
-		return linalg.FromRows([][]complex128{{1, 0}, {0, -1i}})
-	case T:
-		return linalg.FromRows([][]complex128{{1, 0}, {0, phase(math.Pi / 4)}})
-	case Tdg:
-		return linalg.FromRows([][]complex128{{1, 0}, {0, phase(-math.Pi / 4)}})
-	case SX:
-		return linalg.FromRows([][]complex128{
-			{0.5 + 0.5i, 0.5 - 0.5i},
-			{0.5 - 0.5i, 0.5 + 0.5i},
-		})
-	case SXdg:
-		return linalg.FromRows([][]complex128{
-			{0.5 - 0.5i, 0.5 + 0.5i},
-			{0.5 + 0.5i, 0.5 - 0.5i},
-		})
-	case Rx:
-		c, s := trig(g.Params[0])
-		return linalg.FromRows([][]complex128{{c, -1i * s}, {-1i * s, c}})
-	case Ry:
-		c, s := trig(g.Params[0])
-		return linalg.FromRows([][]complex128{{c, -s}, {s, c}})
-	case Rz:
-		th := g.Params[0]
-		return linalg.FromRows([][]complex128{
-			{phase(-th / 2), 0},
-			{0, phase(th / 2)},
-		})
-	case U1:
-		return linalg.FromRows([][]complex128{{1, 0}, {0, phase(g.Params[0])}})
-	case U2:
-		p, l := g.Params[0], g.Params[1]
-		inv := complex(1/math.Sqrt2, 0)
-		return linalg.FromRows([][]complex128{
-			{inv, -inv * phase(l)},
-			{inv * phase(p), inv * phase(p+l)},
-		})
-	case U3:
-		return u3Matrix(g.Params[0], g.Params[1], g.Params[2])
 	case CX:
 		return linalg.FromRows([][]complex128{
 			{1, 0, 0, 0},
@@ -122,7 +71,55 @@ func Matrix(g Gate) linalg.Matrix {
 		m.Set(7, 7, -1)
 		return m
 	}
-	panic(fmt.Sprintf("gate: Matrix: unknown gate %q", g.Name))
+	return Matrix2(g).Matrix()
+}
+
+// Matrix2 returns the 2×2 unitary of a single-qubit gate application
+// without allocating. It panics for any other gate.
+func Matrix2(g Gate) linalg.Mat2 {
+	switch g.Name {
+	case I:
+		return linalg.Mat2{1, 0, 0, 1}
+	case H:
+		h := complex(1/math.Sqrt2, 0)
+		return linalg.Mat2{h, h, h, -h}
+	case X:
+		return linalg.Mat2{0, 1, 1, 0}
+	case Y:
+		return linalg.Mat2{0, -1i, 1i, 0}
+	case Z:
+		return linalg.Mat2{1, 0, 0, -1}
+	case S:
+		return linalg.Mat2{1, 0, 0, 1i}
+	case Sdg:
+		return linalg.Mat2{1, 0, 0, -1i}
+	case T:
+		return linalg.Mat2{1, 0, 0, phase(math.Pi / 4)}
+	case Tdg:
+		return linalg.Mat2{1, 0, 0, phase(-math.Pi / 4)}
+	case SX:
+		return linalg.Mat2{0.5 + 0.5i, 0.5 - 0.5i, 0.5 - 0.5i, 0.5 + 0.5i}
+	case SXdg:
+		return linalg.Mat2{0.5 - 0.5i, 0.5 + 0.5i, 0.5 + 0.5i, 0.5 - 0.5i}
+	case Rx:
+		c, s := trig(g.Params[0])
+		return linalg.Mat2{c, -1i * s, -1i * s, c}
+	case Ry:
+		c, s := trig(g.Params[0])
+		return linalg.Mat2{c, -s, s, c}
+	case Rz:
+		th := g.Params[0]
+		return linalg.Mat2{phase(-th / 2), 0, 0, phase(th / 2)}
+	case U1:
+		return linalg.Mat2{1, 0, 0, phase(g.Params[0])}
+	case U2:
+		p, l := g.Params[0], g.Params[1]
+		inv := complex(1/math.Sqrt2, 0)
+		return linalg.Mat2{inv, -inv * phase(l), inv * phase(p), inv * phase(p+l)}
+	case U3:
+		return u3Matrix(g.Params[0], g.Params[1], g.Params[2])
+	}
+	panic(fmt.Sprintf("gate: no single-qubit matrix for %q", g.Name))
 }
 
 func phase(a float64) complex128 { return cmplx.Exp(complex(0, a)) }
@@ -131,18 +128,15 @@ func trig(theta float64) (c, s complex128) {
 	return complex(math.Cos(theta/2), 0), complex(math.Sin(theta/2), 0)
 }
 
-func u3Matrix(t, p, l float64) linalg.Matrix {
+func u3Matrix(t, p, l float64) linalg.Mat2 {
 	c := complex(math.Cos(t/2), 0)
 	s := complex(math.Sin(t/2), 0)
-	return linalg.FromRows([][]complex128{
-		{c, -phase(l) * s},
-		{phase(p) * s, phase(p+l) * c},
-	})
+	return linalg.Mat2{c, -phase(l) * s, phase(p) * s, phase(p+l) * c}
 }
 
 // U3Matrix exposes the U3 gate matrix for synthesis templates.
 func U3Matrix(theta, phi, lambda float64) linalg.Matrix {
-	return u3Matrix(theta, phi, lambda)
+	return u3Matrix(theta, phi, lambda).Matrix()
 }
 
 // Inverse returns a gate application implementing g†, expressed in the same

@@ -70,23 +70,28 @@ func Mul(a, b Matrix) Matrix {
 	if a.N != b.N {
 		panic(fmt.Sprintf("linalg: Mul: dimension mismatch %d vs %d", a.N, b.N))
 	}
-	n := a.N
-	out := New(n)
+	out := New(a.N)
+	mulInto(out.Data, a.Data, b.Data, a.N)
+	return out
+}
+
+// mulInto accumulates the n×n product a·b into out, which must be zero.
+// Mul and Mat2.Mul share it, so their products agree bit for bit.
+func mulInto(out, a, b []complex128, n int) {
 	for i := 0; i < n; i++ {
-		arow := a.Data[i*n : (i+1)*n]
-		orow := out.Data[i*n : (i+1)*n]
+		arow := a[i*n : (i+1)*n]
+		orow := out[i*n : (i+1)*n]
 		for k := 0; k < n; k++ {
 			aik := arow[k]
 			if aik == 0 {
 				continue
 			}
-			brow := b.Data[k*n : (k+1)*n]
+			brow := b[k*n : (k+1)*n]
 			for j := 0; j < n; j++ {
 				orow[j] += aik * brow[j]
 			}
 		}
 	}
-	return out
 }
 
 // MulAll multiplies a sequence of matrices left to right:
@@ -162,9 +167,13 @@ func TraceAdjointMul(a, b Matrix) complex128 {
 	if a.N != b.N {
 		panic("linalg: TraceAdjointMul: dimension mismatch")
 	}
+	return traceAdjointMul(a.Data, b.Data)
+}
+
+func traceAdjointMul(a, b []complex128) complex128 {
 	var t complex128
-	for i := range a.Data {
-		t += cmplx.Conj(a.Data[i]) * b.Data[i]
+	for i := range a {
+		t += cmplx.Conj(a[i]) * b[i]
 	}
 	return t
 }
@@ -239,8 +248,14 @@ func HSDistance(u, up Matrix) float64 {
 	if u.N != up.N {
 		return 1
 	}
-	t := TraceAdjointMul(u, up)
-	n := float64(u.N)
+	return hsDistance(u.Data, up.Data, u.N)
+}
+
+// hsDistance is HSDistance on the row-major data of two N×N matrices;
+// Mat2.EqualUpToPhase shares it.
+func hsDistance(u, up []complex128, dim int) float64 {
+	t := traceAdjointMul(u, up)
+	n := float64(dim)
 	absTau := cmplx.Abs(t) / n
 	if absTau > 0.5 {
 		// Near equivalence the direct formula 1 − |τ|² suffers catastrophic
@@ -250,8 +265,8 @@ func HSDistance(u, up Matrix) float64 {
 		// down to machine epsilon. Then Δ² = (1 − |τ|)(1 + |τ|).
 		ph := cmplx.Exp(complex(0, -cmplx.Phase(t)))
 		var fro float64
-		for i := range u.Data {
-			d := u.Data[i] - ph*up.Data[i]
+		for i := range u {
+			d := u[i] - ph*up[i]
 			fro += real(d)*real(d) + imag(d)*imag(d)
 		}
 		oneMinus := fro / (2 * n)

@@ -335,8 +335,8 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 		if !ok {
 			return 0, false
 		}
-		// Clone defensively: SetCircuit takes ownership, and a caller-
-		// supplied transformation may hand back shared state.
+		// Clone defensively: SetCircuit keeps the gates it splices in, and
+		// a caller-supplied transformation may hand back shared state.
 		eng.SetCircuit(out.Clone())
 		return eps, true
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/guoq-dev/guoq/internal/gateset"
-	"github.com/guoq-dev/guoq/internal/phasepoly"
 	"github.com/guoq-dev/guoq/internal/rewrite"
 	"github.com/guoq-dev/guoq/internal/synth"
 	"github.com/guoq-dev/guoq/internal/synth/finite"
@@ -71,7 +70,7 @@ func Instantiate(gs *gateset.GateSet, io InstantiateOptions) ([]Transformation, 
 		syn = fs
 	}
 	if io.WithPhaseFold {
-		ts = append(ts, &PhaseFoldTransformation{GateSet: gs, Fold: phasepoly.FoldChangedFor})
+		ts = append(ts, &PhaseFoldTransformation{GateSet: gs})
 	}
 	if syn == nil {
 		return ts, nil

@@ -71,7 +71,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		EngineHaloDepth:   reg.Gauge("guoq_engine_halo_depth", "Deepest per-rule (per-wire extent) halo radius in use."),
 		EngineCommits:     reg.Counter("guoq_engine_commits_total", "Accepted transactions."),
 		EngineRollbacks:   reg.Counter("guoq_engine_rollbacks_total", "Rejected (reverted) transactions."),
-		EngineResets:      reg.Counter("guoq_engine_resets_total", "Full cache invalidations (SetCircuit/Reset)."),
+		EngineResets:      reg.Counter("guoq_engine_resets_total", "Full cache invalidations (Reset: an adopted exchange or async result)."),
 
 		PoolQueueDepth:  reg.Gauge("guoq_resynth_queue_depth", "Resynthesis jobs waiting for a pool worker."),
 		PoolTasks:       reg.Counter("guoq_resynth_tasks_total", "Resynthesis jobs executed by the shared pool."),

@@ -11,6 +11,7 @@ import (
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gateset"
 	"github.com/guoq-dev/guoq/internal/linalg"
+	"github.com/guoq-dev/guoq/internal/phasepoly"
 	"github.com/guoq-dev/guoq/internal/rewrite"
 	"github.com/guoq-dev/guoq/internal/synth"
 )
@@ -120,7 +121,8 @@ func (t *CleanupTransformation) Apply(c *circuit.Circuit, _ float64, _ *rand.Ran
 }
 
 // ApplyEngine implements EngineApplier: a whole-circuit pass adopted via
-// SetCircuit (full cache invalidation) only when it changed something.
+// SetCircuit, which splices in the span it changed, only when it changed
+// something.
 func (t *CleanupTransformation) ApplyEngine(e *rewrite.Engine, _ float64, _ *rand.Rand) (float64, bool) {
 	out, changed := rewrite.CleanupChangedFor(e.Circuit(), t.GateSet)
 	if changed == 0 {
@@ -163,9 +165,6 @@ type PhaseFoldTransformation struct {
 	// GateSet is the resolved target whose diagonal vocabulary the fold
 	// emits in.
 	GateSet *gateset.GateSet
-	// Fold runs the pass and reports how many sites it changed; zero means
-	// the output is structurally identical to the input.
-	Fold func(*circuit.Circuit, *gateset.GateSet) (*circuit.Circuit, int)
 }
 
 func (t *PhaseFoldTransformation) Name() string     { return "phasefold" }
@@ -173,7 +172,7 @@ func (t *PhaseFoldTransformation) Epsilon() float64 { return 0 }
 func (t *PhaseFoldTransformation) Slow() bool       { return false }
 
 func (t *PhaseFoldTransformation) Apply(c *circuit.Circuit, _ float64, _ *rand.Rand) (*circuit.Circuit, float64, bool) {
-	out, changed := t.Fold(c, t.GateSet)
+	out, changed := phasepoly.FoldChangedFor(c, t.GateSet)
 	if changed == 0 {
 		return c, 0, false
 	}
@@ -182,7 +181,7 @@ func (t *PhaseFoldTransformation) Apply(c *circuit.Circuit, _ float64, _ *rand.R
 
 // ApplyEngine implements EngineApplier.
 func (t *PhaseFoldTransformation) ApplyEngine(e *rewrite.Engine, _ float64, _ *rand.Rand) (float64, bool) {
-	out, changed := t.Fold(e.Circuit(), t.GateSet)
+	out, changed := phasepoly.FoldChangedFor(e.Circuit(), t.GateSet)
 	if changed == 0 {
 		return 0, false
 	}

@@ -12,114 +12,14 @@ package phasepoly
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gate"
 	"github.com/guoq-dev/guoq/internal/gateset"
 	"github.com/guoq-dev/guoq/internal/linalg"
 )
-
-// parityState tracks, per qubit, an affine function of tracked variables:
-// a bitset of variable indices plus a constant bit.
-type parityState struct {
-	bits []uint64
-	c    bool
-}
-
-func (p parityState) clone(words int) parityState {
-	b := make([]uint64, words)
-	copy(b, p.bits)
-	return parityState{bits: b, c: p.c}
-}
-
-func (p *parityState) xorWith(q parityState) {
-	for i := range q.bits {
-		for len(p.bits) <= i {
-			p.bits = append(p.bits, 0)
-		}
-		p.bits[i] ^= q.bits[i]
-	}
-	p.c = p.c != q.c
-}
-
-func (p parityState) key() string {
-	// Trim trailing zero words so keys are epoch-stable.
-	end := len(p.bits)
-	for end > 0 && p.bits[end-1] == 0 {
-		end--
-	}
-	buf := make([]byte, 0, end*8)
-	for _, w := range p.bits[:end] {
-		for s := 0; s < 64; s += 8 {
-			buf = append(buf, byte(w>>uint(s)))
-		}
-	}
-	return string(buf)
-}
-
-// zAngleOf maps a diagonal phase gate to its z-rotation angle (mod global
-// phase), mirroring the table in the rewrite cleaner.
-func zAngleOf(g gate.Gate) (float64, bool) {
-	switch g.Name {
-	case gate.Rz, gate.U1:
-		return g.Params[0], true
-	case gate.Z:
-		return math.Pi, true
-	case gate.S:
-		return math.Pi / 2, true
-	case gate.Sdg:
-		return -math.Pi / 2, true
-	case gate.T:
-		return math.Pi / 4, true
-	case gate.Tdg:
-		return -math.Pi / 4, true
-	}
-	return 0, false
-}
-
-// emitPhase renders a z-rotation in the gate set's native diagonal gates.
-// gs is the resolved set (nil for unknown names, which keep the historical
-// rz fallback).
-func emitPhase(theta float64, q int, gatesetName string, gs *gateset.GateSet) []gate.Gate {
-	theta = linalg.NormAngle(theta)
-	if math.Abs(theta) < 1e-12 {
-		return nil
-	}
-	switch gatesetName {
-	case "ibmq20":
-		return []gate.Gate{gate.NewU1(theta, q)}
-	case "cliffordt":
-		if !linalg.IsMultipleOf(theta, math.Pi/4, 1e-9) {
-			return []gate.Gate{gate.NewRz(theta, q)}
-		}
-		return phaseLadder(theta, q)
-	default:
-		// Custom sets emit whatever diagonal vocabulary they carry; the
-		// capability pre-check in foldChanged guarantees one exists and
-		// that π/4-ladder-only sets never see a non-multiple total.
-		if gs == nil || gs.Contains(gate.Rz) {
-			return []gate.Gate{gate.NewRz(theta, q)}
-		}
-		if gs.Contains(gate.U1) {
-			return []gate.Gate{gate.NewU1(theta, q)}
-		}
-		return phaseLadder(theta, q)
-	}
-}
-
-// phaseLadder writes a π/4-multiple rotation over {S, S†, T, T†}.
-func phaseLadder(theta float64, q int) []gate.Gate {
-	k := int(math.Round(theta/(math.Pi/4))) % 8
-	if k < 0 {
-		k += 8
-	}
-	lad := map[int][]gate.Gate{
-		0: {}, 1: {gate.NewT(q)}, 2: {gate.NewS(q)},
-		3: {gate.NewS(q), gate.NewT(q)}, 4: {gate.NewS(q), gate.NewS(q)},
-		5: {gate.NewSdg(q), gate.NewTdg(q)}, 6: {gate.NewSdg(q)}, 7: {gate.NewTdg(q)},
-	}
-	return lad[k]
-}
 
 // Fold performs one global phase-folding pass, emitting the result in the
 // named gate set's diagonal vocabulary. Non-diagonal gates are untouched;
@@ -129,18 +29,12 @@ func Fold(c *circuit.Circuit, gatesetName string) *circuit.Circuit {
 	return out
 }
 
-// FoldFor is Fold against a resolved gate set (required for ad-hoc sets
-// that are not name-addressable).
-func FoldFor(c *circuit.Circuit, gs *gateset.GateSet) *circuit.Circuit {
-	out, _ := FoldChangedFor(c, gs)
-	return out
-}
-
 // FoldChanged is Fold plus a change count: the number of phase gates
 // absorbed into a merge site plus the number of merge sites whose
 // re-emitted ladder differs from the original gate. A zero count
 // guarantees the output is structurally identical (circuit.Equal) to the
-// input, so callers can detect no-ops without a deep compare.
+// input, which is then returned itself, so callers can detect no-ops
+// without a deep compare.
 func FoldChanged(c *circuit.Circuit, gatesetName string) (*circuit.Circuit, int) {
 	gs, err := gateset.ByName(gatesetName)
 	if err != nil {
@@ -154,6 +48,41 @@ func FoldChangedFor(c *circuit.Circuit, gs *gateset.GateSet) (*circuit.Circuit, 
 	return foldChanged(c, gs.Name, gs)
 }
 
+// folders recycles the pass's scratch, so a call that changes nothing
+// allocates nothing.
+var folders = sync.Pool{New: func() any { return &folder{index: map[uint64]int{}} }}
+
+// folder is the pass's scratch. Each qubit's parity, an affine function of
+// the region's variables, is a row of stride words plus a constant bit;
+// words at and beyond a row's length are zero. Phase gates on equal
+// parities share a bucket, found by a hash of the parity's trimmed words
+// and confirmed by comparing the words.
+type folder struct {
+	rows   []uint64
+	length []int  // per qubit: words in use
+	flip   []bool // per qubit: the constant bit
+	stride int
+
+	buckets []bucket
+	words   []uint64       // bucket parities, back to back
+	index   map[uint64]int // parity hash -> most recent bucket with it
+	site    []int          // per gate: a bucket index, siteNone or siteDropped
+	out     []gate.Gate
+}
+
+type bucket struct {
+	firstConst bool
+	firstQubit int
+	total      float64
+	lo, hi     int // the parity, words[lo:hi]
+	prev       int // the previous bucket with the same hash, or -1
+}
+
+const (
+	siteNone    = -1 // not a merge site: emitted as is
+	siteDropped = -2 // absorbed into an earlier site
+)
+
 func foldChanged(c *circuit.Circuit, gatesetName string, gs *gateset.GateSet) (*circuit.Circuit, int) {
 	// Capability pre-check for custom sets: without a continuous z-rotation
 	// the merged totals can only be re-emitted over the π/4 ladder, which is
@@ -165,109 +94,229 @@ func foldChanged(c *circuit.Circuit, gatesetName string, gs *gateset.GateSet) (*
 			return c, 0
 		}
 		for _, g := range c.Gates {
-			if a, ok := zAngleOf(g); ok && !linalg.IsMultipleOf(a, math.Pi/4, 1e-9) {
+			if a, ok := gate.ZPhase(g); ok && !linalg.IsMultipleOf(a, math.Pi/4, 1e-9) {
 				return c, 0
 			}
 		}
 	}
+	f := folders.Get().(*folder)
+	f.scan(c)
+	out, changed := f.emit(c, gatesetName, gs)
+	clear(f.out)
+	f.out, f.buckets, f.words, f.site = f.out[:0], f.buckets[:0], f.words[:0], f.site[:0]
+	clear(f.index)
+	folders.Put(f)
+	return out, changed
+}
+
+// scan assigns every phase gate to the bucket of its qubit's parity: the
+// first gate of a bucket is its merge site, later ones are absorbed.
+//
+//guoq:hotpath
+func (f *folder) scan(c *circuit.Circuit) {
 	n := c.NumQubits
-	words := (n + 63) / 64
-	nextVar := 0
-	state := make([]parityState, n)
+	// Every qubit starts with a variable of its own, and every qubit of an
+	// untrackable gate gets a fresh one (a new epoch for that wire).
+	vars := n
+	for _, g := range c.Gates {
+		if _, ok := gate.ZPhase(g); !ok && g.Name != gate.CX && g.Name != gate.X {
+			vars += len(g.Qubits)
+		}
+	}
+	f.stride = (vars + 63) / 64
+	f.rows = resize(f.rows, n*f.stride)
+	clear(f.rows)
+	f.length = resize(f.length, n)
+	clear(f.length)
+	f.flip = resize(f.flip, n)
+	next := 0
 	fresh := func(q int) {
-		w := nextVar / 64
-		b := make([]uint64, w+1)
-		b[w] = 1 << uint(nextVar%64)
-		state[q] = parityState{bits: b}
-		nextVar++
+		row := f.rows[q*f.stride:]
+		clear(row[:f.length[q]])
+		row[next/64] = 1 << uint(next%64)
+		f.length[q] = next/64 + 1
+		f.flip[q] = false
+		next++
 	}
 	for q := 0; q < n; q++ {
 		fresh(q)
 	}
-
-	type bucket struct {
-		firstIdx   int
-		firstConst bool
-		firstQubit int
-		total      float64
-	}
-	buckets := map[string]*bucket{}
-	drop := make([]bool, c.Len())
-	siteOf := make([]string, c.Len()) // phase-gate index -> bucket key ("" if none)
-
-	for i, g := range c.Gates {
-		if a, ok := zAngleOf(g); ok {
+	for _, g := range c.Gates {
+		if a, ok := gate.ZPhase(g); ok {
 			q := g.Qubits[0]
-			st := state[q]
-			key := st.key()
-			contrib := a
-			if st.c {
-				contrib = -a
+			if f.flip[q] {
+				a = -a
 			}
-			if b, seen := buckets[key]; seen {
-				b.total += contrib
-				drop[i] = true
-			} else {
-				buckets[key] = &bucket{firstIdx: i, firstConst: st.c, firstQubit: q, total: contrib}
-				siteOf[i] = key
-			}
+			f.site = append(f.site, f.merge(q, a))
 			continue
 		}
+		f.site = append(f.site, siteNone)
 		switch g.Name {
 		case gate.CX:
 			cq, tq := g.Qubits[0], g.Qubits[1]
-			state[tq].xorWith(state[cq])
+			src, dst := f.rows[cq*f.stride:], f.rows[tq*f.stride:]
+			for i := 0; i < f.length[cq]; i++ {
+				dst[i] ^= src[i]
+			}
+			f.length[tq] = max(f.length[tq], f.length[cq])
+			f.flip[tq] = f.flip[tq] != f.flip[cq]
 		case gate.X:
-			state[cq(g)].c = !state[cq(g)].c
+			f.flip[g.Qubits[0]] = !f.flip[g.Qubits[0]]
 		default:
-			// Untrackable gate: its qubits leave the affine regime; give
-			// them fresh variables (a new epoch for those wires).
 			for _, q := range g.Qubits {
 				fresh(q)
 			}
 		}
 	}
-	_ = words
+}
 
-	out := circuit.New(n)
-	changed := 0
-	// identical tracks, incrementally, whether the output still reproduces
-	// the input gate-for-gate: a merged run can re-emit exactly the gates it
-	// absorbed (adjacent same-parity phases whose ladder equals them), in
-	// which case the pass is a no-op despite having "merged" something.
-	identical := true
-	emit := func(g gate.Gate) {
-		if identical && (len(out.Gates) >= len(c.Gates) || !g.Equal(c.Gates[len(out.Gates)])) {
-			identical = false
-		}
-		out.Gates = append(out.Gates, g)
+// merge adds a phase contribution on qubit q's current parity to its
+// bucket, returning the gate's site: a new bucket's index, or siteDropped.
+func (f *folder) merge(q int, contrib float64) int {
+	p := f.rows[q*f.stride : q*f.stride+f.length[q]]
+	for len(p) > 0 && p[len(p)-1] == 0 {
+		p = p[:len(p)-1]
 	}
-	for i, g := range c.Gates {
-		if drop[i] {
-			changed++
-			continue
+	h := uint64(14695981039346656037)
+	for _, w := range p {
+		h = (h ^ w) * 1099511628211
+	}
+	head, ok := f.index[h]
+	if !ok {
+		head = -1
+	}
+	for b := head; b >= 0; b = f.buckets[b].prev {
+		if bk := &f.buckets[b]; slices.Equal(f.words[bk.lo:bk.hi], p) {
+			bk.total += contrib
+			return siteDropped
 		}
-		if key := siteOf[i]; key != "" {
-			b := buckets[key]
+	}
+	f.buckets = append(f.buckets, bucket{
+		firstConst: f.flip[q], firstQubit: q, total: contrib,
+		lo: len(f.words), hi: len(f.words) + len(p), prev: head,
+	})
+	f.words = append(f.words, p...)
+	f.index[h] = len(f.buckets) - 1
+	return len(f.buckets) - 1
+}
+
+// emit writes the folded circuit into f.out and counts the changes. An
+// emitted gate equal to the input gate at its output position is taken
+// from the input, so a call that changes nothing builds no gate, and the
+// output circuit is built only when the count is positive.
+//
+//guoq:hotpath
+func (f *folder) emit(c *circuit.Circuit, gatesetName string, gs *gateset.GateSet) (*circuit.Circuit, int) {
+	changed := 0
+	// identical tracks whether the output still reproduces the input gate
+	// for gate: a merged run can re-emit exactly the gates it absorbed
+	// (adjacent same-parity phases whose ladder equals them), in which case
+	// the pass is a no-op despite having "merged" something.
+	identical := true
+	for i, g := range c.Gates {
+		switch s := f.site[i]; s {
+		case siteDropped:
+			changed++
+		case siteNone:
+			identical = identical && len(f.out) < len(c.Gates) && g.Equal(c.Gates[len(f.out)])
+			f.out = append(f.out, g)
+		default:
+			b := &f.buckets[s]
 			theta := b.total
 			if b.firstConst {
 				theta = -theta
 			}
-			emitted := emitPhase(theta, b.firstQubit, gatesetName, gs)
-			if !(len(emitted) == 1 && emitted[0].Equal(g)) {
+			em := emitPhase(theta, gatesetName, gs)
+			if !(em.len() == 1 && em.equal(0, b.firstQubit, g)) {
 				changed++
 			}
-			for _, m := range emitted {
-				emit(m)
+			for k := 0; k < em.len(); k++ {
+				o := len(f.out)
+				if o < len(c.Gates) && em.equal(k, b.firstQubit, c.Gates[o]) {
+					f.out = append(f.out, c.Gates[o])
+					continue
+				}
+				identical = false
+				f.out = append(f.out, em.gate(k, b.firstQubit))
 			}
-			continue
 		}
-		emit(g.Clone())
 	}
-	if identical && len(out.Gates) == len(c.Gates) {
-		changed = 0
+	if identical && len(f.out) == len(c.Gates) {
+		return c, 0
 	}
+	out := circuit.New(c.NumQubits)
+	out.Gates = append(make([]gate.Gate, 0, len(f.out)), f.out...)
 	return out, changed
 }
 
-func cq(g gate.Gate) int { return g.Qubits[0] }
+// zEmission is a z-rotation rendered in native diagonal gates, before any
+// gate is built: one rotation gate (name, theta), or a π/4 ladder.
+type zEmission struct {
+	name   gate.Name // rz or u1; empty for a ladder
+	theta  float64
+	ladder []gate.Name
+}
+
+func (z zEmission) len() int {
+	if z.name != "" {
+		return 1
+	}
+	return len(z.ladder)
+}
+
+// equal reports whether the k-th emitted gate on qubit q equals g.
+func (z zEmission) equal(k, q int, g gate.Gate) bool {
+	if len(g.Qubits) != 1 || g.Qubits[0] != q {
+		return false
+	}
+	if z.name != "" {
+		return g.Name == z.name && len(g.Params) == 1 && g.Params[0] == z.theta
+	}
+	return g.Name == z.ladder[k] && len(g.Params) == 0
+}
+
+// gate builds the k-th emitted gate on qubit q.
+func (z zEmission) gate(k, q int) gate.Gate {
+	if z.name != "" {
+		return gate.New(z.name, []int{q}, []float64{z.theta})
+	}
+	return gate.New(z.ladder[k], []int{q}, nil)
+}
+
+// emitPhase renders a z-rotation in the gate set's native diagonal gates.
+// gs is the resolved set (nil for unknown names, which keep the historical
+// rz fallback).
+func emitPhase(theta float64, gatesetName string, gs *gateset.GateSet) zEmission {
+	theta = linalg.NormAngle(theta)
+	if math.Abs(theta) < 1e-12 {
+		return zEmission{}
+	}
+	switch gatesetName {
+	case "ibmq20":
+		return zEmission{name: gate.U1, theta: theta}
+	case "cliffordt":
+		if !linalg.IsMultipleOf(theta, math.Pi/4, 1e-9) {
+			return zEmission{name: gate.Rz, theta: theta}
+		}
+		return zEmission{ladder: gate.PhaseLadder(theta)}
+	default:
+		// Custom sets emit whatever diagonal vocabulary they carry; the
+		// capability pre-check in foldChanged guarantees one exists and
+		// that π/4-ladder-only sets never see a non-multiple total.
+		if gs == nil || gs.Contains(gate.Rz) {
+			return zEmission{name: gate.Rz, theta: theta}
+		}
+		if gs.Contains(gate.U1) {
+			return zEmission{name: gate.U1, theta: theta}
+		}
+		return zEmission{ladder: gate.PhaseLadder(theta)}
+	}
+}
+
+// resize returns s with length n, reusing its storage when it can.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}

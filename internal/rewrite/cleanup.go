@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"math"
+	"sync"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gate"
@@ -20,18 +21,11 @@ func Cleanup(c *circuit.Circuit, gatesetName string) *circuit.Circuit {
 	return out
 }
 
-// CleanupFor is Cleanup against a resolved gate set (required for ad-hoc
-// sets that are not name-addressable).
-func CleanupFor(c *circuit.Circuit, gs *gateset.GateSet) *circuit.Circuit {
-	out, _ := CleanupChangedFor(c, gs)
-	return out
-}
-
 // CleanupChanged is Cleanup plus a change count: the number of
 // normalization, cancellation, merge, and reorder events that made the
 // output differ from the input. A zero count guarantees the output is
-// structurally identical (circuit.Equal) to the input, so callers can
-// detect no-ops without a deep compare.
+// structurally identical (circuit.Equal) to the input, which is then
+// returned itself, so callers can detect no-ops without a deep compare.
 //
 // The name is resolved through the gate-set registry once per call so the
 // z-phase merge can emit in a custom set's native diagonal vocabulary;
@@ -50,37 +44,52 @@ func CleanupChangedFor(c *circuit.Circuit, gs *gateset.GateSet) (*circuit.Circui
 	return cleanupChanged(c, gs.Name, gs)
 }
 
+// cleaners recycles the pass's scratch, so a call that changes nothing
+// allocates nothing.
+var cleaners = sync.Pool{New: func() any { return new(cleaner) }}
+
 func cleanupChanged(c *circuit.Circuit, gatesetName string, gs *gateset.GateSet) (*circuit.Circuit, int) {
-	p := &cleaner{
-		gateset: gatesetName,
-		gs:      gs,
-		alive:   make([]bool, 0, len(c.Gates)),
-		top:     make([]int, c.NumQubits),
-	}
-	for q := range p.top {
-		p.top[q] = -1
+	p := cleaners.Get().(*cleaner)
+	p.gateset, p.gs = gatesetName, gs
+	p.top = p.top[:0]
+	for q := 0; q < c.NumQubits; q++ {
+		p.top = append(p.top, -1)
 	}
 	for _, g := range c.Gates {
 		p.feed(g)
 	}
-	out := circuit.New(c.NumQubits)
-	for i, g := range p.out {
-		if p.alive[i] {
-			out.Gates = append(out.Gates, g)
+	out, changed := c, p.changed
+	if changed > 0 {
+		out = circuit.New(c.NumQubits)
+		out.Gates = make([]gate.Gate, 0, len(p.out))
+		for i, g := range p.out {
+			if p.alive[i] {
+				out.Gates = append(out.Gates, g)
+			}
 		}
 	}
-	return out, p.changed
+	clear(p.out)
+	clear(p.dropSeq)
+	p.out, p.alive, p.below, p.belowAt, p.dropSeq = p.out[:0], p.alive[:0], p.below[:0], p.belowAt[:0], p.dropSeq[:0]
+	p.gs, p.changed = nil, 0
+	cleaners.Put(p)
+	return out, changed
 }
 
+// cleaner is the pass's state: the output as a list of gates with alive
+// marks, and per-wire stacks threaded through it. When nothing changes,
+// the alive gates are exactly the input's, so the output circuit is built
+// only when changed > 0.
 type cleaner struct {
 	gateset string
 	gs      *gateset.GateSet // resolved once; nil for unknown names
 	out     []gate.Gate
 	alive   []bool
-	top     []int   // per qubit: index into out of the topmost alive gate, or -1
-	belowQ  [][]int // per out index: the previous top for each of its qubits
+	top     []int // per qubit: index into out of the topmost alive gate, or -1
+	below   []int // per pushed gate and qubit: the previous top, from belowAt
+	belowAt []int // per out index: where its entries start in below
 	changed int
-	dropSeq []gate.Gate // scratch: a merged run's gates in drop (reverse) order
+	dropSeq []gate.Gate // a merged run's gates in drop (reverse) order
 }
 
 // push appends g as an alive output gate and records, for each of its
@@ -89,35 +98,39 @@ func (p *cleaner) push(g gate.Gate) {
 	idx := len(p.out)
 	p.out = append(p.out, g)
 	p.alive = append(p.alive, true)
-	prevs := make([]int, len(g.Qubits))
-	for k, q := range g.Qubits {
-		prevs[k] = p.top[q]
+	p.belowAt = append(p.belowAt, len(p.below))
+	for _, q := range g.Qubits {
+		p.below = append(p.below, p.top[q])
 		p.top[q] = idx
 	}
-	p.belowQ = append(p.belowQ, prevs)
 }
 
 // drop kills output gate idx and restores the stack tops for its qubits.
 func (p *cleaner) drop(idx int) {
 	p.alive[idx] = false
-	g := p.out[idx]
-	for k, q := range g.Qubits {
+	below := p.below[p.belowAt[idx]:]
+	for k, q := range p.out[idx].Qubits {
 		if p.top[q] == idx {
-			p.top[q] = p.belowQ[idx][k]
+			p.top[q] = below[k]
 		}
 	}
 }
 
 func (p *cleaner) feed(g gate.Gate) {
-	// Normalize angles and drop identities.
-	if len(g.Params) > 0 {
-		g = g.Clone()
-		for i := range g.Params {
-			if v := linalg.NormAngle(g.Params[i]); v != g.Params[i] {
-				g.Params[i] = v
-				p.changed++
+	// Normalize angles and drop identities. Parameters are copied only
+	// when one of them changes.
+	var norm []float64
+	for i, v := range g.Params {
+		if nv := linalg.NormAngle(v); nv != v {
+			if norm == nil {
+				norm = append([]float64(nil), g.Params...)
 			}
+			norm[i] = nv
+			p.changed++
 		}
+	}
+	if norm != nil {
+		g = gate.Gate{Name: g.Name, Qubits: g.Qubits, Params: norm}
 	}
 	if g.Name == gate.I || g.IsIdentityAngle(1e-12) {
 		p.changed++
@@ -133,6 +146,10 @@ func (p *cleaner) feed(g gate.Gate) {
 	}
 }
 
+// feed1q pushes a single-qubit gate, cancelling or merging it with the
+// top of its wire's stack.
+//
+//guoq:hotpath
 func (p *cleaner) feed1q(g gate.Gate) {
 	q := g.Qubits[0]
 	t := p.top[q]
@@ -142,8 +159,7 @@ func (p *cleaner) feed1q(g gate.Gate) {
 	}
 	prev := p.out[t]
 	// Inverse pair cancellation: U_g · U_prev ∝ I.
-	prod := linalg.Mul(gate.Matrix(g), gate.Matrix(prev))
-	if linalg.EqualUpToPhase(prod, linalg.Identity(2), 1e-10) {
+	if gate.Matrix2(g).Mul(gate.Matrix2(prev)).EqualUpToPhase(linalg.Mat2{1, 0, 0, 1}, 1e-10) {
 		p.changed++
 		p.drop(t)
 		return
@@ -151,8 +167,8 @@ func (p *cleaner) feed1q(g gate.Gate) {
 	// z-diagonal merging: absorb the whole consecutive diagonal run below
 	// the top, then emit the minimal ladder once. (Re-feeding the ladder
 	// would loop: the k=3 ladder [s, t] merges straight back to 3π/4.)
-	pa, pok := zPhaseOf(prev)
-	ga, gok := zPhaseOf(g)
+	pa, pok := gate.ZPhase(prev)
+	ga, gok := gate.ZPhase(g)
 	if pok && gok {
 		total := pa + ga
 		droppedLo := t
@@ -163,7 +179,7 @@ func (p *cleaner) feed1q(g gate.Gate) {
 			if t2 < 0 || !p.alive[t2] || len(p.out[t2].Qubits) != 1 {
 				break
 			}
-			a2, ok := zPhaseOf(p.out[t2])
+			a2, ok := gate.ZPhase(p.out[t2])
 			if !ok {
 				break
 			}
@@ -172,57 +188,34 @@ func (p *cleaner) feed1q(g gate.Gate) {
 			droppedLo = t2
 			p.drop(t2)
 		}
-		emitted, representable := p.emitZPhase(linalg.NormAngle(total))
-		if !representable {
-			// The target set has no exact native form for the merged angle
-			// (a custom finite set without z-phase gates): restore the run
-			// untouched. Restoring reorders the output only when something
-			// alive follows the run, which is the one case that counts as
-			// a change.
-			for i := droppedLo + 1; i < len(p.out); i++ {
-				if p.alive[i] {
-					p.changed++
-					break
-				}
+		em, representable := p.emitZPhase(linalg.NormAngle(total))
+		// The emission reproduces the run when it has one gate per dropped
+		// gate plus g, each equal to the original in place.
+		same := representable && em.len() == len(p.dropSeq)+1
+		for i := 0; same && i < em.len(); i++ {
+			orig := g
+			if i < len(p.dropSeq) {
+				orig = p.dropSeq[len(p.dropSeq)-1-i]
 			}
+			same = em.equal(i, q, orig)
+		}
+		// Restoring the run, or re-emitting it unchanged, reorders the
+		// output only when something alive follows it.
+		if (representable && !same) || p.aliveAfter(droppedLo) {
+			p.changed++
+		}
+		if !representable || same {
+			// The target set has no exact native form for the merged angle
+			// (a custom finite set without z-phase gates), or the emission
+			// is the run itself: put the original gates back.
 			for i := len(p.dropSeq) - 1; i >= 0; i-- {
 				p.push(p.dropSeq[i])
 			}
 			p.push(g)
 			return
 		}
-		for i := range emitted {
-			emitted[i].Qubits = []int{q}
-		}
-		// The merge is a no-op iff the re-emitted ladder reproduces the
-		// dropped run plus g exactly AND the run was the alive suffix of
-		// the output (re-pushing at the end then preserves order).
-		same := len(emitted) == len(p.dropSeq)+1
-		if same {
-			for i, m := range emitted {
-				orig := g
-				if i < len(p.dropSeq) {
-					orig = p.dropSeq[len(p.dropSeq)-1-i]
-				}
-				if !m.Equal(orig) {
-					same = false
-					break
-				}
-			}
-		}
-		if same {
-			for i := droppedLo + 1; i < len(p.out); i++ {
-				if p.alive[i] {
-					same = false
-					break
-				}
-			}
-		}
-		if !same {
-			p.changed++
-		}
-		for _, m := range emitted {
-			p.push(m)
+		for i := 0; i < em.len(); i++ {
+			p.push(em.gate(i, q))
 		}
 		return
 	}
@@ -247,6 +240,16 @@ func (p *cleaner) feed1q(g gate.Gate) {
 		return
 	}
 	p.push(g)
+}
+
+// aliveAfter reports whether any output gate after index i is alive.
+func (p *cleaner) aliveAfter(i int) bool {
+	for _, a := range p.alive[i+1:] {
+		if a {
+			return true
+		}
+	}
+	return false
 }
 
 func (p *cleaner) feed2q(g gate.Gate) {
@@ -286,80 +289,73 @@ func (p *cleaner) feed2q(g gate.Gate) {
 	p.push(g)
 }
 
-// zPhaseOf returns the z-rotation angle of a diagonal phase gate (mod
-// global phase) and whether the gate is one.
-func zPhaseOf(g gate.Gate) (float64, bool) {
-	switch g.Name {
-	case gate.Rz:
-		return g.Params[0], true
-	case gate.U1:
-		return g.Params[0], true
-	case gate.Z:
-		return math.Pi, true
-	case gate.S:
-		return math.Pi / 2, true
-	case gate.Sdg:
-		return -math.Pi / 2, true
-	case gate.T:
-		return math.Pi / 4, true
-	case gate.Tdg:
-		return -math.Pi / 4, true
+// zEmission is a z-rotation rendered in native diagonal gates, before any
+// gate is built: one rotation gate (name, theta), or a π/4 ladder.
+type zEmission struct {
+	name   gate.Name // rz or u1; empty for a ladder
+	theta  float64
+	ladder []gate.Name
+}
+
+func (z zEmission) len() int {
+	if z.name != "" {
+		return 1
 	}
-	return 0, false
+	return len(z.ladder)
+}
+
+// equal reports whether the i-th emitted gate on qubit q equals g.
+func (z zEmission) equal(i, q int, g gate.Gate) bool {
+	if len(g.Qubits) != 1 || g.Qubits[0] != q {
+		return false
+	}
+	if z.name != "" {
+		return g.Name == z.name && len(g.Params) == 1 && g.Params[0] == z.theta
+	}
+	return g.Name == z.ladder[i] && len(g.Params) == 0
+}
+
+// gate builds the i-th emitted gate on qubit q.
+func (z zEmission) gate(i, q int) gate.Gate {
+	if z.name != "" {
+		return gate.New(z.name, []int{q}, []float64{z.theta})
+	}
+	return gate.New(z.ladder[i], []int{q}, nil)
 }
 
 // emitZPhase renders a z-rotation angle in the target gate set's native
-// diagonal gates (qubits are filled in by the caller). ok = false reports
-// that the set has no exact native form for the angle (possible only for
-// custom sets without continuous z-phase gates), in which case the caller
-// must keep the original run.
-func (p *cleaner) emitZPhase(theta float64) (out []gate.Gate, ok bool) {
+// diagonal gates. ok = false reports that the set has no exact native form
+// for the angle (possible only for custom sets without continuous z-phase
+// gates), in which case the caller must keep the original run.
+func (p *cleaner) emitZPhase(theta float64) (em zEmission, ok bool) {
 	if math.Abs(theta) < 1e-12 {
-		return nil, true
+		return zEmission{}, true
 	}
 	switch p.gateset {
 	case "ibmq20":
-		return []gate.Gate{gate.New(gate.U1, []int{0}, []float64{theta})}, true
+		return zEmission{name: gate.U1, theta: theta}, true
 	case "cliffordt":
 		if !linalg.IsMultipleOf(theta, math.Pi/4, 1e-9) {
 			// Not representable — should not happen for native circuits;
 			// fall back to an rz to preserve semantics (callers operating
 			// on native Clifford+T circuits never hit this).
-			return []gate.Gate{gate.New(gate.Rz, []int{0}, []float64{theta})}, true
+			return zEmission{name: gate.Rz, theta: theta}, true
 		}
-		return phaseLadder(theta), true
+		return zEmission{ladder: gate.PhaseLadder(theta)}, true
 	default:
 		// nam, ibm-eagle, and ionq emit a native rz, as does any custom or
 		// unknown set with a continuous z-rotation. Custom finite sets get
 		// the π/4 ladder when their basis carries it.
 		if p.gs == nil || p.gs.Contains(gate.Rz) {
-			return []gate.Gate{gate.New(gate.Rz, []int{0}, []float64{theta})}, true
+			return zEmission{name: gate.Rz, theta: theta}, true
 		}
 		if p.gs.Contains(gate.U1) {
-			return []gate.Gate{gate.New(gate.U1, []int{0}, []float64{theta})}, true
+			return zEmission{name: gate.U1, theta: theta}, true
 		}
 		if p.gs.Contains(gate.S) && p.gs.Contains(gate.Sdg) && p.gs.Contains(gate.T) && p.gs.Contains(gate.Tdg) &&
 			linalg.IsMultipleOf(theta, math.Pi/4, 1e-9) {
-			return phaseLadder(theta), true
+			return zEmission{ladder: gate.PhaseLadder(theta)}, true
 		}
-		return nil, false
+		return zEmission{}, false
 	}
-}
-
-// phaseLadder writes a π/4-multiple z-rotation as a minimal sequence over
-// {S, S†, T, T†} (qubit 0; the caller rebinds qubits).
-func phaseLadder(theta float64) []gate.Gate {
-	k := int(math.Round(theta/(math.Pi/4))) % 8
-	if k < 0 {
-		k += 8
-	}
-	lad := map[int][]gate.Name{
-		0: {}, 1: {gate.T}, 2: {gate.S}, 3: {gate.S, gate.T},
-		4: {gate.S, gate.S}, 5: {gate.Sdg, gate.Tdg}, 6: {gate.Sdg}, 7: {gate.Tdg},
-	}
-	var out []gate.Gate
-	for _, n := range lad[k] {
-		out = append(out, gate.New(n, []int{0}, nil))
-	}
-	return out
 }

@@ -2,6 +2,8 @@ package rewrite
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
@@ -25,8 +27,9 @@ import (
 // only anchors inside a wire-adjacency halo of the touched windows — BFS
 // steps from the replaced gates and their boundary wire neighbours, out to
 // each rule's own halo depth — can change verdicts; exactly those entries
-// are cleared, right after the splice. Whole-circuit mutations
-// (SetCircuit, Reset) drop every cache entry.
+// are cleared, right after the splice. SetCircuit adopts a whole-circuit
+// pass's result as one such splice, over the span between the first and
+// the last gate that differ; only Reset drops every cache entry.
 //
 // All mutations are recorded on a transaction log: Mark returns a point to
 // which Rollback restores the exact prior gate sequence (a speculative
@@ -93,17 +96,10 @@ type EngineStats struct {
 	Invalidated int // cache entries cleared by halo invalidation
 	HaloGates   int // gates swept by halo invalidation BFS passes
 	HaloDepth   int // deepest per-rule halo radius in use (gauge)
-	Resets      int // full invalidations (SetCircuit, Reset, their rollbacks)
+	Resets      int // full invalidations (Reset)
 	Commits     int // accepted transactions (Commit calls)
 	Rollbacks   int // reverted transactions (Rollback calls that undid work)
 }
-
-type undoKind uint8
-
-const (
-	undoMulti undoKind = iota
-	undoSetAll
-)
 
 // undoWin records one applied window in post-splice coordinates: gates
 // [lo, lo+inserted) replaced the removed sequence (a subslice of the
@@ -114,11 +110,10 @@ type undoWin struct {
 	removed  []gate.Gate
 }
 
-// undoRec is one logged mutation.
+// undoRec is one logged mutation: its applied windows, ascending and
+// non-overlapping, in post-splice coordinates.
 type undoRec struct {
-	kind undoKind
-	wins []undoWin   // undoMulti: ascending, non-overlapping, post coords
-	old  []gate.Gate // undoSetAll: the entire prior gate list
+	wins []undoWin
 }
 
 // NewEngine builds an engine over a deep copy of c; the input is never
@@ -170,22 +165,15 @@ func (e *Engine) Rollback(mark int) {
 	}
 	e.stats.Rollbacks++
 	for i := len(e.log) - 1; i >= mark; i-- {
-		rec := e.log[i]
-		switch rec.kind {
-		case undoMulti:
-			// Invert in place: each applied window [lo, lo+inserted) goes
-			// back to its removed gates. Post coordinates of the forward
-			// splice are current coordinates now.
-			ws := e.winBuf[:0]
-			for _, w := range rec.wins {
-				ws = append(ws, circuit.SpliceWindow{Lo: w.lo, Hi: w.lo + w.inserted - 1, Repl: w.removed})
-			}
-			e.winBuf = ws
-			e.multiSplice(ws, false)
-		case undoSetAll:
-			e.c.Gates = rec.old
-			e.rebuildAll()
+		// Invert in place: each applied window [lo, lo+inserted) goes back
+		// to its removed gates. Post coordinates of the forward splice are
+		// current coordinates now.
+		ws := e.winBuf[:0]
+		for _, w := range e.log[i].wins {
+			ws = append(ws, circuit.SpliceWindow{Lo: w.lo, Hi: w.lo + w.inserted - 1, Repl: w.removed})
 		}
+		e.winBuf = ws
+		e.multiSplice(ws, false)
 		e.log[i] = undoRec{}
 	}
 	e.log = e.log[:mark]
@@ -311,18 +299,48 @@ func (e *Engine) ReplaceRegion(r *circuit.Region, replacement *circuit.Circuit) 
 	e.multiSplice(ws, true)
 }
 
-// SetCircuit replaces the engine's entire gate list with out's — the result
-// of a whole-circuit pass (cleanup, fusion, phase folding) — as a logged
-// transaction with full cache invalidation. The engine takes ownership of
-// out's gate slice; the qubit count must be unchanged.
+// SetCircuit adopts out's gate list — the result of a whole-circuit pass
+// (cleanup, fusion, phase folding) — as one logged splice: the span
+// between the first and the last gate that differ bit for bit is replaced,
+// and its halo invalidated like a rule's, so match caches outside it
+// survive. The engine keeps the gates it splices in (not out's slice); the
+// qubit count must be unchanged.
 func (e *Engine) SetCircuit(out *circuit.Circuit) {
 	if out.NumQubits != e.c.NumQubits {
 		panic(fmt.Sprintf("rewrite: SetCircuit: qubit count %d != engine's %d",
 			out.NumQubits, e.c.NumQubits))
 	}
-	e.log = append(e.log, undoRec{kind: undoSetAll, old: e.c.Gates})
-	e.c.Gates = out.Gates
-	e.rebuildAll()
+	old, repl := e.c.Gates, out.Gates
+	lo := 0
+	for lo < len(old) && lo < len(repl) && sameBits(old[lo], repl[lo]) {
+		lo++
+	}
+	hiOld, hiNew := len(old), len(repl)
+	for hiOld > lo && hiNew > lo && sameBits(old[hiOld-1], repl[hiNew-1]) {
+		hiOld--
+		hiNew--
+	}
+	if lo == hiOld && lo == hiNew {
+		return
+	}
+	ws := append(e.winBuf[:0], circuit.SpliceWindow{Lo: lo, Hi: hiOld - 1, Repl: repl[lo:hiNew]})
+	e.winBuf = ws
+	e.multiSplice(ws, true)
+}
+
+// sameBits reports whether two gates are identical down to the bits of
+// their parameters. gate.Equal is too loose here: it equates −0 and +0,
+// which the QASM writer prints differently.
+func sameBits(a, b gate.Gate) bool {
+	if a.Name != b.Name || !slices.Equal(a.Qubits, b.Qubits) || len(a.Params) != len(b.Params) {
+		return false
+	}
+	for i, p := range a.Params {
+		if math.Float64bits(p) != math.Float64bits(b.Params[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Reset adopts a new circuit wholesale — an exchange migration or an async
@@ -342,7 +360,7 @@ func (e *Engine) Reset(c *circuit.Circuit) {
 }
 
 // rebuildAll recomputes the DAG from the current gate list and wipes every
-// rule cache (a whole-circuit change has no useful halo).
+// rule cache (an adopted circuit has no useful halo).
 func (e *Engine) rebuildAll() {
 	e.stats.Resets++
 	e.dag.Rebuild()
@@ -416,7 +434,7 @@ func (e *Engine) multiSplice(ws []circuit.SpliceWindow, record bool) {
 	}
 	qOffs = append(qOffs, len(seeds))
 	if record {
-		e.log = append(e.log, undoRec{kind: undoMulti, wins: wins})
+		e.log = append(e.log, undoRec{wins: wins})
 	}
 
 	e.dag.MultiSplice(ws)

@@ -8,14 +8,16 @@ import (
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gate"
 	"github.com/guoq-dev/guoq/internal/gateset"
+	"github.com/guoq-dev/guoq/internal/phasepoly"
 )
 
 // TestEngineMatchesScratchFullPass is the metamorphic contract of the
 // incremental engine: over long random rule sequences on random circuits —
-// every rule library, wrap-around anchors, interleaved region replacements
-// and whole-circuit cleanups, with both committed and rolled-back steps —
-// the engine's circuit must stay bit-identical to the one produced by the
-// pure, from-scratch FullPass pipeline on a shadow copy.
+// every rule library, wrap-around anchors, interleaved region replacements,
+// and whole-circuit cleanup, fusion and phase-folding passes and one-gate
+// deletions spliced in by SetCircuit, with both committed and rolled-back
+// steps — the engine's circuit must stay bit-identical to the one produced
+// by the pure, from-scratch FullPass pipeline on a shadow copy.
 func TestEngineMatchesScratchFullPass(t *testing.T) {
 	for name, rules := range AllLibraries() {
 		name, rules := name, rules
@@ -40,7 +42,7 @@ func TestEngineMatchesScratchFullPass(t *testing.T) {
 				}
 
 				for step := 0; step < 400; step++ {
-					switch op := rng.Intn(10); {
+					switch op := rng.Intn(13); {
 					case op < 7: // rule full pass, random wrap-around anchor
 						r := rules[rng.Intn(len(rules))]
 						start := 0
@@ -80,8 +82,9 @@ func TestEngineMatchesScratchFullPass(t *testing.T) {
 							ref = region.Replace(ref, sub)
 						}
 						check(step, "region")
-					case op < 9: // whole-circuit cleanup through the engine
-						out, changed := CleanupChanged(eng.Snapshot(), name)
+					case op < 11: // a whole-circuit τ0 pass spliced in by SetCircuit
+						pass := tau0Passes[op-8]
+						out, changed := pass.run(eng.Circuit(), gs)
 						if changed == 0 {
 							continue
 						}
@@ -91,10 +94,36 @@ func TestEngineMatchesScratchFullPass(t *testing.T) {
 							eng.Rollback(mark)
 						} else {
 							eng.Commit()
-							refOut, _ := CleanupChanged(ref, name)
+							ref, _ = pass.run(ref, gs)
+						}
+						check(step, pass.name)
+					case op < 12: // a one-gate deletion spliced in by SetCircuit
+						if ref.Len() == 0 {
+							continue
+						}
+						i := rng.Intn(ref.Len())
+						edited := ref.Clone()
+						edited.Gates = append(edited.Gates[:i], edited.Gates[i+1:]...)
+						mark := eng.Mark()
+						eng.SetCircuit(edited.Clone())
+						if rng.Intn(3) == 0 {
+							eng.Rollback(mark)
+						} else {
+							eng.Commit()
+							ref = edited
+						}
+						check(step, "edit")
+						// One pass of every rule: a no-match verdict left
+						// stale next to the splice hides a match here.
+						for _, r := range rules {
+							refOut, n1 := FullPass(ref, r, 0)
+							if n2 := eng.FullPass(r, 0); n1 != n2 {
+								t.Fatalf("seed %d step %d: after an edit, rule %s replaced %d sites, scratch %d", seed, step, r.Name, n2, n1)
+							}
+							eng.Commit()
 							ref = refOut
 						}
-						check(step, "cleanup")
+						check(step, "edit+rules")
 					default: // wholesale adoption of a fresh random circuit
 						adopt := circuit.Random(8, 20+rng.Intn(100), gs.Gates, rng)
 						eng.Reset(adopt)
@@ -105,6 +134,17 @@ func TestEngineMatchesScratchFullPass(t *testing.T) {
 			}
 		})
 	}
+}
+
+// tau0Passes are the whole-circuit passes the search loop adopts through
+// SetCircuit.
+var tau0Passes = []struct {
+	name string
+	run  func(*circuit.Circuit, *gateset.GateSet) (*circuit.Circuit, int)
+}{
+	{"cleanup", CleanupChangedFor},
+	{"fuse1q", Fuse1QChanged},
+	{"phasefold", phasepoly.FoldChangedFor},
 }
 
 // TestEngineRollbackHeavyMatchesScratch is the adversarial companion of

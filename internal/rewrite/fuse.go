@@ -1,6 +1,9 @@
 package rewrite
 
 import (
+	"math"
+	"sync"
+
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gate"
 	"github.com/guoq-dev/guoq/internal/gateset"
@@ -25,80 +28,145 @@ func Fuse1Q(c *circuit.Circuit, gs *gateset.GateSet) *circuit.Circuit {
 // and the commuting reorders the per-wire buffering introduces (a buffered
 // run is emitted after multi-qubit gates on other wires that arrived later
 // than the run's gates). A zero count guarantees the output is structurally
-// identical (circuit.Equal) to the input.
+// identical (circuit.Equal) to the input, which is then returned itself.
 func Fuse1QChanged(c *circuit.Circuit, gs *gateset.GateSet) (*circuit.Circuit, int) {
-	out := circuit.New(c.NumQubits)
-	pending := make([][]gate.Gate, c.NumQubits)
-	pendIdx := make([][]int, c.NumQubits)
-	changed := 0
-	lastOrig := -1
-	orderOK := true
-
-	// emitOrig appends an unmodified input gate, tracking whether the
-	// output still visits input gates in their original order.
-	emitOrig := func(g gate.Gate, idx int) {
-		out.Gates = append(out.Gates, g)
-		if idx < lastOrig {
-			orderOK = false
-		} else {
-			lastOrig = idx
-		}
+	f := fusers.Get().(*fuser)
+	if f.gs != gs {
+		clear(f.memo)
+		f.gs = gs
 	}
-
-	flush := func(q int) {
-		run, idxs := pending[q], pendIdx[q]
-		pending[q], pendIdx[q] = nil, nil
-		if len(run) == 0 {
-			return
-		}
-		if len(run) == 1 {
-			emitOrig(run[0], idxs[0])
-			return
-		}
-		u := linalg.Identity(2)
-		for _, g := range run {
-			u = linalg.Mul(gate.Matrix(g), u)
-		}
-		fused := emit1Q(u, q, gs)
-		if fused == nil || len(fused) > len(run) || gateSeqEqual(fused, run) {
-			for i := range run {
-				emitOrig(run[i], idxs[i])
-			}
-			return
-		}
-		changed++
-		out.Gates = append(out.Gates, fused...)
+	f.c, f.lastOrig, f.orderOK = c, -1, true
+	for len(f.pending) < c.NumQubits {
+		f.pending = append(f.pending, nil)
 	}
-
 	for i, g := range c.Gates {
 		if len(g.Qubits) == 1 {
 			q := g.Qubits[0]
-			pending[q] = append(pending[q], g)
-			pendIdx[q] = append(pendIdx[q], i)
+			f.pending[q] = append(f.pending[q], i)
 			continue
 		}
 		for _, q := range g.Qubits {
-			flush(q)
+			f.flush(q)
 		}
-		emitOrig(g, i)
+		f.emitOrig(i)
 	}
-	for q := range pending {
-		flush(q)
+	for q := 0; q < c.NumQubits; q++ {
+		f.flush(q)
 	}
-	if !orderOK {
-		changed++
+	if !f.orderOK {
+		f.changed++
 	}
+	out, changed := c, f.changed
+	if changed > 0 {
+		out = circuit.New(c.NumQubits)
+		out.Gates = append(make([]gate.Gate, 0, len(f.out)), f.out...)
+	}
+	clear(f.out)
+	f.out, f.c, f.changed = f.out[:0], nil, 0
+	fusers.Put(f)
 	return out, changed
 }
 
-// gateSeqEqual compares two gate sequences the way circuit.Equal does.
-func gateSeqEqual(a, b []gate.Gate) bool {
-	if len(a) != len(b) {
+// fusers recycles the pass's scratch. Each fuser memoizes emit1Q for the
+// gate set it last ran against; it holds that set, so the pointer cannot
+// be reused by another set while the memo lives.
+var fusers = sync.Pool{New: func() any { return &fuser{memo: map[mat2Bits][]gate.Gate{}} }}
+
+// fuseMemoCap bounds a fuser's memo. Runs that are already fused repeat
+// from call to call, so a fixpoint circuit needs one entry per run.
+const fuseMemoCap = 1024
+
+// mat2Bits is a fused unitary's exact bit pattern, the memo key.
+type mat2Bits [8]uint64
+
+type fuser struct {
+	gs   *gateset.GateSet
+	memo map[mat2Bits][]gate.Gate // fused unitary -> emit1Q's gates on qubit 0
+
+	c        *circuit.Circuit
+	pending  [][]int // per qubit: the input indices of the buffered run
+	out      []gate.Gate
+	changed  int
+	lastOrig int
+	orderOK  bool
+}
+
+// emitOrig appends an unmodified input gate, tracking whether the output
+// still visits input gates in their original order.
+func (f *fuser) emitOrig(idx int) {
+	f.out = append(f.out, f.c.Gates[idx])
+	if idx < f.lastOrig {
+		f.orderOK = false
+	} else {
+		f.lastOrig = idx
+	}
+}
+
+// flush emits qubit q's buffered run: fused when the native form of its
+// product is no longer and differs, unchanged otherwise.
+//
+//guoq:hotpath
+func (f *fuser) flush(q int) {
+	run := f.pending[q]
+	f.pending[q] = run[:0]
+	if len(run) == 0 {
+		return
+	}
+	if len(run) == 1 {
+		f.emitOrig(run[0])
+		return
+	}
+	u := linalg.Mat2{1, 0, 0, 1}
+	for _, i := range run {
+		u = gate.Matrix2(f.c.Gates[i]).Mul(u)
+	}
+	fused := f.fused(u)
+	if fused == nil || len(fused) > len(run) || f.reproduces(fused, run, q) {
+		for _, i := range run {
+			f.emitOrig(i)
+		}
+		return
+	}
+	f.changed++
+	for _, g := range fused {
+		ng := g.Clone()
+		ng.Qubits[0] = q
+		f.out = append(f.out, ng)
+	}
+}
+
+// fused returns emit1Q(u) on qubit 0, memoized on u's bits.
+func (f *fuser) fused(u linalg.Mat2) []gate.Gate {
+	var key mat2Bits
+	for i, z := range u {
+		key[2*i], key[2*i+1] = math.Float64bits(real(z)), math.Float64bits(imag(z))
+	}
+	if gs, ok := f.memo[key]; ok {
+		return gs
+	}
+	if len(f.memo) >= fuseMemoCap {
+		clear(f.memo)
+	}
+	gs := emit1Q(u.Matrix(), 0, f.gs)
+	f.memo[key] = gs
+	return gs
+}
+
+// reproduces reports whether fused, moved to qubit q, equals the run's
+// input gates one for one (the comparison circuit.Equal makes).
+func (f *fuser) reproduces(fused []gate.Gate, run []int, q int) bool {
+	if len(fused) != len(run) {
 		return false
 	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
+	for k, g := range fused {
+		h := f.c.Gates[run[k]]
+		if g.Name != h.Name || len(h.Qubits) != 1 || h.Qubits[0] != q || len(g.Params) != len(h.Params) {
 			return false
+		}
+		for j := range g.Params {
+			if g.Params[j] != h.Params[j] {
+				return false
+			}
 		}
 	}
 	return true
