@@ -629,13 +629,25 @@ func BenchmarkSynthesize3QToffoli(b *testing.B) {
 	}
 }
 
+// BenchmarkTranslateSuiteSample translates the first 20 suite circuits
+// into each built-in: the NISQ suite into the continuous sets and the
+// Clifford+T suite into cliffordt.
 func BenchmarkTranslateSuiteSample(b *testing.B) {
-	suite := benchmarks.Suite()[:20]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, bench := range suite {
-			_, _ = gateset.Translate(bench.Circuit, gateset.IBMEagle)
+	for _, gs := range gateset.All() {
+		suite := benchmarks.Suite()[:20]
+		if !gs.Continuous() {
+			suite = benchmarks.CliffordTSuite()[:20]
 		}
+		b.Run(gs.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, bench := range suite {
+					if _, err := gateset.Translate(bench.Circuit, gs); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

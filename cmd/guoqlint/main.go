@@ -15,7 +15,7 @@
 // //guoqlint:ignore <analyzer> <reason> comment on or above the line.
 //
 // With -rules, guoqlint instead audits the domain artifacts: every
-// registered rewrite-rule library and gate set is checked for metadata
+// built-in rewrite-rule library and gate set is checked for metadata
 // soundness (declared halo depths and wire extents against independent
 // recomputation plus randomized probe circuits), unitary equivalence,
 // replacement nativeness, duplicate/subsumed rules, and error-model

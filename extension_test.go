@@ -3,10 +3,12 @@ package guoq
 import (
 	"context"
 	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gate"
 	"github.com/guoq-dev/guoq/internal/gateset"
 	"github.com/guoq-dev/guoq/internal/linalg"
@@ -471,5 +473,41 @@ func TestBuiltinNamesReserved(t *testing.T) {
 	changed.Basis = []string{"rz", "sx", "x", "cx"}
 	if err := RegisterGateSet(changed); err == nil {
 		t.Fatal("conflicting re-registration accepted")
+	}
+}
+
+// TestUnregisteredTargetStaysNative is the regression pin for z-phases
+// that leaked out of an unregistered continuous target: resynthesis
+// cleaned its output by resolving the set's name, which an unregistered
+// {u1, u2, u3, cx} set does not have, and merged z-phases came back as
+// rz. A seeded, iteration-bounded run must end inside the basis.
+func TestUnregisteredTargetStaysNative(t *testing.T) {
+	set := &GateSet{
+		Name:         "adhoc-u-basis",
+		Architecture: "superconducting",
+		Basis:        []string{"u1", "u2", "u3", "cx"},
+	}
+	in, err := set.Translate(circuit.Random(3, 30, circuit.DefaultTestVocab, rand.New(rand.NewSource(5))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[string]bool{"u1": true, "u2": true, "u3": true, "cx": true}
+	for seed := int64(1); seed <= 6; seed++ {
+		s, err := Start(context.Background(), in, Options{Target: set, MaxIters: 400, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, res, err := s.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range out.Gates {
+			if !allowed[string(g.Name)] {
+				t.Fatalf("seed %d: non-native gate %s in the output", seed, g.Name)
+			}
+		}
+		if d := Distance(in, out); d > res.Error+1e-6 {
+			t.Fatalf("seed %d: distance %g exceeds the reported ε %g", seed, d, res.Error)
+		}
 	}
 }

@@ -36,15 +36,6 @@ type ContextOptimizer interface {
 	OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit
 }
 
-// OptimizeWithContext runs a tool under ctx when it supports cancellation,
-// degrading to the blocking Optimize for tools that do not.
-func OptimizeWithContext(ctx context.Context, tool Optimizer, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
-	if co, ok := tool.(ContextOptimizer); ok {
-		return co.OptimizeContext(ctx, c, gs, cost, budget, seed)
-	}
-	return tool.Optimize(c, gs, cost, budget, seed)
-}
-
 // keepBetter guards the "never worse" contract.
 func keepBetter(orig, cand *circuit.Circuit, cost opt.Cost) *circuit.Circuit {
 	if cand == nil || cost(cand) > cost(orig) {

@@ -33,7 +33,7 @@ type Pass func(e *rewrite.Engine, gs *gateset.GateSet) int
 
 // CleanupPass cancels inverse pairs and merges adjacent rotations.
 func CleanupPass(e *rewrite.Engine, gs *gateset.GateSet) int {
-	out, changed := rewrite.CleanupChanged(e.Circuit(), gs.Name)
+	out, changed := rewrite.CleanupChangedFor(e.Circuit(), gs)
 	if changed > 0 {
 		e.SetCircuit(out)
 	}
@@ -54,7 +54,7 @@ func FusePass(e *rewrite.Engine, gs *gateset.GateSet) int {
 
 // FoldPass runs global phase folding (rotation merging).
 func FoldPass(e *rewrite.Engine, gs *gateset.GateSet) int {
-	out, changed := phasepoly.FoldChanged(e.Circuit(), gs.Name)
+	out, changed := phasepoly.FoldChangedFor(e.Circuit(), gs)
 	if changed > 0 {
 		e.SetCircuit(out)
 	}

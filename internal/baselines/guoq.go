@@ -17,8 +17,6 @@ type GUOQ struct {
 	Mode GUOQMode
 	// Epsilon is the global error budget ε_f.
 	Epsilon float64
-	// ResynthProb overrides the 1.5% default when nonzero.
-	ResynthProb float64
 	// Async enables asynchronous resynthesis.
 	Async bool
 	// Parallelism is the number of concurrent search workers (0 or 1 =
@@ -175,9 +173,6 @@ func (g *GUOQ) OptimizeStatsContext(ctx context.Context, c *circuit.Circuit, gs 
 	opts.Metrics = g.Metrics
 	if ctx != nil {
 		opts.Context = ctx
-	}
-	if g.ResynthProb > 0 {
-		opts.ResynthProb = g.ResynthProb
 	}
 
 	var res *opt.Result

@@ -101,13 +101,13 @@ func (l *Lookahead) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs 
 		if eng.FullPass(r, 0) == 0 {
 			return false
 		}
-		if out, changed := rewrite.CleanupChanged(eng.Circuit(), gs.Name); changed > 0 {
+		if out, changed := rewrite.CleanupChangedFor(eng.Circuit(), gs); changed > 0 {
 			eng.SetCircuit(out)
 		}
 		return true
 	}
 
-	if out, changed := rewrite.CleanupChanged(eng.Circuit(), gs.Name); changed > 0 {
+	if out, changed := rewrite.CleanupChangedFor(eng.Circuit(), gs); changed > 0 {
 		eng.SetCircuit(out)
 	}
 	eng.Commit()
@@ -210,7 +210,7 @@ func (p *PyZX) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gate
 			break
 		}
 		before := eng.Circuit().Len()
-		if folded, changed := phasepoly.FoldChanged(eng.Circuit(), gs.Name); changed > 0 {
+		if folded, changed := phasepoly.FoldChangedFor(eng.Circuit(), gs); changed > 0 {
 			eng.SetCircuit(folded)
 		}
 		// cancel1q only ever removes gates, so equal length means no-op.

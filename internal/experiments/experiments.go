@@ -47,17 +47,6 @@ type Config struct {
 	Out io.Writer
 }
 
-// QuickConfig is the compressed configuration used by the bench harness.
-func QuickConfig() Config {
-	return Config{
-		Budget:     120 * time.Millisecond,
-		Trials:     3,
-		SuiteLimit: 24,
-		Epsilon:    1e-8,
-		Seed:       1,
-	}
-}
-
 func (cfg *Config) normalize() {
 	if cfg.Budget == 0 {
 		cfg.Budget = 120 * time.Millisecond

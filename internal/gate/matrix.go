@@ -134,11 +134,6 @@ func u3Matrix(t, p, l float64) linalg.Mat2 {
 	return linalg.Mat2{c, -phase(l) * s, phase(p) * s, phase(p+l) * c}
 }
 
-// U3Matrix exposes the U3 gate matrix for synthesis templates.
-func U3Matrix(theta, phi, lambda float64) linalg.Matrix {
-	return u3Matrix(theta, phi, lambda).Matrix()
-}
-
 // Inverse returns a gate application implementing g†, expressed in the same
 // vocabulary (e.g. Inverse(t) = tdg, Inverse(rz(θ)) = rz(−θ)).
 func Inverse(g Gate) Gate {

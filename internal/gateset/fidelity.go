@@ -48,12 +48,12 @@ var (
 )
 
 // ModelFor returns the fidelity model paired with a gate set: the paper's
-// device model for the built-ins (IBM Washington, IonQ Forte for ionq),
-// the same architecture-matched base for custom sets — overridden by the
-// set's own weights (GateErrors, OneQubitError, TwoQubitError) when given.
+// device model for its architecture (IonQ Forte for ion traps, IBM
+// Washington otherwise), overridden by the set's own weights (GateErrors,
+// OneQubitError, TwoQubitError) when given.
 func ModelFor(gs *GateSet) FidelityModel {
 	base := IBMWashington
-	if gs.Name == IonQ.Name || gs.Architecture == IonQ.Architecture {
+	if gs.Architecture == IonQ.Architecture {
 		base = IonQForte
 	}
 	if gs.GateErrors == nil && gs.OneQubitError == 0 && gs.TwoQubitError == 0 {

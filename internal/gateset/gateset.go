@@ -41,13 +41,35 @@ type GateSet struct {
 
 	set     map[gate.Name]bool
 	builtin bool
+
+	// The set's single-qubit capabilities, resolved from the basis once
+	// when the set is built: every lowering and z-phase emission reads
+	// them, and none reads the set's name.
+	z      gate.Name // the continuous z-rotation: rz, else u1, else ""
+	ladder bool      // s, sdg, t and tdg: z-rotations by multiples of π/4
+	euler  euler     // how a general single-qubit unitary is factored
 }
 
 func newGateSet(name, arch string, gates ...gate.Name) *GateSet {
-	s := &GateSet{Name: name, Gates: gates, Architecture: arch, set: map[gate.Name]bool{}, builtin: true}
+	s := build(name, arch, gates)
+	s.builtin = true
+	return s
+}
+
+// build indexes the basis and resolves the set's capabilities.
+func build(name, arch string, gates []gate.Name) *GateSet {
+	s := &GateSet{Name: name, Gates: gates, Architecture: arch, set: map[gate.Name]bool{}}
 	for _, g := range gates {
 		s.set[g] = true
 	}
+	switch {
+	case s.set[gate.Rz]:
+		s.z = gate.Rz
+	case s.set[gate.U1]:
+		s.z = gate.U1
+	}
+	s.ladder = s.set[gate.S] && s.set[gate.Sdg] && s.set[gate.T] && s.set[gate.Tdg]
+	s.euler = eulerFor(s)
 	return s
 }
 
@@ -61,14 +83,12 @@ func New(name, arch string, gates ...gate.Name) (*GateSet, error) {
 	if len(gates) == 0 {
 		return nil, fmt.Errorf("gateset: gate set %q has an empty basis", name)
 	}
-	s := &GateSet{Name: name, Gates: gates, Architecture: arch, set: map[gate.Name]bool{}}
 	for _, g := range gates {
 		if _, ok := gate.SpecOf(g); !ok {
 			return nil, fmt.Errorf("gateset: gate set %q: unknown gate %q", name, g)
 		}
-		s.set[g] = true
 	}
-	return s, nil
+	return build(name, arch, gates), nil
 }
 
 // The five gate sets of Table 2.
@@ -199,9 +219,8 @@ func ByName(name string) (*GateSet, error) {
 }
 
 // Builtin reports whether the set is one of the paper's five evaluation
-// sets. Built-ins carry curated rule libraries and translation paths;
-// custom sets rely on the generic lowerings, Decompose hooks, and
-// registered transformations.
+// sets. Built-ins carry curated rule libraries; translation and the τ₀
+// passes treat every set alike, by its basis.
 func (gs *GateSet) Builtin() bool { return gs.builtin }
 
 // Contains reports whether the named gate is native to the set.

@@ -15,10 +15,11 @@ import (
 //
 // The pipeline first consults the set's Decompose hook (custom sets), then
 // lowers multi-qubit gates to {1q, CX} (plus Rzz for ionq), then lowers
-// single-qubit gates per target — by the curated per-set paths for the
-// built-ins, by basis-capability detection for registered custom sets —
-// and finally lowers CX itself for sets without a native CX (ionq, or any
-// custom set with a CZ- or Rxx-style entangler).
+// single-qubit gates by the capabilities of the set's basis, and finally
+// lowers CX itself for sets without a native CX (ionq, or any set with a
+// CZ- or Rxx-style entangler). Every step reads the basis, never the
+// set's name, so a built-in lowers exactly like an unregistered set with
+// the same basis.
 func Translate(c *circuit.Circuit, gs *GateSet) (*circuit.Circuit, error) {
 	out := circuit.New(c.NumQubits)
 	for _, g := range c.Gates {
@@ -160,236 +161,106 @@ func ccxSeq(a, b, t int) []gate.Gate {
 	}
 }
 
-// translate1Q lowers an arbitrary single-qubit gate into the target set.
-func translate1Q(g gate.Gate, gs *GateSet, out *circuit.Circuit) error {
-	q := g.Qubits[0]
-	if g.Name == gate.I || g.IsIdentityAngle(1e-12) {
-		return nil
-	}
-	switch gs.Name {
-	case IBMQ20.Name:
-		// Exact cheap forms first, then generic U3 via Euler angles.
-		switch g.Name {
-		case gate.Rz:
-			out.Append(gate.NewU1(g.Params[0], q))
-		case gate.Z:
-			out.Append(gate.NewU1(math.Pi, q))
-		case gate.S:
-			out.Append(gate.NewU1(math.Pi/2, q))
-		case gate.Sdg:
-			out.Append(gate.NewU1(-math.Pi/2, q))
-		case gate.T:
-			out.Append(gate.NewU1(math.Pi/4, q))
-		case gate.Tdg:
-			out.Append(gate.NewU1(-math.Pi/4, q))
-		case gate.H:
-			out.Append(gate.NewU2(0, math.Pi, q))
-		default:
-			th, ph, la, _ := linalg.U3Angles(gate.Matrix(g))
-			out.Append(gate.NewU3(th, ph, la, q))
-		}
-		return nil
+// euler is how a set factors a general single-qubit unitary, chosen from
+// its basis when the set is built (eulerFor).
+type euler uint8
 
-	case IBMEagle.Name:
-		switch g.Name {
-		case gate.Z:
-			out.Append(gate.NewRz(math.Pi, q))
-		case gate.S:
-			out.Append(gate.NewRz(math.Pi/2, q))
-		case gate.Sdg:
-			out.Append(gate.NewRz(-math.Pi/2, q))
-		case gate.T:
-			out.Append(gate.NewRz(math.Pi/4, q))
-		case gate.Tdg:
-			out.Append(gate.NewRz(-math.Pi/4, q))
-		case gate.U1:
-			out.Append(gate.NewRz(g.Params[0], q))
-		default:
-			// Generic ZSXZSXZ: U3(θ,φ,λ) ~ Rz(φ+π)·SX·Rz(θ+π)·SX·Rz(λ).
-			th, ph, la, _ := linalg.U3Angles(gate.Matrix(g))
-			appendRz(out, la, q)
-			out.Append(gate.NewSX(q))
-			appendRz(out, th+math.Pi, q)
-			out.Append(gate.NewSX(q))
-			appendRz(out, ph+math.Pi, q)
-		}
-		return nil
+const (
+	eulerNone      euler = iota // no known factorization: needs a Decompose hook
+	eulerU3                     // u3
+	eulerZSX                    // z·sx·z·sx·z
+	eulerZYZ                    // z·ry·z
+	eulerZXZ                    // z·rx·z
+	eulerZHZ                    // z·h·z·h·z
+	eulerCliffordT              // exact π/4 paths over h, s, sdg, t, tdg
+)
 
-	case IonQ.Name:
-		// ZYZ Euler: U ~ Rz(φ)·Ry(θ)·Rz(λ).
-		th, ph, la, _ := linalg.EulerZYZ(gate.Matrix(g))
-		appendRz(out, la, q)
-		if math.Abs(th) > 1e-12 {
-			out.Append(gate.NewRy(th, q))
-		}
-		appendRz(out, ph, q)
-		return nil
-
-	case Nam.Name:
-		switch g.Name {
-		case gate.Z:
-			out.Append(gate.NewRz(math.Pi, q))
-		case gate.S:
-			out.Append(gate.NewRz(math.Pi/2, q))
-		case gate.Sdg:
-			out.Append(gate.NewRz(-math.Pi/2, q))
-		case gate.T:
-			out.Append(gate.NewRz(math.Pi/4, q))
-		case gate.Tdg:
-			out.Append(gate.NewRz(-math.Pi/4, q))
-		case gate.U1:
-			out.Append(gate.NewRz(g.Params[0], q))
-		case gate.Rx:
-			// Rx(θ) = H·Rz(θ)·H.
-			out.Append(gate.NewH(q))
-			appendRz(out, g.Params[0], q)
-			out.Append(gate.NewH(q))
-		default:
-			// U ~ Rz(φ)·Ry(θ)·Rz(λ) with Ry(θ) = Rz(π/2)·H·Rz(θ)·H·Rz(−π/2).
-			th, ph, la, _ := linalg.EulerZYZ(gate.Matrix(g))
-			appendRz(out, la-math.Pi/2, q)
-			if math.Abs(th) > 1e-12 {
-				out.Append(gate.NewH(q))
-				appendRz(out, th, q)
-				out.Append(gate.NewH(q))
-			}
-			appendRz(out, ph+math.Pi/2, q)
-			// When θ=0 the two half-π z-rotations must still combine.
-			return nil
-		}
-		return nil
-
-	case CliffordT.Name:
-		switch g.Name {
-		case gate.Z:
-			out.Append(gate.NewS(q), gate.NewS(q))
-		case gate.Y:
-			// Y ~ Z·X up to phase.
-			out.Append(gate.NewS(q), gate.NewS(q), gate.NewX(q))
-		case gate.SX:
-			// SX ~ H·S·H up to phase (both are √X up to phase).
-			out.Append(gate.NewH(q), gate.NewS(q), gate.NewH(q))
-		case gate.SXdg:
-			out.Append(gate.NewH(q), gate.NewSdg(q), gate.NewH(q))
-		case gate.Rz, gate.U1:
-			return appendCliffordTPhase(out, g.Params[0], q)
-		case gate.Rx:
-			out.Append(gate.NewH(q))
-			if err := appendCliffordTPhase(out, g.Params[0], q); err != nil {
-				return err
-			}
-			out.Append(gate.NewH(q))
-		case gate.Ry:
-			out.Append(gate.NewS(q), gate.NewH(q))
-			if err := appendCliffordTPhase(out, g.Params[0], q); err != nil {
-				return err
-			}
-			out.Append(gate.NewH(q), gate.NewSdg(q))
-		default:
-			return fmt.Errorf("gate %s not representable in Clifford+T", g.Name)
-		}
-		return nil
-	}
-	return translate1QGeneric(g, gs, out)
-}
-
-// translate1QGeneric lowers a single-qubit gate into a custom (registered)
-// gate set by basis-capability detection, mirroring the curated per-set
-// strategies: any universal continuous 1q basis we know an Euler-style
-// factorization for, or the Clifford+T vocabulary for finite sets. Sets
-// with none of these capabilities must supply a Decompose hook.
-func translate1QGeneric(g gate.Gate, gs *GateSet, out *circuit.Circuit) error {
-	q := g.Qubits[0]
-	u := gate.Matrix(g)
-
-	// Phase-only gates collapse to a single native z-rotation when the set
-	// has one, regardless of the general strategy below.
-	hasRz, hasU1 := gs.Contains(gate.Rz), gs.Contains(gate.U1)
-	emitZ := func(theta float64) {
-		theta = linalg.NormAngle(theta)
-		if math.Abs(theta) <= 1e-12 {
-			return
-		}
-		if hasRz {
-			out.Append(gate.NewRz(theta, q))
-		} else {
-			out.Append(gate.NewU1(theta, q))
-		}
-	}
-
+// eulerFor picks the first factorization the basis carries; every Euler
+// form but u3 needs a continuous z-rotation.
+func eulerFor(gs *GateSet) euler {
 	switch {
 	case gs.Contains(gate.U3):
-		th, ph, la, _ := linalg.U3Angles(u)
-		if th <= 1e-12 && (hasRz || hasU1) {
-			emitZ(ph + la)
-			return nil
-		}
-		out.Append(gate.NewU3(th, ph, la, q))
-		return nil
+		return eulerU3
+	case gs.z != "" && gs.Contains(gate.SX):
+		return eulerZSX
+	case gs.z != "" && gs.Contains(gate.Ry):
+		return eulerZYZ
+	case gs.z != "" && gs.Contains(gate.Rx):
+		return eulerZXZ
+	case gs.z != "" && gs.Contains(gate.H):
+		return eulerZHZ
+	case gs.ladder && gs.Contains(gate.H):
+		return eulerCliffordT
+	}
+	return eulerNone
+}
 
-	case (hasRz || hasU1) && gs.Contains(gate.SX):
-		// ZSXZSXZ: U3(θ,φ,λ) ~ Rz(φ+π)·SX·Rz(θ+π)·SX·Rz(λ).
-		th, ph, la, _ := linalg.U3Angles(u)
-		if th <= 1e-12 {
-			emitZ(ph + la)
-			return nil
-		}
-		emitZ(la)
-		out.Append(gate.NewSX(q))
-		emitZ(th + math.Pi)
-		out.Append(gate.NewSX(q))
-		emitZ(ph + math.Pi)
+// translate1Q lowers a single-qubit gate by the set's capabilities. Three
+// rules come before the general factorization, each keyed on the basis: a
+// named z-phase gate becomes one native z-rotation carrying its exact
+// angle; h becomes u2(0, π) in a set with u2; and rx(θ) becomes h·rz(θ)·h
+// in a set with h and rz but no ry.
+func translate1Q(g gate.Gate, gs *GateSet, out *circuit.Circuit) error {
+	q := g.Qubits[0]
+	if a, ok := gate.ZPhase(g); ok && gs.z != "" {
+		out.Append(gate.New(gs.z, []int{q}, []float64{a}))
 		return nil
-
-	case (hasRz || hasU1) && gs.Contains(gate.Ry):
-		// ZYZ Euler: U ~ Rz(φ)·Ry(θ)·Rz(λ).
-		th, ph, la, _ := linalg.EulerZYZ(u)
-		emitZ(la)
-		if math.Abs(th) > 1e-12 {
-			out.Append(gate.NewRy(th, q))
-		}
-		emitZ(ph)
+	}
+	switch {
+	case g.Name == gate.H && gs.Contains(gate.U2):
+		out.Append(gate.NewU2(0, math.Pi, q))
 		return nil
-
-	case (hasRz || hasU1) && gs.Contains(gate.Rx):
-		// ZXZ via Ry(θ) = Rz(π/2)·Rx(θ)·Rz(−π/2), folded into the ZYZ
-		// z-rotations: U ~ Rz(φ+π/2)·Rx(θ)·Rz(λ−π/2).
-		th, ph, la, _ := linalg.EulerZYZ(u)
-		if math.Abs(th) <= 1e-12 {
-			emitZ(ph + la)
-			return nil
-		}
-		emitZ(la - math.Pi/2)
-		out.Append(gate.NewRx(th, q))
-		emitZ(ph + math.Pi/2)
-		return nil
-
-	case (hasRz || hasU1) && gs.Contains(gate.H):
-		// Nam-style: Ry(θ) = Rz(π/2)·H·Rz(θ)·H·Rz(−π/2) folded into ZYZ.
-		th, ph, la, _ := linalg.EulerZYZ(u)
-		if math.Abs(th) <= 1e-12 {
-			emitZ(ph + la)
-			return nil
-		}
-		emitZ(la - math.Pi/2)
+	case g.Name == gate.Rx && gs.Contains(gate.H) && gs.Contains(gate.Rz) && !gs.Contains(gate.Ry):
 		out.Append(gate.NewH(q))
-		emitZ(th)
+		appendZ(out, gs, g.Params[0], q)
 		out.Append(gate.NewH(q))
-		emitZ(ph + math.Pi/2)
 		return nil
-
-	case gs.Contains(gate.H) && gs.Contains(gate.S) && gs.Contains(gate.Sdg) &&
-		gs.Contains(gate.T) && gs.Contains(gate.Tdg):
-		// Clifford+T-style finite vocabulary over a custom basis (e.g. a
-		// CZ-entangler fault-tolerant set): reuse the exact π/4-phase paths.
+	}
+	switch gs.euler {
+	case eulerNone:
+		return fmt.Errorf("no single-qubit lowering for gate set %s (no known 1q basis; set a Decompose hook)", gs.Name)
+	case eulerCliffordT:
 		return translate1QCliffordT(g, gs, out)
 	}
-	return fmt.Errorf("no single-qubit lowering for gate set %s (no known 1q basis; set a Decompose hook)", gs.Name)
+	// U ~ U3(θ,φ,λ) = Rz(φ)·Ry(θ)·Rz(λ) up to phase.
+	th, ph, la, _ := linalg.U3Angles(gate.Matrix(g))
+	if th <= 1e-12 && gs.z != "" {
+		// A diagonal unitary is one z-rotation.
+		appendZ(out, gs, ph+la, q)
+		return nil
+	}
+	switch gs.euler {
+	case eulerU3:
+		out.Append(gate.NewU3(th, ph, la, q))
+	case eulerZSX:
+		// U3(θ,φ,λ) ~ Rz(φ+π)·SX·Rz(θ+π)·SX·Rz(λ).
+		appendZ(out, gs, la, q)
+		out.Append(gate.NewSX(q))
+		appendZ(out, gs, th+math.Pi, q)
+		out.Append(gate.NewSX(q))
+		appendZ(out, gs, ph+math.Pi, q)
+	case eulerZYZ:
+		appendZ(out, gs, la, q)
+		out.Append(gate.NewRy(th, q))
+		appendZ(out, gs, ph, q)
+	case eulerZXZ:
+		// Ry(θ) = Rz(π/2)·Rx(θ)·Rz(−π/2), folded into the z-rotations.
+		appendZ(out, gs, la-math.Pi/2, q)
+		out.Append(gate.NewRx(th, q))
+		appendZ(out, gs, ph+math.Pi/2, q)
+	case eulerZHZ:
+		// Ry(θ) = Rz(π/2)·H·Rz(θ)·H·Rz(−π/2), folded into the z-rotations.
+		appendZ(out, gs, la-math.Pi/2, q)
+		out.Append(gate.NewH(q))
+		appendZ(out, gs, th, q)
+		out.Append(gate.NewH(q))
+		appendZ(out, gs, ph+math.Pi/2, q)
+	}
+	return nil
 }
 
 // translate1QCliffordT lowers a single-qubit gate over the {H,S,S†,T,T†}
-// vocabulary (plus X when present), shared by the built-in cliffordt path's
-// strategy; exact only for π/4-multiple rotations.
+// vocabulary (plus X when present); exact only for π/4-multiple rotations.
 func translate1QCliffordT(g gate.Gate, gs *GateSet, out *circuit.Circuit) error {
 	q := g.Qubits[0]
 	switch g.Name {
@@ -408,60 +279,106 @@ func translate1QCliffordT(g gate.Gate, gs *GateSet, out *circuit.Circuit) error 
 	case gate.SXdg:
 		out.Append(gate.NewH(q), gate.NewSdg(q), gate.NewH(q))
 	case gate.Rz, gate.U1:
-		return appendCliffordTPhase(out, g.Params[0], q)
+		return appendLadder(out, gs, g.Params[0], q)
 	case gate.Rx:
 		out.Append(gate.NewH(q))
-		if err := appendCliffordTPhase(out, g.Params[0], q); err != nil {
+		if err := appendLadder(out, gs, g.Params[0], q); err != nil {
 			return err
 		}
 		out.Append(gate.NewH(q))
 	case gate.Ry:
-		out.Append(gate.NewS(q), gate.NewH(q))
-		if err := appendCliffordTPhase(out, g.Params[0], q); err != nil {
+		// Ry(θ) = S·Rx(θ)·S†, since S·X·S† = Y.
+		out.Append(gate.NewSdg(q), gate.NewH(q))
+		if err := appendLadder(out, gs, g.Params[0], q); err != nil {
 			return err
 		}
-		out.Append(gate.NewH(q), gate.NewSdg(q))
+		out.Append(gate.NewH(q), gate.NewS(q))
 	default:
 		return fmt.Errorf("gate %s not representable over a Clifford+T basis", g.Name)
 	}
 	return nil
 }
 
-// appendRz appends an rz unless the angle is an identity rotation.
-func appendRz(out *circuit.Circuit, theta float64, q int) {
-	theta = linalg.NormAngle(theta)
-	if math.Abs(theta) > 1e-12 {
-		out.Append(gate.NewRz(theta, q))
+// appendZ appends the set's rendering of a z-rotation by theta.
+func appendZ(out *circuit.Circuit, gs *GateSet, theta float64, q int) {
+	em, _ := gs.ZRotation(theta)
+	for i := 0; i < em.Len(); i++ {
+		out.Append(em.Gate(i, q))
 	}
 }
 
-// appendCliffordTPhase writes a z-rotation by a multiple of π/4 as a minimal
-// sequence over {S, S†, T, T†}. Returns an error for non-multiples, which
-// cannot be represented exactly in Clifford+T.
-func appendCliffordTPhase(out *circuit.Circuit, theta float64, q int) error {
-	if !linalg.IsMultipleOf(theta, math.Pi/4, 1e-9) {
+// appendLadder appends a z-rotation by a multiple of π/4 as the minimal
+// sequence over {S, S†, T, T†}. Other angles cannot be represented exactly
+// in Clifford+T and return an error.
+func appendLadder(out *circuit.Circuit, gs *GateSet, theta float64, q int) error {
+	em, ok := gs.ZRotation(theta)
+	if !ok {
 		return fmt.Errorf("angle %g is not a multiple of π/4", theta)
 	}
-	k := int(math.Round(theta/(math.Pi/4))) % 8
-	if k < 0 {
-		k += 8
-	}
-	switch k {
-	case 0:
-	case 1:
-		out.Append(gate.NewT(q))
-	case 2:
-		out.Append(gate.NewS(q))
-	case 3:
-		out.Append(gate.NewS(q), gate.NewT(q))
-	case 4:
-		out.Append(gate.NewS(q), gate.NewS(q))
-	case 5:
-		out.Append(gate.NewSdg(q), gate.NewTdg(q))
-	case 6:
-		out.Append(gate.NewSdg(q))
-	case 7:
-		out.Append(gate.NewTdg(q))
+	for i := 0; i < em.Len(); i++ {
+		out.Append(em.Gate(i, q))
 	}
 	return nil
 }
+
+// ZEmission is a z-rotation rendered in a set's native diagonal gates,
+// before any gate is built: one rotation gate, or a π/4 ladder. The zero
+// value emits nothing.
+type ZEmission struct {
+	name   gate.Name // rz or u1; empty for a ladder
+	theta  float64
+	ladder []gate.Name // shared; must not be modified
+}
+
+// Len is the number of gates the emission builds.
+func (z ZEmission) Len() int {
+	if z.name != "" {
+		return 1
+	}
+	return len(z.ladder)
+}
+
+// Equal reports whether the i-th emitted gate on qubit q equals g bit for
+// bit, without building it.
+func (z ZEmission) Equal(i, q int, g gate.Gate) bool {
+	if len(g.Qubits) != 1 || g.Qubits[0] != q {
+		return false
+	}
+	if z.name != "" {
+		return g.Name == z.name && len(g.Params) == 1 && g.Params[0] == z.theta
+	}
+	return g.Name == z.ladder[i] && len(g.Params) == 0
+}
+
+// Gate builds the i-th emitted gate on qubit q.
+func (z ZEmission) Gate(i, q int) gate.Gate {
+	if z.name != "" {
+		return gate.New(z.name, []int{q}, []float64{z.theta})
+	}
+	return gate.New(z.ladder[i], []int{q}, nil)
+}
+
+// ZRotation renders a z-rotation by theta, wrapped into (−π, π], in the
+// set's native diagonal gates: rz if the set has it, else u1, else the π/4
+// ladder when theta is a multiple of π/4. An angle within 1e-12 of zero
+// renders as nothing. ok = false reports that the set has no exact native
+// form for the angle.
+func (gs *GateSet) ZRotation(theta float64) (em ZEmission, ok bool) {
+	theta = linalg.NormAngle(theta)
+	switch {
+	case math.Abs(theta) < 1e-12:
+		return ZEmission{}, true
+	case gs.z != "":
+		return ZEmission{name: gs.z, theta: theta}, true
+	case gs.ladder && linalg.IsMultipleOf(theta, math.Pi/4, 1e-9):
+		return ZEmission{ladder: gate.PhaseLadder(theta)}, true
+	}
+	return ZEmission{}, false
+}
+
+// ZAnyAngle reports whether the set has a continuous z-rotation (rz or
+// u1), so that ZRotation renders every angle.
+func (gs *GateSet) ZAnyAngle() bool { return gs.z != "" }
+
+// ZLadder reports whether the set has the π/4 ladder: s, sdg, t and tdg.
+func (gs *GateSet) ZLadder() bool { return gs.ladder }

@@ -285,12 +285,6 @@ func EqualUpToPhase(u, up Matrix, tol float64) bool {
 	return u.N == up.N && HSDistance(u, up) <= tol
 }
 
-// GlobalPhase returns the phase φ that best aligns up with u, i.e. the
-// argument of Tr(u†·up). Aligning up by e^{-iφ} minimizes ‖u − e^{-iφ}up‖.
-func GlobalPhase(u, up Matrix) float64 {
-	return cmplx.Phase(TraceAdjointMul(u, up))
-}
-
 // String renders the matrix with 4 decimal places, for debugging and tests.
 func (m Matrix) String() string {
 	var b strings.Builder

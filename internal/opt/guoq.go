@@ -68,15 +68,11 @@ type Options struct {
 	// with a nil Context.
 	Context context.Context
 	// OnEvent, when set, receives progress events: one on every improvement
-	// (Event.Best non-nil), a heartbeat every EventEvery iterations, and a
-	// final event just before the run returns. Parallel modes invoke it
-	// concurrently from several workers; implementations must be safe for
-	// concurrent use and fast (the hook runs on the search's hot path).
+	// (Event.Best non-nil), a heartbeat every 256 iterations, and a final
+	// event just before the run returns. Parallel modes invoke
+	// it concurrently from several workers; implementations must be safe
+	// for concurrent use and fast (the hook runs on the search's hot path).
 	OnEvent func(Event)
-	// EventEvery is the heartbeat period in iterations (default 256;
-	// negative disables heartbeats — improvement and final events still
-	// fire).
-	EventEvery int
 	// Pool, when set together with Async, runs this search's slow
 	// transformations on a shared resynthesis pool. Many concurrent
 	// searches (portfolio members, partition windows) then share one bounded
@@ -173,6 +169,9 @@ type Result struct {
 	// (the resynthesis ε classes) share one line.
 	Rules map[string]*RuleStats
 }
+
+// eventEvery is the OnEvent heartbeat period in iterations.
+const eventEvery = 256
 
 // GUOQ runs Alg. 1: repeatedly sample a transformation and a random
 // subcircuit, apply, and accept probabilistically based on cost, tracking
@@ -396,11 +395,6 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 	if exchangeEvery <= 0 {
 		exchangeEvery = 64
 	}
-	eventEvery := opts.EventEvery
-	if eventEvery == 0 {
-		eventEvery = 256
-	}
-
 	for it := 0; ; it++ {
 		if opts.MaxIters > 0 && it >= opts.MaxIters {
 			break
@@ -411,7 +405,7 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 		if cancelled() {
 			break
 		}
-		if eventEvery > 0 && it > 0 && it%eventEvery == 0 {
+		if it > 0 && it%eventEvery == 0 {
 			emit(nil)
 		}
 		res.Iters++

@@ -31,8 +31,8 @@ type InstantiateOptions struct {
 // and 1q-fusion τ_0 passes, and a resynthesis τ_ε — numeric (BQSKit-style)
 // for continuous sets, finite-set search (Synthetiq-style) for Clifford+T.
 //
-// Custom (registered) gate sets instantiate too: a set without a
-// registered rule library runs on the τ_0 passes plus resynthesis, and a
+// Custom gate sets instantiate too: a set without a built-in rule
+// library runs on the τ_0 passes plus resynthesis, and a
 // finite custom set whose basis cannot carry the Clifford+T synthesizer's
 // output skips built-in resynthesis (supply a CircuitSynthesizer through
 // the registry instead).

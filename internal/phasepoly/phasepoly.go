@@ -21,31 +21,34 @@ import (
 	"github.com/guoq-dev/guoq/internal/linalg"
 )
 
-// Fold performs one global phase-folding pass, emitting the result in the
-// named gate set's diagonal vocabulary. Non-diagonal gates are untouched;
-// two-qubit gate count is exactly preserved.
-func Fold(c *circuit.Circuit, gatesetName string) *circuit.Circuit {
-	out, _ := FoldChanged(c, gatesetName)
-	return out
-}
-
-// FoldChanged is Fold plus a change count: the number of phase gates
-// absorbed into a merge site plus the number of merge sites whose
-// re-emitted ladder differs from the original gate. A zero count
-// guarantees the output is structurally identical (circuit.Equal) to the
-// input, which is then returned itself, so callers can detect no-ops
-// without a deep compare.
-func FoldChanged(c *circuit.Circuit, gatesetName string) (*circuit.Circuit, int) {
-	gs, err := gateset.ByName(gatesetName)
-	if err != nil {
-		gs = nil
-	}
-	return foldChanged(c, gatesetName, gs)
-}
-
-// FoldChangedFor is FoldChanged against a resolved gate set.
+// FoldChangedFor performs one global phase-folding pass, emitting each
+// merged rotation as gs renders it (GateSet.ZRotation). Non-diagonal gates
+// are untouched; two-qubit gate count is exactly preserved.
+//
+// It returns a change count: the number of phase gates absorbed into a
+// merge site plus the number of merge sites whose re-emitted ladder
+// differs from the original gate. A zero count guarantees the output is
+// structurally identical (circuit.Equal) to the input, which is then
+// returned itself, so callers can detect no-ops without a deep compare.
+//
+// A set without a continuous z-rotation renders merged totals over the π/4
+// ladder, which is exact only when every absorbed rotation is a multiple
+// of π/4 (native finite circuits always are); on any other input, or in a
+// set with neither, the fold changes nothing.
 func FoldChangedFor(c *circuit.Circuit, gs *gateset.GateSet) (*circuit.Circuit, int) {
-	return foldChanged(c, gs.Name, gs)
+	if !gs.ZAnyAngle() && !gs.ZLadder() {
+		return c, 0
+	}
+	f := folders.Get().(*folder)
+	out, changed := c, 0
+	if f.scan(c, !gs.ZAnyAngle()) {
+		out, changed = f.emit(c, gs)
+	}
+	clear(f.out)
+	f.out, f.buckets, f.words, f.site = f.out[:0], f.buckets[:0], f.words[:0], f.site[:0]
+	clear(f.index)
+	folders.Put(f)
+	return out, changed
 }
 
 // folders recycles the pass's scratch, so a call that changes nothing
@@ -83,44 +86,24 @@ const (
 	siteDropped = -2 // absorbed into an earlier site
 )
 
-func foldChanged(c *circuit.Circuit, gatesetName string, gs *gateset.GateSet) (*circuit.Circuit, int) {
-	// Capability pre-check for custom sets: without a continuous z-rotation
-	// the merged totals can only be re-emitted over the π/4 ladder, which is
-	// exact only when every absorbed rotation is a π/4 multiple (native
-	// finite circuits always are); a set with no diagonal vocabulary at all
-	// cannot fold.
-	if gs != nil && !gs.Builtin() && !gs.Contains(gate.Rz) && !gs.Contains(gate.U1) {
-		if !(gs.Contains(gate.S) && gs.Contains(gate.Sdg) && gs.Contains(gate.T) && gs.Contains(gate.Tdg)) {
-			return c, 0
-		}
-		for _, g := range c.Gates {
-			if a, ok := gate.ZPhase(g); ok && !linalg.IsMultipleOf(a, math.Pi/4, 1e-9) {
-				return c, 0
-			}
-		}
-	}
-	f := folders.Get().(*folder)
-	f.scan(c)
-	out, changed := f.emit(c, gatesetName, gs)
-	clear(f.out)
-	f.out, f.buckets, f.words, f.site = f.out[:0], f.buckets[:0], f.words[:0], f.site[:0]
-	clear(f.index)
-	folders.Put(f)
-	return out, changed
-}
-
 // scan assigns every phase gate to the bucket of its qubit's parity: the
-// first gate of a bucket is its merge site, later ones are absorbed.
+// first gate of a bucket is its merge site, later ones are absorbed. With
+// ladder set, it reports false, and assigns nothing, when a parameterized
+// phase gate's angle is not a multiple of π/4.
 //
 //guoq:hotpath
-func (f *folder) scan(c *circuit.Circuit) {
+func (f *folder) scan(c *circuit.Circuit, ladder bool) bool {
 	n := c.NumQubits
 	// Every qubit starts with a variable of its own, and every qubit of an
 	// untrackable gate gets a fresh one (a new epoch for that wire).
 	vars := n
 	for _, g := range c.Gates {
-		if _, ok := gate.ZPhase(g); !ok && g.Name != gate.CX && g.Name != gate.X {
+		a, ok := gate.ZPhase(g)
+		switch {
+		case !ok && g.Name != gate.CX && g.Name != gate.X:
 			vars += len(g.Qubits)
+		case ok && ladder && len(g.Params) > 0 && !linalg.IsMultipleOf(a, math.Pi/4, 1e-9):
+			return false
 		}
 	}
 	f.stride = (vars + 63) / 64
@@ -168,6 +151,7 @@ func (f *folder) scan(c *circuit.Circuit) {
 			}
 		}
 	}
+	return true
 }
 
 // merge adds a phase contribution on qubit q's current parity to its
@@ -206,7 +190,7 @@ func (f *folder) merge(q int, contrib float64) int {
 // output circuit is built only when the count is positive.
 //
 //guoq:hotpath
-func (f *folder) emit(c *circuit.Circuit, gatesetName string, gs *gateset.GateSet) (*circuit.Circuit, int) {
+func (f *folder) emit(c *circuit.Circuit, gs *gateset.GateSet) (*circuit.Circuit, int) {
 	changed := 0
 	// identical tracks whether the output still reproduces the input gate
 	// for gate: a merged run can re-emit exactly the gates it absorbed
@@ -226,18 +210,23 @@ func (f *folder) emit(c *circuit.Circuit, gatesetName string, gs *gateset.GateSe
 			if b.firstConst {
 				theta = -theta
 			}
-			em := emitPhase(theta, gatesetName, gs)
-			if !(em.len() == 1 && em.equal(0, b.firstQubit, g)) {
+			em, ok := gs.ZRotation(theta)
+			if !ok {
+				// A ladder total that drifted past its tolerance: keep
+				// the input.
+				return c, 0
+			}
+			if !(em.Len() == 1 && em.Equal(0, b.firstQubit, g)) {
 				changed++
 			}
-			for k := 0; k < em.len(); k++ {
+			for k := 0; k < em.Len(); k++ {
 				o := len(f.out)
-				if o < len(c.Gates) && em.equal(k, b.firstQubit, c.Gates[o]) {
+				if o < len(c.Gates) && em.Equal(k, b.firstQubit, c.Gates[o]) {
 					f.out = append(f.out, c.Gates[o])
 					continue
 				}
 				identical = false
-				f.out = append(f.out, em.gate(k, b.firstQubit))
+				f.out = append(f.out, em.Gate(k, b.firstQubit))
 			}
 		}
 	}
@@ -247,70 +236,6 @@ func (f *folder) emit(c *circuit.Circuit, gatesetName string, gs *gateset.GateSe
 	out := circuit.New(c.NumQubits)
 	out.Gates = append(make([]gate.Gate, 0, len(f.out)), f.out...)
 	return out, changed
-}
-
-// zEmission is a z-rotation rendered in native diagonal gates, before any
-// gate is built: one rotation gate (name, theta), or a π/4 ladder.
-type zEmission struct {
-	name   gate.Name // rz or u1; empty for a ladder
-	theta  float64
-	ladder []gate.Name
-}
-
-func (z zEmission) len() int {
-	if z.name != "" {
-		return 1
-	}
-	return len(z.ladder)
-}
-
-// equal reports whether the k-th emitted gate on qubit q equals g.
-func (z zEmission) equal(k, q int, g gate.Gate) bool {
-	if len(g.Qubits) != 1 || g.Qubits[0] != q {
-		return false
-	}
-	if z.name != "" {
-		return g.Name == z.name && len(g.Params) == 1 && g.Params[0] == z.theta
-	}
-	return g.Name == z.ladder[k] && len(g.Params) == 0
-}
-
-// gate builds the k-th emitted gate on qubit q.
-func (z zEmission) gate(k, q int) gate.Gate {
-	if z.name != "" {
-		return gate.New(z.name, []int{q}, []float64{z.theta})
-	}
-	return gate.New(z.ladder[k], []int{q}, nil)
-}
-
-// emitPhase renders a z-rotation in the gate set's native diagonal gates.
-// gs is the resolved set (nil for unknown names, which keep the historical
-// rz fallback).
-func emitPhase(theta float64, gatesetName string, gs *gateset.GateSet) zEmission {
-	theta = linalg.NormAngle(theta)
-	if math.Abs(theta) < 1e-12 {
-		return zEmission{}
-	}
-	switch gatesetName {
-	case "ibmq20":
-		return zEmission{name: gate.U1, theta: theta}
-	case "cliffordt":
-		if !linalg.IsMultipleOf(theta, math.Pi/4, 1e-9) {
-			return zEmission{name: gate.Rz, theta: theta}
-		}
-		return zEmission{ladder: gate.PhaseLadder(theta)}
-	default:
-		// Custom sets emit whatever diagonal vocabulary they carry; the
-		// capability pre-check in foldChanged guarantees one exists and
-		// that π/4-ladder-only sets never see a non-multiple total.
-		if gs == nil || gs.Contains(gate.Rz) {
-			return zEmission{name: gate.Rz, theta: theta}
-		}
-		if gs.Contains(gate.U1) {
-			return zEmission{name: gate.U1, theta: theta}
-		}
-		return zEmission{ladder: gate.PhaseLadder(theta)}
-	}
 }
 
 // resize returns s with length n, reusing its storage when it can.

@@ -13,12 +13,18 @@ import (
 
 const tol = 1e-8
 
+// fold is one FoldChangedFor call, for tests that need only its output.
+func fold(c *circuit.Circuit, gs *gateset.GateSet) *circuit.Circuit {
+	out, _ := FoldChangedFor(c, gs)
+	return out
+}
+
 func TestMergeAcrossCX(t *testing.T) {
 	// t q1; cx q0 q1; cx q0 q1; t q1 — the two T gates see the same parity
 	// (the CX pair cancels the parity change), so they merge into an S.
 	c := circuit.New(2)
 	c.Append(gate.NewT(1), gate.NewCX(0, 1), gate.NewCX(0, 1), gate.NewT(1))
-	out := Fold(c, "cliffordt")
+	out := fold(c, gateset.CliffordT)
 	if got := out.TCount(); got != 0 {
 		t.Fatalf("T count = %d, want 0 (merged to S)", got)
 	}
@@ -44,7 +50,7 @@ func TestMergeOnMovedParity(t *testing.T) {
 		gate.NewTdg(1),   // cancels the second bucket's T
 		gate.NewCX(0, 1), // restore
 	)
-	out := Fold(c, "cliffordt")
+	out := fold(c, gateset.CliffordT)
 	// Bucket x1: T+T = S. Bucket x0⊕x1: T+Tdg = nothing.
 	if got := out.TCount(); got != 0 {
 		t.Fatalf("T count = %d, want 0:\n%v", got, out)
@@ -62,7 +68,7 @@ func TestXConjugationSign(t *testing.T) {
 	// to the x0 bucket; the second contributes +π/4; net zero phases.
 	c := circuit.New(1)
 	c.Append(gate.NewX(0), gate.NewT(0), gate.NewX(0), gate.NewT(0))
-	out := Fold(c, "cliffordt")
+	out := fold(c, gateset.CliffordT)
 	if got := out.TCount(); got != 0 {
 		t.Fatalf("T count = %d, want 0:\n%v", got, out)
 	}
@@ -75,7 +81,7 @@ func TestHBreaksRegion(t *testing.T) {
 	// t; h; t — the H starts a new epoch, so the T gates must NOT merge.
 	c := circuit.New(1)
 	c.Append(gate.NewT(0), gate.NewH(0), gate.NewT(0))
-	out := Fold(c, "cliffordt")
+	out := fold(c, gateset.CliffordT)
 	if got := out.TCount(); got != 2 {
 		t.Fatalf("T count = %d, want 2 (H must break the region)", got)
 	}
@@ -91,7 +97,7 @@ func TestFoldPreservesSemanticsFuzz(t *testing.T) {
 	vocab := []gate.Name{gate.T, gate.Tdg, gate.S, gate.Sdg, gate.X, gate.H, gate.CX}
 	for trial := 0; trial < 150; trial++ {
 		c := circuit.Random(4, 30, vocab, rng)
-		out := Fold(c, "cliffordt")
+		out := fold(c, gateset.CliffordT)
 		if !linalg.EqualUpToPhase(out.Unitary(), c.Unitary(), tol) {
 			t.Fatalf("trial %d: fold changed semantics\nin:\n%v\nout:\n%v", trial, c, out)
 		}
@@ -112,7 +118,7 @@ func TestFoldContinuousGateSet(t *testing.T) {
 	vocab := []gate.Name{gate.Rz, gate.X, gate.H, gate.CX}
 	for trial := 0; trial < 80; trial++ {
 		c := circuit.Random(3, 25, vocab, rng)
-		out := Fold(c, "nam")
+		out := fold(c, gateset.Nam)
 		if !linalg.EqualUpToPhase(out.Unitary(), c.Unitary(), tol) {
 			t.Fatalf("trial %d: fold changed semantics", trial)
 		}
@@ -126,8 +132,8 @@ func TestFoldIdempotentOnTCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	vocab := []gate.Name{gate.T, gate.Tdg, gate.S, gate.X, gate.H, gate.CX}
 	c := circuit.Random(4, 60, vocab, rng)
-	once := Fold(c, "cliffordt")
-	twice := Fold(once, "cliffordt")
+	once := fold(c, gateset.CliffordT)
+	twice := fold(once, gateset.CliffordT)
 	if twice.TCount() != once.TCount() {
 		t.Fatalf("second fold changed T count %d -> %d", once.TCount(), twice.TCount())
 	}
@@ -136,7 +142,7 @@ func TestFoldIdempotentOnTCount(t *testing.T) {
 func TestFoldZeroSum(t *testing.T) {
 	c := circuit.New(1)
 	c.Append(gate.NewRz(0.7, 0), gate.NewRz(-0.7, 0))
-	out := Fold(c, "nam")
+	out := fold(c, gateset.Nam)
 	if out.Len() != 0 {
 		t.Fatalf("zero-sum rotations should vanish, got %d gates", out.Len())
 	}
@@ -145,7 +151,7 @@ func TestFoldZeroSum(t *testing.T) {
 func TestFoldAnglesAddExactly(t *testing.T) {
 	c := circuit.New(2)
 	c.Append(gate.NewRz(0.3, 0), gate.NewCX(1, 0), gate.NewCX(1, 0), gate.NewRz(0.4, 0))
-	out := Fold(c, "nam")
+	out := fold(c, gateset.Nam)
 	var got float64
 	for _, g := range out.Gates {
 		if g.Name == gate.Rz {
@@ -157,7 +163,7 @@ func TestFoldAnglesAddExactly(t *testing.T) {
 	}
 }
 
-// TestFoldChangedMatchesEqual fuzzes the changed-count contract: FoldChanged
+// TestFoldChangedMatchesEqual fuzzes the changed-count contract: FoldChangedFor
 // reports zero exactly when the output is structurally identical to the
 // input, which is what lets callers skip deep no-op compares.
 func TestFoldChangedMatchesEqual(t *testing.T) {
@@ -170,7 +176,7 @@ func TestFoldChangedMatchesEqual(t *testing.T) {
 		for trial := 0; trial < 60; trial++ {
 			c := circuit.Random(5, 10+rng.Intn(60), gs.Gates, rng)
 			for round := 0; round < 3; round++ {
-				out, changed := FoldChanged(c, gsName)
+				out, changed := FoldChangedFor(c, gs)
 				if got, want := changed > 0, !circuit.Equal(out, c); got != want {
 					t.Fatalf("%s trial %d round %d: changed=%d but Equal=%v\nin:  %s\nout: %s",
 						gsName, trial, round, changed, !want, c, out)

@@ -23,7 +23,7 @@ func TestCleanupChangedMatchesEqual(t *testing.T) {
 		for trial := 0; trial < 60; trial++ {
 			c := circuit.Random(5, 10+rng.Intn(60), gs.Gates, rng)
 			for round := 0; round < 3; round++ {
-				out, changed := CleanupChanged(c, gs.Name)
+				out, changed := CleanupChangedFor(c, gs)
 				if got, want := changed > 0, !circuit.Equal(out, c); got != want {
 					t.Fatalf("%s trial %d round %d: changed=%d but Equal=%v\nin:  %s\nout: %s",
 						gs.Name, trial, round, changed, !want, c, out)

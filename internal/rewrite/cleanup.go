@@ -10,47 +10,21 @@ import (
 	"github.com/guoq-dev/guoq/internal/linalg"
 )
 
-// Cleanup is the ε = 0 normalization pass applied alongside the symbolic
-// rules: it drops identity rotations, cancels adjacent inverse pairs (h·h,
-// cx·cx, t·t†, ...), and merges adjacent z-diagonal phase gates and
-// same-axis rotations, emitting the merged gate in the target gate set's
-// native form. It is a single linear pass using per-wire stacks, so it is
-// cheap enough to run after every accepted transformation.
-func Cleanup(c *circuit.Circuit, gatesetName string) *circuit.Circuit {
-	out, _ := CleanupChanged(c, gatesetName)
-	return out
-}
-
-// CleanupChanged is Cleanup plus a change count: the number of
-// normalization, cancellation, merge, and reorder events that made the
-// output differ from the input. A zero count guarantees the output is
-// structurally identical (circuit.Equal) to the input, which is then
-// returned itself, so callers can detect no-ops without a deep compare.
+// CleanupChangedFor is the ε = 0 normalization pass applied alongside the
+// symbolic rules: it drops identity rotations, cancels adjacent inverse
+// pairs (h·h, cx·cx, t·t†, ...), and merges adjacent z-diagonal phase gates
+// and same-axis rotations, emitting a merged z-rotation as gs renders it
+// (GateSet.ZRotation). It is a single linear pass using per-wire stacks,
+// so it is cheap enough to run after every accepted transformation.
 //
-// The name is resolved through the gate-set registry once per call so the
-// z-phase merge can emit in a custom set's native diagonal vocabulary;
-// unknown names keep the historical rz fallback. Callers holding an
-// unregistered *gateset.GateSet must use CleanupChangedFor.
-func CleanupChanged(c *circuit.Circuit, gatesetName string) (*circuit.Circuit, int) {
-	gs, err := gateset.ByName(gatesetName)
-	if err != nil {
-		gs = nil
-	}
-	return cleanupChanged(c, gatesetName, gs)
-}
-
-// CleanupChangedFor is CleanupChanged against a resolved gate set.
+// It returns a change count: the number of normalization, cancellation,
+// merge, and reorder events that made the output differ from the input. A
+// zero count guarantees the output is structurally identical
+// (circuit.Equal) to the input, which is then returned itself, so callers
+// can detect no-ops without a deep compare.
 func CleanupChangedFor(c *circuit.Circuit, gs *gateset.GateSet) (*circuit.Circuit, int) {
-	return cleanupChanged(c, gs.Name, gs)
-}
-
-// cleaners recycles the pass's scratch, so a call that changes nothing
-// allocates nothing.
-var cleaners = sync.Pool{New: func() any { return new(cleaner) }}
-
-func cleanupChanged(c *circuit.Circuit, gatesetName string, gs *gateset.GateSet) (*circuit.Circuit, int) {
 	p := cleaners.Get().(*cleaner)
-	p.gateset, p.gs = gatesetName, gs
+	p.gs = gs
 	p.top = p.top[:0]
 	for q := 0; q < c.NumQubits; q++ {
 		p.top = append(p.top, -1)
@@ -76,13 +50,16 @@ func cleanupChanged(c *circuit.Circuit, gatesetName string, gs *gateset.GateSet)
 	return out, changed
 }
 
+// cleaners recycles the pass's scratch, so a call that changes nothing
+// allocates nothing.
+var cleaners = sync.Pool{New: func() any { return new(cleaner) }}
+
 // cleaner is the pass's state: the output as a list of gates with alive
 // marks, and per-wire stacks threaded through it. When nothing changes,
 // the alive gates are exactly the input's, so the output circuit is built
 // only when changed > 0.
 type cleaner struct {
-	gateset string
-	gs      *gateset.GateSet // resolved once; nil for unknown names
+	gs      *gateset.GateSet
 	out     []gate.Gate
 	alive   []bool
 	top     []int // per qubit: index into out of the topmost alive gate, or -1
@@ -188,16 +165,16 @@ func (p *cleaner) feed1q(g gate.Gate) {
 			droppedLo = t2
 			p.drop(t2)
 		}
-		em, representable := p.emitZPhase(linalg.NormAngle(total))
+		em, representable := p.gs.ZRotation(total)
 		// The emission reproduces the run when it has one gate per dropped
 		// gate plus g, each equal to the original in place.
-		same := representable && em.len() == len(p.dropSeq)+1
-		for i := 0; same && i < em.len(); i++ {
+		same := representable && em.Len() == len(p.dropSeq)+1
+		for i := 0; same && i < em.Len(); i++ {
 			orig := g
 			if i < len(p.dropSeq) {
 				orig = p.dropSeq[len(p.dropSeq)-1-i]
 			}
-			same = em.equal(i, q, orig)
+			same = em.Equal(i, q, orig)
 		}
 		// Restoring the run, or re-emitting it unchanged, reorders the
 		// output only when something alive follows it.
@@ -206,16 +183,17 @@ func (p *cleaner) feed1q(g gate.Gate) {
 		}
 		if !representable || same {
 			// The target set has no exact native form for the merged angle
-			// (a custom finite set without z-phase gates), or the emission
-			// is the run itself: put the original gates back.
+			// (a finite set without the π/4 ladder, or a non-native angle),
+			// or the emission is the run itself: put the original gates
+			// back.
 			for i := len(p.dropSeq) - 1; i >= 0; i-- {
 				p.push(p.dropSeq[i])
 			}
 			p.push(g)
 			return
 		}
-		for i := 0; i < em.len(); i++ {
-			p.push(em.gate(i, q))
+		for i := 0; i < em.Len(); i++ {
+			p.push(em.Gate(i, q))
 		}
 		return
 	}
@@ -287,75 +265,4 @@ func (p *cleaner) feed2q(g gate.Gate) {
 		return
 	}
 	p.push(g)
-}
-
-// zEmission is a z-rotation rendered in native diagonal gates, before any
-// gate is built: one rotation gate (name, theta), or a π/4 ladder.
-type zEmission struct {
-	name   gate.Name // rz or u1; empty for a ladder
-	theta  float64
-	ladder []gate.Name
-}
-
-func (z zEmission) len() int {
-	if z.name != "" {
-		return 1
-	}
-	return len(z.ladder)
-}
-
-// equal reports whether the i-th emitted gate on qubit q equals g.
-func (z zEmission) equal(i, q int, g gate.Gate) bool {
-	if len(g.Qubits) != 1 || g.Qubits[0] != q {
-		return false
-	}
-	if z.name != "" {
-		return g.Name == z.name && len(g.Params) == 1 && g.Params[0] == z.theta
-	}
-	return g.Name == z.ladder[i] && len(g.Params) == 0
-}
-
-// gate builds the i-th emitted gate on qubit q.
-func (z zEmission) gate(i, q int) gate.Gate {
-	if z.name != "" {
-		return gate.New(z.name, []int{q}, []float64{z.theta})
-	}
-	return gate.New(z.ladder[i], []int{q}, nil)
-}
-
-// emitZPhase renders a z-rotation angle in the target gate set's native
-// diagonal gates. ok = false reports that the set has no exact native form
-// for the angle (possible only for custom sets without continuous z-phase
-// gates), in which case the caller must keep the original run.
-func (p *cleaner) emitZPhase(theta float64) (em zEmission, ok bool) {
-	if math.Abs(theta) < 1e-12 {
-		return zEmission{}, true
-	}
-	switch p.gateset {
-	case "ibmq20":
-		return zEmission{name: gate.U1, theta: theta}, true
-	case "cliffordt":
-		if !linalg.IsMultipleOf(theta, math.Pi/4, 1e-9) {
-			// Not representable — should not happen for native circuits;
-			// fall back to an rz to preserve semantics (callers operating
-			// on native Clifford+T circuits never hit this).
-			return zEmission{name: gate.Rz, theta: theta}, true
-		}
-		return zEmission{ladder: gate.PhaseLadder(theta)}, true
-	default:
-		// nam, ibm-eagle, and ionq emit a native rz, as does any custom or
-		// unknown set with a continuous z-rotation. Custom finite sets get
-		// the π/4 ladder when their basis carries it.
-		if p.gs == nil || p.gs.Contains(gate.Rz) {
-			return zEmission{name: gate.Rz, theta: theta}, true
-		}
-		if p.gs.Contains(gate.U1) {
-			return zEmission{name: gate.U1, theta: theta}, true
-		}
-		if p.gs.Contains(gate.S) && p.gs.Contains(gate.Sdg) && p.gs.Contains(gate.T) && p.gs.Contains(gate.Tdg) &&
-			linalg.IsMultipleOf(theta, math.Pi/4, 1e-9) {
-			return zEmission{ladder: gate.PhaseLadder(theta)}, true
-		}
-		return zEmission{}, false
-	}
 }

@@ -10,25 +10,22 @@ import (
 	"github.com/guoq-dev/guoq/internal/linalg"
 )
 
-// Fuse1Q is the analytic single-qubit fusion pass for continuous gate sets:
-// every maximal run of consecutive single-qubit gates on a wire is
-// multiplied into one 2×2 unitary and re-emitted in the target set's
-// minimal native form (u3 for ibmq20, rz·sx·rz·sx·rz for ibm-eagle, ZYZ for
-// ionq, rz·h·rz·h·rz for nam). The fused form replaces the run only when it
-// is no longer than the original, so the pass never increases gate count.
+// Fuse1QChanged is the analytic single-qubit fusion pass for continuous
+// gate sets: every maximal run of consecutive single-qubit gates on a wire
+// is multiplied into one 2×2 unitary and re-emitted in the target set's
+// minimal native form (gateset.Translate of the fused u3, or of one
+// z-rotation when the product is diagonal). The fused form replaces the
+// run only when it is no longer than the original, so the pass never
+// increases gate count.
 //
 // This plays the role of the nonlinear u-gate merge rules that symbolic
 // patterns cannot express (their parameter algebra is not linear).
-func Fuse1Q(c *circuit.Circuit, gs *gateset.GateSet) *circuit.Circuit {
-	out, _ := Fuse1QChanged(c, gs)
-	return out
-}
-
-// Fuse1QChanged is Fuse1Q plus a change count covering both fusion events
-// and the commuting reorders the per-wire buffering introduces (a buffered
-// run is emitted after multi-qubit gates on other wires that arrived later
-// than the run's gates). A zero count guarantees the output is structurally
-// identical (circuit.Equal) to the input, which is then returned itself.
+//
+// It returns a change count covering both fusion events and the commuting
+// reorders the per-wire buffering introduces (a buffered run is emitted
+// after multi-qubit gates on other wires that arrived later than the run's
+// gates). A zero count guarantees the output is structurally identical
+// (circuit.Equal) to the input, which is then returned itself.
 func Fuse1QChanged(c *circuit.Circuit, gs *gateset.GateSet) (*circuit.Circuit, int) {
 	f := fusers.Get().(*fuser)
 	if f.gs != gs {
@@ -179,8 +176,8 @@ func emit1Q(u linalg.Matrix, q int, gs *gateset.GateSet) []gate.Gate {
 	tmp := circuit.New(1)
 	th, ph, la, _ := linalg.U3Angles(u)
 	if th < 1e-12 {
-		// Diagonal unitary: emit as a plain z-rotation so ibmq20 gets a u1
-		// instead of a full u3.
+		// Diagonal unitary: emit as a plain z-rotation, which lowers to the
+		// set's z-rotation instead of a full u3.
 		tmp.Append(gate.NewRz(linalg.NormAngle(ph+la), 0))
 	} else {
 		tmp.Append(gate.NewU3(th, ph, la, 0))

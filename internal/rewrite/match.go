@@ -314,12 +314,6 @@ func FindMatches(c *circuit.Circuit, r *Rule, start int) []*Match {
 	return findMatches(c, d, r, start, newMatchScratch(), make([]bool, n), nil, nil, nil)
 }
 
-// MatchAt exposes single-site matching for tests and the beam-search
-// baseline.
-func MatchAt(c *circuit.Circuit, d *circuit.DAG, r *Rule, anchor int) (*Match, bool) {
-	return matchAt(c, d, r, anchor, newMatchScratch())
-}
-
 // Apply replaces every given match in one pass, producing a new circuit.
 // Matches must be non-overlapping (as produced by FindMatches).
 func Apply(c *circuit.Circuit, matches []*Match) *circuit.Circuit {

@@ -1,41 +1,14 @@
 package rewrite
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// libraries holds caller-registered rule libraries keyed by gate set name.
-// The five built-in libraries are not stored here; lookup checks them first
-// so they cannot be shadowed.
-var libraries = struct {
-	sync.RWMutex
-	m map[string][]*Rule
-}{m: map[string][]*Rule{}}
-
-// RegisterLibrary associates a verified rule library with a (custom) gate
-// set name, so RulesFor — and through it the default transformation
-// registry — finds rules for registered targets. Registering for a
-// built-in name is rejected; re-registering a custom name replaces the
-// library (reloadable configs).
-func RegisterLibrary(gatesetName string, rules []*Rule) error {
-	if gatesetName == "" {
-		return fmt.Errorf("rewrite: empty gate set name")
-	}
-	if _, err := builtinRules(gatesetName); err == nil {
-		return fmt.Errorf("rewrite: gate set %q has a built-in rule library", gatesetName)
-	}
-	cp := make([]*Rule, len(rules))
-	copy(cp, rules)
-	libraries.Lock()
-	libraries.m[gatesetName] = cp
-	libraries.Unlock()
-	return nil
-}
-
-// builtinRules returns the curated library for one of the five evaluation
-// sets (the names of gateset.All).
-func builtinRules(gatesetName string) ([]*Rule, error) {
+// RulesFor returns the curated rule library for one of the paper's five
+// evaluation sets (the names of gateset.All), playing the role of QUESO's
+// synthesized rule sets in the GUOQ instantiation (§6). Rule libraries are
+// the only machinery keyed by a gate set's name: any other set has none,
+// and optimizes with the τ₀ passes, resynthesis and the transformations a
+// caller registers.
+func RulesFor(gatesetName string) ([]*Rule, error) {
 	switch gatesetName {
 	case "nam":
 		return namRules(), nil
@@ -47,25 +20,6 @@ func builtinRules(gatesetName string) ([]*Rule, error) {
 		return ibmEagleRules(), nil
 	case "ionq":
 		return ionqRules(), nil
-	}
-	return nil, fmt.Errorf("rewrite: no rule library for gate set %q", gatesetName)
-}
-
-// RulesFor returns the rule library for a gate set name: the curated
-// libraries for the paper's five sets (playing the role of QUESO's
-// synthesized rule sets in the GUOQ instantiation, §6), or whatever
-// RegisterLibrary associated with a custom name.
-func RulesFor(gatesetName string) ([]*Rule, error) {
-	if rules, err := builtinRules(gatesetName); err == nil {
-		return rules, nil
-	}
-	libraries.RLock()
-	rules, ok := libraries.m[gatesetName]
-	libraries.RUnlock()
-	if ok {
-		out := make([]*Rule, len(rules))
-		copy(out, rules)
-		return out, nil
 	}
 	return nil, fmt.Errorf("rewrite: no rule library for gate set %q", gatesetName)
 }

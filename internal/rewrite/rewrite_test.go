@@ -275,7 +275,7 @@ func TestCleanupPreservesSemantics(t *testing.T) {
 		for trial := 0; trial < 40; trial++ {
 			c := circuit.Random(4, 30, gs.Gates, rng)
 			u := c.Unitary()
-			out := Cleanup(c, gs.Name)
+			out, _ := CleanupChangedFor(c, gs)
 			if out.Len() > c.Len() {
 				t.Fatalf("%s: cleanup grew the circuit", gs.Name)
 			}
@@ -294,7 +294,7 @@ func TestCleanupCancelsObviousPairs(t *testing.T) {
 	c := circuit.New(2)
 	c.Append(gate.NewH(0), gate.NewH(0), gate.NewT(1), gate.NewTdg(1),
 		gate.NewCX(0, 1), gate.NewCX(0, 1))
-	out := Cleanup(c, "cliffordt")
+	out, _ := CleanupChangedFor(c, gateset.CliffordT)
 	if out.Len() != 0 {
 		t.Fatalf("cleanup left %d gates:\n%v", out.Len(), out)
 	}
@@ -303,7 +303,7 @@ func TestCleanupCancelsObviousPairs(t *testing.T) {
 func TestCleanupMergesPhaseRuns(t *testing.T) {
 	c := circuit.New(1)
 	c.Append(gate.NewT(0), gate.NewT(0), gate.NewT(0), gate.NewT(0))
-	out := Cleanup(c, "cliffordt")
+	out, _ := CleanupChangedFor(c, gateset.CliffordT)
 	// t·t·t·t = z = s·s.
 	if out.Len() != 2 || out.Gates[0].Name != gate.S || out.Gates[1].Name != gate.S {
 		t.Fatalf("t^4 should clean to s·s, got:\n%v", out)
@@ -311,7 +311,7 @@ func TestCleanupMergesPhaseRuns(t *testing.T) {
 	// In a continuous set the same run becomes one rz.
 	c2 := circuit.New(1)
 	c2.Append(gate.NewRz(0.5, 0), gate.NewRz(0.25, 0), gate.NewRz(-0.75, 0))
-	out2 := Cleanup(c2, "nam")
+	out2, _ := CleanupChangedFor(c2, gateset.Nam)
 	if out2.Len() != 0 {
 		t.Fatalf("zero-sum rz run should vanish, got:\n%v", out2)
 	}
@@ -322,7 +322,7 @@ func TestCleanupStackRestoration(t *testing.T) {
 	// also merge: t h h t -> s.
 	c := circuit.New(1)
 	c.Append(gate.NewT(0), gate.NewH(0), gate.NewH(0), gate.NewT(0))
-	out := Cleanup(c, "cliffordt")
+	out, _ := CleanupChangedFor(c, gateset.CliffordT)
 	if out.Len() != 1 || out.Gates[0].Name != gate.S {
 		t.Fatalf("t h h t should clean to s, got:\n%v", out)
 	}
@@ -337,7 +337,7 @@ func TestFuse1QPreservesSemantics(t *testing.T) {
 		for trial := 0; trial < 30; trial++ {
 			c := circuit.Random(3, 24, gs.Gates, rng)
 			u := c.Unitary()
-			out := Fuse1Q(c, gs)
+			out, _ := Fuse1QChanged(c, gs)
 			if out.Len() > c.Len() {
 				t.Fatalf("%s: fuse grew the circuit %d -> %d", gs.Name, c.Len(), out.Len())
 			}
@@ -355,7 +355,7 @@ func TestFuse1QCollapsesRun(t *testing.T) {
 	c := circuit.New(1)
 	c.Append(gate.NewU3(0.3, 0.4, 0.5, 0), gate.NewU3(1.1, -0.2, 0.9, 0),
 		gate.NewU1(0.7, 0), gate.NewU2(0.1, 0.2, 0))
-	out := Fuse1Q(c, gateset.IBMQ20)
+	out, _ := Fuse1QChanged(c, gateset.IBMQ20)
 	if out.Len() != 1 {
 		t.Fatalf("4-gate run should fuse to 1 u3, got %d:\n%v", out.Len(), out)
 	}

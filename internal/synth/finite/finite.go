@@ -277,7 +277,8 @@ func (s *Synthesizer) prune(gs []gate.Gate, target linalg.Matrix, n int, tol flo
 	}
 	c := circuit.New(n)
 	c.Append(cur...)
-	return rewrite.Cleanup(c, gateset.CliffordT.Name)
+	out, _ := rewrite.CleanupChangedFor(c, gateset.CliffordT)
+	return out
 }
 
 func hashMatrix(m linalg.Matrix) int64 {

@@ -207,3 +207,29 @@ func TestSynthesizeContextCancelPrompt(t *testing.T) {
 		t.Fatalf("cancelled synthesis took %v, want prompt return", elapsed)
 	}
 }
+
+// TestSynthesizeNativeForUnregisteredSet pins the output of a set that is
+// not name-addressable to its basis. Cleaning the output once resolved
+// the set by name, and an unregistered {u1, u2, u3, cx} set then had its
+// merged z-phases emitted as rz.
+func TestSynthesizeNativeForUnregisteredSet(t *testing.T) {
+	gs, err := gateset.New("adhoc-u-basis", "superconducting", gate.U1, gate.U2, gate.U3, gate.CX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(gs)
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 40; trial++ {
+		target := circuit.Random(2, 12, circuit.DefaultTestVocab, rng).Unitary()
+		out, err := s.Synthesize(target, 2, 1e-8)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !gs.IsNative(out) {
+			t.Fatalf("trial %d: non-native output %v", trial, out.CountByName())
+		}
+		if d := linalg.HSDistance(out.Unitary(), target); d > 1e-7 {
+			t.Fatalf("trial %d: distance %g", trial, d)
+		}
+	}
+}

@@ -243,7 +243,8 @@ func (s *Synthesizer) finish(c *circuit.Circuit, err error) (*circuit.Circuit, e
 	if terr != nil {
 		return nil, terr
 	}
-	return rewrite.Cleanup(native, s.GateSet.Name), nil
+	out, _ := rewrite.CleanupChangedFor(native, s.GateSet)
+	return out, nil
 }
 
 // hashMatrix derives a deterministic seed from the target's entries so that

@@ -1,7 +1,7 @@
 // Package synth defines the unitary synthesis interface shared by the
 // numeric (continuous gate sets, BQSKit-style) and finite (Clifford+T,
-// Synthetiq-style) synthesizers, and the resynthesis wrapper of §4.1 that
-// turns a synthesizer into a circuit transformation.
+// Synthetiq-style) synthesizers. The resynthesis transformations of
+// internal/opt wrap a synthesizer into a circuit transformation (§4.1).
 package synth
 
 import (
@@ -47,10 +47,4 @@ func SynthesizeContext(ctx context.Context, s Synthesizer, target linalg.Matrix,
 		return cs.SynthesizeContext(ctx, target, numQubits, eps)
 	}
 	return s.Synthesize(target, numQubits, eps)
-}
-
-// Resynthesize is the thin wrapper of §4.1: it computes the subcircuit's
-// unitary and invokes unitary synthesis, yielding an ε-equivalent circuit.
-func Resynthesize(s Synthesizer, sub *circuit.Circuit, eps float64) (*circuit.Circuit, error) {
-	return s.Synthesize(sub.Unitary(), sub.NumQubits, eps)
 }

@@ -20,10 +20,11 @@ import (
 //	guoq.RegisterGateSet(czSet)                  // addressable by name, or
 //	sess, _ := guoq.Start(ctx, c, guoq.Options{Target: czSet}) // pass directly
 //
-// Translation into a custom set uses capability detection over the basis
-// (any universal continuous 1q vocabulary we know an Euler factorization
-// for, CZ- or Rxx-style entanglers for CX, the Clifford+T vocabulary for
-// finite sets); bases beyond those capabilities supply a Decompose hook.
+// Translation uses capability detection over the basis, as it does for
+// the built-ins (any universal continuous 1q vocabulary we know an Euler
+// factorization for, CZ- or Rxx-style entanglers for CX, the Clifford+T
+// vocabulary for finite sets); bases beyond those capabilities supply a
+// Decompose hook.
 type GateSet struct {
 	// Name identifies the set (Options.Target accepts it once registered).
 	// Required, and distinct from the built-in names.
@@ -56,10 +57,10 @@ func (gs *GateSet) compile() (*gateset.GateSet, error) {
 	if gs == nil {
 		return nil, fmt.Errorf("guoq: nil GateSet")
 	}
-	// Built-in names are reserved even for unregistered ad-hoc targets:
-	// name-keyed machinery (rule libraries, the cleanup and phase-fold
-	// emitters) would silently resolve to the built-in set and apply its
-	// transformations to a circuit in a different basis.
+	// Built-in names are reserved even for unregistered ad-hoc targets.
+	// Rule libraries are the only machinery keyed by a gate set's name:
+	// under a built-in's name, a different basis would silently get that
+	// set's rules.
 	for _, b := range gateset.All() {
 		if b.Name == gs.Name {
 			return nil, fmt.Errorf("guoq: gate set name %q is reserved for the built-in set", gs.Name)
