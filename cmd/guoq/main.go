@@ -33,10 +33,10 @@
 // solutions found by other machines. Runs started on the same input with
 // the same objective and epsilon share a session automatically; pass
 // -session to pin one explicitly (which skips the submit/cache step).
-// The wire format is JSON; -wire gzip compresses request bodies and asks
-// for compressed replies, negotiated per request. The signal context
-// propagates into the coordinator client, so an interrupt also aborts
-// in-flight exchange requests.
+// The wire format is JSON. Replies past 1 KB come back gzipped, since Go's
+// HTTP transport asks for gzip on its own; -wire gzip also compresses
+// request bodies. The signal context propagates into the coordinator
+// client, so an interrupt also aborts in-flight exchange requests.
 //
 // -metrics dumps the run's metric series to stderr after the run: the
 // per-transformation attribution table (attempts/accepts/rejects per rule

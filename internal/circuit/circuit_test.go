@@ -394,3 +394,30 @@ func TestDistanceAndEquivalence(t *testing.T) {
 		t.Fatal("bell equivalent to h?")
 	}
 }
+
+// A qubit argument ends at its ']': text after it is a missing comma or a
+// typo, not something to drop. Dropping it lost an operand ("h q[0] q[1]"
+// read as "h q[0]") and gave the typo the content address of another
+// circuit.
+func TestParseQASMRejectsTextAfterArgument(t *testing.T) {
+	for _, src := range []string{
+		"qreg q[2]; h q[0] q[1];",
+		"qreg q[2]; cx q[0],q[1] q[0];",
+		"qreg q[1]; h q[0]junk;",
+		"qreg q[1]; h q[0]];",
+	} {
+		if c, err := ParseQASM(src); err == nil {
+			t.Errorf("%q parsed as\n%s", src, c.WriteQASM())
+		}
+	}
+	// Space around arguments and a trailing comma are still fine.
+	for _, src := range []string{
+		"qreg q[2]; cx q[0] , q[1] ;",
+		"qreg q[2]; cx q [ 0 ],\tq[1]\n;",
+		"qreg q[2]; cx q[0],q[1],;",
+	} {
+		if _, err := ParseQASM(src); err != nil {
+			t.Errorf("%q: %v", src, err)
+		}
+	}
+}

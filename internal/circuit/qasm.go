@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"github.com/guoq-dev/guoq/internal/gate"
 )
@@ -17,64 +18,116 @@ import (
 
 // ParseQASM parses an OpenQASM 2.0 (subset) program into a circuit.
 func ParseQASM(src string) (*Circuit, error) {
-	regs := map[string]qasmReg{} // register name -> flattened range
-	total := 0
-	var c *Circuit
+	if strings.Contains(src, "//") {
+		src = stripComments(src)
+	}
+	p := qasmParser{
+		regs: map[string]qasmReg{},
+		// A gate statement ends at a ';' or at the end of the text and
+		// takes at least five bytes ("x [0]"), so both counts bound the
+		// gates; the second keeps a run of bare ';' from reserving memory.
+		gates: make([]gate.Gate, 0, min(strings.Count(src, ";"), len(src)/6)+1),
+	}
+	for sn, rest, more := 0, src, true; more; sn++ {
+		var raw string
+		raw, rest, more = strings.Cut(rest, ";")
+		st := strings.TrimSpace(raw)
+		if err := p.statement(st); err != nil {
+			return nil, fmt.Errorf("qasm: statement %d (%q): %v", sn, st, err)
+		}
+	}
+	return &Circuit{NumQubits: p.total, Gates: p.gates}, nil
+}
 
-	// Statements are ';'-separated; strip comments line by line first.
-	var clean strings.Builder
-	for _, line := range strings.Split(src, "\n") {
+// stripComments cuts every line of src at its first "//".
+func stripComments(src string) string {
+	var b strings.Builder
+	b.Grow(len(src))
+	for rest, more := src, true; more; {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
 		if i := strings.Index(line, "//"); i >= 0 {
 			line = line[:i]
 		}
-		clean.WriteString(line)
-		clean.WriteByte('\n')
-	}
-	stmts := strings.Split(clean.String(), ";")
-	for sn, raw := range stmts {
-		st := strings.TrimSpace(raw)
-		if st == "" {
-			continue
-		}
-		low := strings.ToLower(st)
-		switch {
-		case strings.HasPrefix(low, "openqasm"), strings.HasPrefix(low, "include"),
-			strings.HasPrefix(low, "creg"), strings.HasPrefix(low, "barrier"),
-			strings.HasPrefix(low, "measure"), strings.HasPrefix(low, "reset"):
-			continue
-		case strings.HasPrefix(low, "qreg"):
-			name, size, err := parseReg(st[4:])
-			if err != nil {
-				return nil, fmt.Errorf("qasm: statement %d: %v", sn, err)
-			}
-			if _, dup := regs[name]; dup {
-				return nil, fmt.Errorf("qasm: duplicate register %q", name)
-			}
-			if c != nil {
-				return nil, fmt.Errorf("qasm: qreg %q declared after gate statements", name)
-			}
-			regs[name] = qasmReg{base: total, size: size}
-			total += size
-		default:
-			if c == nil {
-				c = New(total)
-			}
-			g, err := parseGateStmt(st, regs)
-			if err != nil {
-				return nil, fmt.Errorf("qasm: statement %d (%q): %v", sn, st, err)
-			}
-			c.Append(g)
+		b.WriteString(line)
+		if more {
+			b.WriteByte('\n')
 		}
 	}
-	if c == nil {
-		c = New(total)
-	}
-	return c, nil
+	return b.String()
+}
+
+// qasmParser holds a parse's registers and the gates read so far.
+type qasmParser struct {
+	regs  map[string]qasmReg // register name -> flattened range
+	total int                // qubits declared so far
+	gates []gate.Gate
 }
 
 // qasmReg is one declared quantum register's slice of the flattened
 // qubit space.
 type qasmReg struct{ base, size int }
+
+// qasmGate is what a gate name, or one of its aliases, resolves to.
+type qasmGate struct {
+	name gate.Name
+	spec gate.Spec
+}
+
+// qasmGates maps every lower-case gate name and alias to its gate.
+var qasmGates = func() map[string]qasmGate {
+	m := map[string]qasmGate{}
+	for _, n := range gate.Names() {
+		s, _ := gate.SpecOf(n)
+		m[string(n)] = qasmGate{n, s}
+	}
+	for alias, n := range map[string]gate.Name{
+		"u": gate.U3, "u_3": gate.U3, "cnot": gate.CX, "p": gate.U1, "phase": gate.U1,
+		"cu1": gate.CP, "cphase": gate.CP, "toffoli": gate.CCX,
+	} {
+		m[alias] = m[string(n)]
+	}
+	return m
+}()
+
+// statement parses one statement, with the ';' and surrounding space
+// removed. Keywords match case-insensitively; the header, creg, barrier,
+// measure and reset are skipped.
+//
+//guoq:hotpath
+func (p *qasmParser) statement(st string) error {
+	low := strings.ToLower(st)
+	switch {
+	case st == "":
+		return nil
+	case strings.HasPrefix(low, "openqasm"), strings.HasPrefix(low, "include"),
+		strings.HasPrefix(low, "creg"), strings.HasPrefix(low, "barrier"),
+		strings.HasPrefix(low, "measure"), strings.HasPrefix(low, "reset"):
+		return nil
+	case strings.HasPrefix(low, "qreg"):
+		return p.qreg(st[4:])
+	}
+	return p.gate(st)
+}
+
+func (p *qasmParser) qreg(decl string) error {
+	name, size, err := parseReg(decl)
+	if err != nil {
+		return err
+	}
+	if _, dup := p.regs[name]; dup {
+		return fmt.Errorf("duplicate register %q", name)
+	}
+	if len(p.gates) > 0 {
+		return fmt.Errorf("qreg %q declared after gate statements", name)
+	}
+	if size > math.MaxInt-p.total {
+		return fmt.Errorf("qreg %q takes the qubit count past %d", name, math.MaxInt)
+	}
+	p.regs[name] = qasmReg{base: p.total, size: size}
+	p.total += size
+	return nil
+}
 
 func parseReg(s string) (string, int, error) {
 	s = strings.TrimSpace(s)
@@ -91,94 +144,116 @@ func parseReg(s string) (string, int, error) {
 	return name, size, nil
 }
 
-func parseGateStmt(st string, regs map[string]qasmReg) (gate.Gate, error) {
-	// Forms: "name arg, arg" or "name(expr, expr) arg, arg".
-	var name, paramStr, argStr string
-	if i := strings.Index(st, "("); i >= 0 && i < strings.IndexAny(st+"[", "[") {
+// gate parses a gate statement, "name arg, arg" or "name(expr, expr) arg,
+// arg", and appends the gate.
+//
+//guoq:hotpath
+func (p *qasmParser) gate(st string) error {
+	var name, params, args string
+	if i := strings.IndexByte(st, '('); i >= 0 && strings.IndexByte(st[:i], '[') < 0 {
 		j := matchParen(st, i)
 		if j < 0 {
-			return gate.Gate{}, fmt.Errorf("unbalanced parens")
+			return qasmError("unbalanced parens")
 		}
-		name = strings.TrimSpace(st[:i])
-		paramStr = st[i+1 : j]
-		argStr = strings.TrimSpace(st[j+1:])
+		name, params, args = strings.TrimSpace(st[:i]), st[i+1:j], strings.TrimSpace(st[j+1:])
 	} else {
-		fields := strings.Fields(st)
-		if len(fields) < 2 {
-			return gate.Gate{}, fmt.Errorf("malformed gate statement")
+		sp := strings.IndexFunc(st, unicode.IsSpace)
+		if sp < 0 {
+			return qasmError("malformed gate statement")
 		}
-		name = fields[0]
-		argStr = strings.TrimSpace(st[len(fields[0]):])
+		name, args = st[:sp], strings.TrimSpace(st[sp:])
 	}
-	gname := gate.Name(strings.ToLower(name))
-	// Common aliases.
-	switch gname {
-	case "u", "u_3":
-		gname = gate.U3
-	case "cnot":
-		gname = gate.CX
-	case "p", "phase":
-		gname = gate.U1
-	case "cu1", "cphase":
-		gname = gate.CP
-	case "toffoli":
-		gname = gate.CCX
-	}
-	spec, ok := gate.SpecOf(gname)
+	g, ok := qasmGates[strings.ToLower(name)]
 	if !ok {
-		return gate.Gate{}, fmt.Errorf("unknown gate %q", name)
+		return qasmError("unknown gate %q", name)
 	}
 
-	var params []float64
-	if paramStr != "" {
-		for _, p := range splitTopLevel(paramStr) {
-			v, err := evalExpr(p)
-			if err != nil {
-				return gate.Gate{}, err
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return gate.Gate{}, fmt.Errorf("non-finite angle %q", strings.TrimSpace(p))
-			}
-			params = append(params, v)
-		}
+	var ps []float64
+	if g.spec.Params > 0 {
+		ps = make([]float64, 0, g.spec.Params)
 	}
-	if len(params) != spec.Params {
-		return gate.Gate{}, fmt.Errorf("gate %s wants %d params, got %d", gname, spec.Params, len(params))
-	}
-
-	var qubits []int
-	for _, a := range splitTopLevel(argStr) {
-		a = strings.TrimSpace(a)
-		lb := strings.Index(a, "[")
-		rb := strings.Index(a, "]")
-		if lb < 0 || rb < lb {
-			return gate.Gate{}, fmt.Errorf("malformed qubit arg %q (whole-register args unsupported)", a)
+	for rest, more := params, true; more; {
+		var arg string
+		arg, rest, more = cutTopLevel(rest)
+		if !more && strings.TrimSpace(arg) == "" {
+			break // a trailing comma, or no parameters at all
 		}
-		rname := strings.TrimSpace(a[:lb])
-		reg, ok := regs[rname]
-		if !ok {
-			return gate.Gate{}, fmt.Errorf("unknown register %q", rname)
-		}
-		idx, err := strconv.Atoi(strings.TrimSpace(a[lb+1 : rb]))
+		v, err := evalExpr(arg)
 		if err != nil {
-			return gate.Gate{}, fmt.Errorf("bad qubit index in %q", a)
+			return err
 		}
-		if idx < 0 || idx >= reg.size {
-			return gate.Gate{}, fmt.Errorf("qubit index %d out of range for %s[%d]", idx, rname, reg.size)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return qasmError("non-finite angle %q", strings.TrimSpace(arg))
 		}
-		qubits = append(qubits, reg.base+idx)
+		if len(ps) == g.spec.Params {
+			return qasmError("gate %s wants %d params, got more", g.name, g.spec.Params)
+		}
+		ps = append(ps, v)
 	}
-	if len(qubits) != spec.Qubits {
-		return gate.Gate{}, fmt.Errorf("gate %s wants %d qubits, got %d", gname, spec.Qubits, len(qubits))
+	if len(ps) != g.spec.Params {
+		return qasmError("gate %s wants %d params, got %d", g.name, g.spec.Params, len(ps))
 	}
-	for i, q := range qubits {
-		for _, p := range qubits[:i] {
-			if p == q {
-				return gate.Gate{}, fmt.Errorf("gate %s repeats a qubit argument", gname)
+
+	qs := make([]int, 0, g.spec.Qubits)
+	for rest, more := args, true; more; {
+		var arg string
+		arg, rest, more = cutTopLevel(rest)
+		if !more && strings.TrimSpace(arg) == "" {
+			break
+		}
+		q, err := p.qubit(strings.TrimSpace(arg))
+		if err != nil {
+			return err
+		}
+		if len(qs) == g.spec.Qubits {
+			return qasmError("gate %s wants %d qubits, got more", g.name, g.spec.Qubits)
+		}
+		for _, prev := range qs {
+			if prev == q {
+				return qasmError("gate %s repeats a qubit argument", g.name)
 			}
 		}
+		qs = append(qs, q)
 	}
-	return gate.New(gname, qubits, params), nil
+	if len(qs) != g.spec.Qubits {
+		return qasmError("gate %s wants %d qubits, got %d", g.name, g.spec.Qubits, len(qs))
+	}
+	p.gates = append(p.gates, gate.Gate{Name: g.name, Qubits: qs, Params: ps})
+	return nil
+}
+
+// qubit resolves one trimmed argument, "reg[index]", to its flattened
+// qubit.
+//
+//guoq:hotpath
+func (p *qasmParser) qubit(a string) (int, error) {
+	lb := strings.IndexByte(a, '[')
+	rb := strings.IndexByte(a, ']')
+	if lb < 0 || rb < lb {
+		return 0, qasmError("malformed qubit arg %q (whole-register args unsupported)", a)
+	}
+	if rb != len(a)-1 {
+		return 0, qasmError("text %q after qubit argument %q (missing comma?)", a[rb+1:], a[:rb+1])
+	}
+	rname := strings.TrimSpace(a[:lb])
+	reg, ok := p.regs[rname]
+	if !ok {
+		return 0, qasmError("unknown register %q", rname)
+	}
+	idx, err := strconv.Atoi(strings.TrimSpace(a[lb+1 : rb]))
+	if err != nil {
+		return 0, qasmError("bad qubit index in %q", a)
+	}
+	if idx < 0 || idx >= reg.size {
+		return 0, qasmError("qubit index %d out of range for %s[%d]", idx, rname, reg.size)
+	}
+	return reg.base + idx, nil
+}
+
+// qasmError builds a statement's parse error, out of line so that the
+// hot-path statement scan stays free of fmt.
+func qasmError(format string, args ...any) error {
+	return fmt.Errorf(format, args...)
 }
 
 func matchParen(s string, open int) int {
@@ -197,10 +272,9 @@ func matchParen(s string, open int) int {
 	return -1
 }
 
-// splitTopLevel splits on commas not nested inside parentheses.
-func splitTopLevel(s string) []string {
-	var out []string
-	depth, start := 0, 0
+// cutTopLevel cuts s at its first comma outside parentheses.
+func cutTopLevel(s string) (before, after string, found bool) {
+	depth := 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '(':
@@ -209,15 +283,11 @@ func splitTopLevel(s string) []string {
 			depth--
 		case ',':
 			if depth == 0 {
-				out = append(out, s[start:i])
-				start = i + 1
+				return s[:i], s[i+1:], true
 			}
 		}
 	}
-	if strings.TrimSpace(s[start:]) != "" {
-		out = append(out, s[start:])
-	}
-	return out
+	return s, "", false
 }
 
 // evalExpr evaluates a constant angle expression: numbers, pi, + − * /,
@@ -364,25 +434,32 @@ func (p *exprParser) parseAtom() (float64, error) {
 }
 
 // WriteQASM renders the circuit as an OpenQASM 2.0 program with a single
-// register q[n].
+// register q[n]. Angles take 17 significant digits (the text of %.17g), so
+// ParseQASM reads every float64 back bit for bit.
+//
+//guoq:hotpath
 func (c *Circuit) WriteQASM() string {
 	var b strings.Builder
-	b.WriteString("OPENQASM 2.0;\n")
-	b.WriteString("include \"qelib1.inc\";\n")
+	b.Grow(qasmLen(c))
+	b.WriteString(qasmHeader)
+	var num [24]byte
 	if c.NumQubits > 0 {
 		// qreg sizes must be positive; a 0-qubit circuit is just the prologue.
-		fmt.Fprintf(&b, "qreg q[%d];\n", c.NumQubits)
+		b.WriteString("qreg q[")
+		b.Write(strconv.AppendInt(num[:0], int64(c.NumQubits), 10))
+		b.WriteString("];\n")
 	}
 	for _, g := range c.Gates {
 		b.WriteString(string(g.Name))
-		if len(g.Params) > 0 {
-			b.WriteByte('(')
-			for i, p := range g.Params {
-				if i > 0 {
-					b.WriteByte(',')
-				}
-				fmt.Fprintf(&b, "%.17g", p)
+		for i, p := range g.Params {
+			if i == 0 {
+				b.WriteByte('(')
+			} else {
+				b.WriteByte(',')
 			}
+			b.Write(strconv.AppendFloat(num[:0], p, 'g', 17, 64))
+		}
+		if len(g.Params) > 0 {
 			b.WriteByte(')')
 		}
 		b.WriteByte(' ')
@@ -390,9 +467,31 @@ func (c *Circuit) WriteQASM() string {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			fmt.Fprintf(&b, "q[%d]", q)
+			b.WriteString("q[")
+			b.Write(strconv.AppendInt(num[:0], int64(q), 10))
+			b.WriteByte(']')
 		}
 		b.WriteString(";\n")
 	}
 	return b.String()
+}
+
+const qasmHeader = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"
+
+// qasmLen bounds the length of WriteQASM's text, so that it allocates
+// once: no qubit index is wider than NumQubits, and no angle is wider than
+// 24 bytes ("-1.2345678901234567e-308").
+func qasmLen(c *Circuit) int {
+	digits := 1
+	for n := c.NumQubits; n >= 10; n /= 10 {
+		digits++
+	}
+	size := len(qasmHeader) + len("qreg q[];\n") + digits
+	for _, g := range c.Gates {
+		size += len(g.Name) + len(" ;\n") + len(g.Qubits)*(len("q[],")+digits)
+		if len(g.Params) > 0 {
+			size += 1 + len(g.Params)*25
+		}
+	}
+	return size
 }

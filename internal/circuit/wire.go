@@ -5,10 +5,10 @@ import "fmt"
 // Envelope is the wire form of a circuit together with the approximation
 // error it has accumulated against its original — the unit of best-so-far
 // exchange in the distributed optimizer (internal/dist). The circuit is
-// carried as OpenQASM 2.0 text: WriteQASM renders parameters with %.17g, so
-// Seal followed by Open reproduces the gate list bit-for-bit (see
-// TestQASMWireRoundTrip), which makes the ε bookkeeping of Thm 4.2 exact
-// across process boundaries.
+// carried as OpenQASM 2.0 text: WriteQASM renders parameters with 17
+// significant digits, so Seal followed by Open reproduces the gate list
+// bit-for-bit (see TestQASMRoundTripAllGateKinds), which makes the ε
+// bookkeeping of Thm 4.2 exact across process boundaries.
 type Envelope struct {
 	// QASM is the circuit in the writer's OpenQASM 2.0 dialect.
 	QASM string `json:"qasm"`

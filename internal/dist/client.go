@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,6 +16,7 @@ import (
 	"time"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
+	"github.com/guoq-dev/guoq/internal/store"
 )
 
 // SessionID derives a stable exchange-session key from what must be equal
@@ -26,9 +25,7 @@ import (
 // started on the same input with the same flags land in the same session
 // without any coordination; different inputs can never cross-pollinate.
 func SessionID(c *circuit.Circuit, objective string, epsilon float64) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%.17g", c.WriteQASM(), objective, epsilon)
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	return store.Digest(epsilon, c.WriteQASM(), objective)[:16]
 }
 
 // Client talks to a guoqd coordinator. Its Exchange method implements
@@ -68,9 +65,11 @@ type Client struct {
 	// request (or a lease poll loop) dangling. Nil means
 	// context.Background().
 	Context context.Context
-	// Gzip compresses request bodies past a size floor and asks for
-	// gzip-compressed responses. Off by default; any guoqd with this
-	// code understands it, and it only pays off on slow links.
+	// Gzip compresses request bodies past a size floor. Off by default;
+	// any guoqd with this code understands it, and it only pays off on
+	// slow links. Replies come back gzipped past their floor either way:
+	// Go's HTTP transport asks for gzip on its own and inflates the reply,
+	// and with Gzip on the client asks itself and inflates it here.
 	Gzip bool
 	// Retries bounds the extra attempts made when an idempotent request
 	// (exchange, submit, push, complete — never lease) fails with a
@@ -305,11 +304,7 @@ func (c *Client) encodeRequest(req any) (body []byte, contentEncoding string, er
 	}
 	if c.Gzip && len(body) >= gzipMinBytes {
 		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		if _, err = zw.Write(body); err == nil {
-			err = zw.Close()
-		}
-		if err != nil {
+		if err = writeGzip(&buf, body); err != nil {
 			return nil, "", err
 		}
 		body, contentEncoding = buf.Bytes(), "gzip"
@@ -318,7 +313,8 @@ func (c *Client) encodeRequest(req any) (body []byte, contentEncoding string, er
 }
 
 // decodeResponse reads a 200 body, inflating it when the server gzipped it
-// (it only does so when this request advertised gzip).
+// in answer to this client's own Accept-Encoding (the transport inflates
+// the replies to the header it adds itself).
 func (c *Client) decodeResponse(resp *http.Response, into any) error {
 	body := io.Reader(resp.Body)
 	if strings.Contains(resp.Header.Get("Content-Encoding"), "gzip") {

@@ -6,13 +6,16 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 )
 
-// Wire codec. Bodies are JSON; gzip transport compression is an opt-in
-// upgrade for large-circuit payloads (QASM text compresses ~10×),
-// negotiated with the standard headers (request: Content-Encoding;
-// response: Accept-Encoding, applied to bodies past a size floor). It is
-// strictly per-request: a client that does not ask for gzip never gets it.
+// Wire codec. Bodies are JSON, gzip-compressed past a size floor when the
+// sender chooses (request: Content-Encoding) or the receiver asks
+// (response: Accept-Encoding); QASM text compresses ~10×. Negotiation is
+// per request, and a request without Accept-Encoding: gzip gets plain
+// JSON. Go's HTTP transport sends that header on its own and inflates the
+// reply transparently, so a dist.Client gets gzipped replies past the
+// floor even with Gzip off.
 const (
 	contentTypeJSON = "application/json"
 
@@ -20,6 +23,23 @@ const (
 	// more in gzip framing than they save.
 	gzipMinBytes = 1024
 )
+
+// gzipWriters recycles compressors across bodies: a gzip.Writer at the
+// default level allocates about 800 KB, far more than the replies it
+// compresses. Reset restores a fresh writer's state, so pooled output is
+// byte-identical to gzip.NewWriter's.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
+// writeGzip compresses p onto w with a pooled writer.
+func writeGzip(w io.Writer, p []byte) error {
+	zw := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(zw)
+	zw.Reset(w)
+	if _, err := zw.Write(p); err != nil {
+		return err
+	}
+	return zw.Close()
+}
 
 func acceptsGzip(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept-Encoding"), "gzip")
@@ -60,9 +80,7 @@ func writeReply(w http.ResponseWriter, r *http.Request, v any) {
 	w.Header().Set("Content-Type", contentTypeJSON)
 	if r != nil && len(payload) >= gzipMinBytes && acceptsGzip(r) {
 		w.Header().Set("Content-Encoding", "gzip")
-		zw := gzip.NewWriter(w)
-		_, _ = zw.Write(payload)
-		_ = zw.Close()
+		_ = writeGzip(w, payload) // the client is gone; nothing to report to
 		return
 	}
 	_, _ = w.Write(payload)

@@ -2,12 +2,14 @@ package dist
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -87,6 +89,71 @@ func TestWireDefaultsToPlainJSON(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Fatalf("Content-Type = %q, want JSON", ct)
 	}
+}
+
+// Pooled compressors write what a fresh gzip.Writer writes, body after
+// body, so replies and request bodies are byte-identical on the wire.
+func TestWriteGzipMatchesFreshWriter(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, gates := range []int{40, 1500, 10, 6000, 200} {
+		payload := []byte(circuit.Random(6, gates, gateset.IBMEagle.Gates, rng).WriteQASM())
+		var fresh, pooled bytes.Buffer
+		zw := gzip.NewWriter(&fresh)
+		if _, err := zw.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeGzip(&pooled, payload); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fresh.Bytes(), pooled.Bytes()) {
+			t.Fatalf("%d gates: pooled gzip differs from a fresh writer's", gates)
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool
+
+// A gzipped reply allocates no more than a plain one plus the compressed
+// body: writeReply reuses pooled compressors, where building one per reply
+// allocated about 800 KB.
+func TestWriteReplyGzipPooled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random, so pooled compressors are rebuilt")
+	}
+	rng := rand.New(rand.NewSource(5))
+	c := circuit.Random(8, 3200, gateset.IBMEagle.Gates, rng) // about 48 KB of QASM
+	reply := &SubmitResponse{Cached: true, Session: "s", Best: Solution{Envelope: circuit.Seal(c, 0), Cost: 1}}
+	perCall := func(acceptGzip bool) uint64 {
+		r := httptest.NewRequest(http.MethodPost, "/v1/submit", nil)
+		if acceptGzip {
+			r.Header.Set("Accept-Encoding", "gzip")
+		}
+		write := func() { writeReply(httptest.NewRecorder(), r, reply) }
+		write() // fills the pool
+		return bytesPerRun(20, write)
+	}
+	plain, gzipped := perCall(false), perCall(true)
+	if gzipped > plain+16<<10 {
+		t.Errorf("gzipped reply of %d bytes of QASM: %d B/op, plain %d B/op; want at most 16 KB more",
+			len(reply.Best.QASM), gzipped, plain)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap allocated per
+// call of f, averaged over runs calls.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // binaryFrame builds a body in the retired binary envelope framing: magic

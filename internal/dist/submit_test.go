@@ -3,14 +3,18 @@ package dist_test
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/dist"
+	"github.com/guoq-dev/guoq/internal/gate"
 	"github.com/guoq-dev/guoq/internal/gateset"
+	"github.com/guoq-dev/guoq/internal/store"
 )
 
 // Submit → optimize → resubmit: the second submission of the identical
@@ -143,4 +147,65 @@ func get(t *testing.T, url string) string {
 		t.Fatal(err)
 	}
 	return string(body)
+}
+
+// Content addresses are durable: a WAL session, a snapshot and a spilled
+// cache file are all found by them, so a guoqd upgraded in place must
+// derive the same keys from the same requests. The digests were computed
+// by the fmt-based hashing these functions used before.
+func TestContentAddressesStable(t *testing.T) {
+	digits := circuit.New(2) // angles that need all 17 digits
+	digits.Append(gate.NewRz(0.3, 0), gate.NewCX(0, 1), gate.NewRz(-math.Pi/3, 1))
+	negZero := circuit.New(1)
+	negZero.Append(gate.New(gate.U3, []int{0}, []float64{math.Copysign(0, -1), math.Pi / 2, math.Pi}))
+	for _, tc := range []struct {
+		c                   *circuit.Circuit
+		target, objective   string
+		eps                 float64
+		cacheKey, sessionID string
+	}{
+		{digits, "ibm-eagle", "2q", 1e-8,
+			"64854b18dfe97e3ee6c80a317d36ac87435365e3180deea12f366331262c4d1e", "684b518afa56bd01"},
+		{negZero, "ibmq20", "gates", 1.0 / 3,
+			"54fb8dca2bb3b2a9a7063146498e308f4e683e0baede08b76aa55778e1b4ead1", "546db003c3022cbf"},
+		{circuit.New(0), "cliffordt", "t", 0,
+			"fb957fdefb77f83f71966f41a3d796b5c430440104b0366be0281c8174313c48", "190697ef61cb02a8"},
+	} {
+		if got := store.CacheKey(tc.c.WriteQASM(), tc.target, tc.objective, tc.eps); got != tc.cacheKey {
+			t.Errorf("CacheKey(%q) = %s, want %s", tc.c.WriteQASM(), got, tc.cacheKey)
+		}
+		if got := dist.SessionID(tc.c, tc.objective, tc.eps); got != tc.sessionID {
+			t.Errorf("SessionID(%q) = %s, want %s", tc.c.WriteQASM(), got, tc.sessionID)
+		}
+	}
+}
+
+// BenchmarkSubmitCacheHit is guoqd's read path end to end: a client with
+// the default wire submits a 1,000-gate circuit whose result is cached,
+// over loopback HTTP.
+func BenchmarkSubmitCacheHit(b *testing.B) {
+	hs := httptest.NewServer(dist.NewServer(dist.ServerOptions{}).Handler())
+	defer hs.Close()
+	const eps = 1e-8
+	in := circuit.Random(8, 1000, gateset.IBMEagle.Gates, rand.New(rand.NewSource(3)))
+	cl := dist.NewClient(hs.URL, "", "bench")
+	cl.Epsilon = eps
+	cl.MinInterval = -1
+	resp, err := cl.Submit(in, "ibm-eagle", "2q", eps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl.Session = resp.Session
+	cl.Exchange(in, 0, 1) // publishes the circuit as the cached best
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := cl.Submit(in, "ibm-eagle", "2q", eps)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !resp.Cached {
+			b.Fatal("submit missed the cache")
+		}
+	}
 }

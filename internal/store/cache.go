@@ -5,10 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
+	"unsafe"
 )
 
 // CacheKey derives the content address of an optimization request: the
@@ -17,10 +18,27 @@ import (
 // set, the objective, and the ε budget. Requests that agree on all four are
 // interchangeable — any cached solution satisfies both.
 func CacheKey(canonicalQASM, target, objective string, epsilon float64) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%.17g", canonicalQASM, target, objective, epsilon)
-	return hex.EncodeToString(h.Sum(nil))
+	return Digest(epsilon, canonicalQASM, target, objective)
 }
+
+// Digest returns the hex SHA-256 of the fields and epsilon, each followed
+// by a NUL but the last, with epsilon in %.17g form: the content address
+// behind CacheKey and dist.SessionID.
+func Digest(epsilon float64, fields ...string) string {
+	h := sha256.New() // its Write never returns an error
+	for _, f := range fields {
+		// An io.Writer must neither modify nor retain what it is given, so
+		// the text is hashed where it lies instead of copied.
+		h.Write(unsafe.Slice(unsafe.StringData(f), len(f)))
+		h.Write(nul)
+	}
+	var tail [32]byte
+	h.Write(strconv.AppendFloat(tail[:0], epsilon, 'g', 17, 64))
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
+}
+
+var nul = []byte{0}
 
 // CacheEntry is one cached optimization result: the optimized circuit, its
 // accumulated ε bound, and its cost under the request's objective.
