@@ -14,6 +14,7 @@
 package guoq
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -26,6 +27,7 @@ import (
 	"github.com/guoq-dev/guoq/internal/experiments"
 	"github.com/guoq-dev/guoq/internal/gate"
 	"github.com/guoq-dev/guoq/internal/gateset"
+	"github.com/guoq-dev/guoq/internal/linalg"
 	"github.com/guoq-dev/guoq/internal/opt"
 	"github.com/guoq-dev/guoq/internal/phasepoly"
 	"github.com/guoq-dev/guoq/internal/rewrite"
@@ -626,6 +628,47 @@ func BenchmarkSynthesize3QToffoli(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = s.Synthesize(target, 3, 1e-8)
+	}
+}
+
+// BenchmarkSynthesizeSuiteBlocks synthesizes a fixed seeded set of 3-qubit
+// blocks cut from ibm-eagle suite circuits by RandomRegion, the traffic
+// resynthesis sends. ceiling=block passes each block's two-qubit count as
+// the ceiling, as resynthesis does; ceiling=none searches to MaxBlocks.
+func BenchmarkSynthesizeSuiteBlocks(b *testing.B) {
+	suite, err := benchmarks.SuiteFor(gateset.IBMEagle)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	var blocks []*circuit.Circuit
+	for len(blocks) < 12 {
+		c := suite[rng.Intn(len(suite))].Circuit
+		if r := circuit.RandomRegion(c, 3, 0, rng); r != nil && len(r.Qubits) == 3 && len(r.Indices) >= 2 {
+			blocks = append(blocks, r.Extract(c))
+		}
+	}
+	targets := make([]linalg.Matrix, len(blocks))
+	for i, blk := range blocks {
+		targets[i] = blk.Unitary()
+	}
+	s := numeric.New(gateset.IBMEagle)
+	s.MaxTime = 0 // measure the search, not the deadline
+	for _, bc := range []struct {
+		name    string
+		ceiling func(blk *circuit.Circuit) int
+	}{
+		{"ceiling=block", (*circuit.Circuit).TwoQubitCount},
+		{"ceiling=none", func(*circuit.Circuit) int { return s.MaxBlocks }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j, blk := range blocks {
+					_, _ = s.SynthesizeBounded(context.Background(), targets[j], 3, 1e-8, bc.ceiling(blk))
+				}
+			}
+		})
 	}
 }
 

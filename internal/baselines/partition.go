@@ -51,13 +51,15 @@ func (p *Partition) Blocks(c *circuit.Circuit) []*circuit.Region {
 }
 
 // Optimize implements Optimizer: one partition pass, resynthesizing each
-// block and keeping the replacement only when it improves the cost.
+// block with its two-qubit count as the ceiling (synth.SynthesizeBounded)
+// and keeping the replacement only when it improves the cost.
 func (p *Partition) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
 	return p.OptimizeContext(context.Background(), c, gs, cost, budget, seed)
 }
 
 // OptimizeContext implements ContextOptimizer: cancellation is observed
-// between blocks, so a cancelled pass returns the blocks already improved.
+// between blocks and by the synthesis call itself, so a cancelled pass
+// returns the blocks already improved.
 func (p *Partition) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
 	var syn synth.Synthesizer
 	if p.UseFinite || !gs.Continuous() {
@@ -89,7 +91,7 @@ func (p *Partition) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs 
 			continue
 		}
 		target := sub.Unitary()
-		repl, err := syn.Synthesize(target, sub.NumQubits, epsPerBlock)
+		repl, err := synth.SynthesizeBounded(ctx, syn, target, sub.NumQubits, epsPerBlock, sub.TwoQubitCount())
 		if err != nil {
 			continue
 		}

@@ -104,6 +104,11 @@ type Server struct {
 	mu       sync.Mutex
 	sessions map[string]*session   // guarded by mu
 	queues   map[string]*workQueue // guarded by mu
+	// nextSweep is no later than the earliest time a session can expire:
+	// the sweep sets it to its earliest survivor's lastUsed + SessionTTL,
+	// and until then no sweep has anything to collect. The zero time
+	// means unknown, so the next access sweeps. Guarded by mu.
+	nextSweep time.Time
 }
 
 // session is one distributed search: every participant optimizes the same
@@ -179,6 +184,11 @@ func (s *Server) sessionWithKey(id string, epsilon float64, cacheKey string) *se
 	now := s.now()
 	s.mu.Lock()
 	s.sweepSessionsLocked(now)
+	// The session touched or created here expires at now + SessionTTL,
+	// which a clock that stepped back puts before nextSweep.
+	if exp := now.Add(s.opts.SessionTTL); exp.Before(s.nextSweep) {
+		s.nextSweep = exp
+	}
 	if ss, ok := s.sessions[id]; ok {
 		ss.lastUsed = now
 		s.mu.Unlock()
@@ -193,17 +203,22 @@ func (s *Server) sessionWithKey(id string, epsilon float64, cacheKey string) *se
 }
 
 // sweepSessionsLocked garbage-collects exchange sessions idle for longer
-// than SessionTTL. Called with s.mu held on the exchange and status paths;
-// the map is small (one entry per concurrent distributed search), so a
-// full sweep per access is cheap.
+// than SessionTTL. Called with s.mu held on the exchange and status paths.
+// It walks the map only once nextSweep has passed, so a busy server with
+// many live sessions pays one walk per earliest expiry, not one per access.
 func (s *Server) sweepSessionsLocked(now time.Time) {
-	if s.opts.SessionTTL < 0 {
+	if s.opts.SessionTTL < 0 || !now.After(s.nextSweep) {
 		return
 	}
+	s.nextSweep = time.Time{}
 	for id, ss := range s.sessions {
 		if idle := now.Sub(ss.lastUsed); idle > s.opts.SessionTTL {
 			delete(s.sessions, id)
 			s.logf("session %s expired (idle %v)", id, idle)
+			continue
+		}
+		if exp := ss.lastUsed.Add(s.opts.SessionTTL); s.nextSweep.IsZero() || exp.Before(s.nextSweep) {
+			s.nextSweep = exp
 		}
 	}
 }

@@ -193,7 +193,13 @@ func (t *PhaseFoldTransformation) ApplyEngine(e *rewrite.Engine, _ float64, _ *r
 
 // ResynthTransformation is the τ_ε for resynthesis (§4.1): grow a random
 // convex subcircuit up to MaxQubits qubits (§5.3), compute its unitary, and
-// invoke unitary synthesis with the allowed tolerance.
+// invoke unitary synthesis with the allowed tolerance and the subcircuit's
+// two-qubit count as the ceiling (synth.SynthesizeBounded). A synthesizer
+// that takes the ceiling, like the numeric one, never proposes more
+// two-qubit gates than the block holds, a move the loop would all but
+// never accept, and gives up as soon as no structure under it fits.
+// Results with as many two-qubit gates stay in: the loop accepts them
+// when they are shorter. Other synthesizers are called as before.
 type ResynthTransformation struct {
 	Synth synth.Synthesizer
 	// MaxQubits limits subcircuit width (3 in the paper's instantiation).
@@ -233,7 +239,7 @@ func (t *ResynthTransformation) propose(ctx context.Context, c *circuit.Circuit,
 		return nil, nil, 0, false
 	}
 	target := sub.Unitary()
-	replacement, err := synth.SynthesizeContext(ctx, t.Synth, target, sub.NumQubits, eps)
+	replacement, err := synth.SynthesizeBounded(ctx, t.Synth, target, sub.NumQubits, eps, sub.TwoQubitCount())
 	if err != nil {
 		return nil, nil, 0, false
 	}

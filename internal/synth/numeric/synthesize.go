@@ -25,7 +25,9 @@ type Synthesizer struct {
 	// Restarts and MaxSweeps bound the per-structure optimization effort.
 	Restarts  int
 	MaxSweeps int
-	// MaxBlocks bounds the structure depth for 3-qubit search.
+	// MaxBlocks bounds the structure depth, in CX, of every search. It is
+	// the two-qubit ceiling of Synthesize and SynthesizeContext;
+	// SynthesizeBounded searches to the smaller of it and its own ceiling.
 	MaxBlocks int
 	// Beam is the number of structures kept per depth in 3-qubit search.
 	Beam int
@@ -39,8 +41,10 @@ type Synthesizer struct {
 // New returns a synthesizer with the default budgets. With them a 2-qubit
 // call takes under a millisecond and a 3-qubit call 10–100 ms on one core
 // of a 2-vCPU x86 VM; the longest 3-qubit calls are those that try every
-// structure and fail. That is the "slow" timescale of the paper, compressed
-// in proportion to our compressed search budgets.
+// structure up to the ceiling and fail, so a resynthesis call, whose
+// ceiling is the replaced block's two-qubit count, fails sooner the
+// shallower the block. That is the "slow" timescale of the paper,
+// compressed in proportion to our compressed search budgets.
 func New(gs *gateset.GateSet) *Synthesizer {
 	return &Synthesizer{
 		GateSet:   gs,
@@ -55,16 +59,31 @@ func New(gs *gateset.GateSet) *Synthesizer {
 // Name implements synth.Synthesizer.
 func (s *Synthesizer) Name() string { return "numeric-" + s.GateSet.Name }
 
-// Synthesize implements synth.Synthesizer.
+// Synthesize implements synth.Synthesizer: SynthesizeBounded with the
+// ceiling MaxBlocks and no cancellation.
 func (s *Synthesizer) Synthesize(target linalg.Matrix, numQubits int, eps float64) (*circuit.Circuit, error) {
-	return s.SynthesizeContext(context.Background(), target, numQubits, eps)
+	return s.SynthesizeBounded(context.Background(), target, numQubits, eps, s.MaxBlocks)
 }
 
-// SynthesizeContext implements synth.ContextSynthesizer: the structure
-// search polls ctx between structure evaluations (and honours a ctx
+// SynthesizeContext implements synth.ContextSynthesizer: SynthesizeBounded
+// with the ceiling MaxBlocks.
+func (s *Synthesizer) SynthesizeContext(ctx context.Context, target linalg.Matrix, numQubits int, eps float64) (*circuit.Circuit, error) {
+	return s.SynthesizeBounded(ctx, target, numQubits, eps, s.MaxBlocks)
+}
+
+// SynthesizeBounded implements synth.BoundedSynthesizer: the structure
+// search stops at maxTwoQubit CX (or MaxBlocks, if smaller), so it returns
+// ErrNoSolution as soon as no structure at or under the ceiling fits. Under
+// the ceiling the search is the unbounded one, so a call returns what
+// Synthesize would whenever that has at most maxTwoQubit two-qubit gates.
+// The built-in sets lower one CX to one native two-qubit gate (cx, cz or
+// rxx); the emitted count is checked all the same, for a Decompose hook
+// that lowers cx into several.
+//
+// The search polls ctx between structure evaluations (and honours a ctx
 // deadline earlier than MaxTime), so a cancelled caller gets ErrNoSolution
 // within one coordinate-ascent evaluation instead of a full MaxTime drain.
-func (s *Synthesizer) SynthesizeContext(ctx context.Context, target linalg.Matrix, numQubits int, eps float64) (*circuit.Circuit, error) {
+func (s *Synthesizer) SynthesizeBounded(ctx context.Context, target linalg.Matrix, numQubits int, eps float64, maxTwoQubit int) (*circuit.Circuit, error) {
 	if !s.GateSet.Continuous() {
 		return nil, fmt.Errorf("numeric: gate set %s is not continuous", s.GateSet.Name)
 	}
@@ -75,17 +94,24 @@ func (s *Synthesizer) SynthesizeContext(ctx context.Context, target linalg.Matri
 	// clamp so exact solutions are accepted.
 	tol := math.Max(eps, 1e-10)
 
+	var out *circuit.Circuit
+	var err error
 	switch numQubits {
 	case 1:
-		return s.finish(one(target, numQubits))
+		out, err = s.finish(one(target, numQubits))
 	case 2, 3:
-		tpl, params, dist := s.search(ctx, target, numQubits, tol)
+		tpl, params, dist := s.search(ctx, target, numQubits, tol, min(maxTwoQubit, s.MaxBlocks))
 		if tpl == nil || dist > tol {
 			return nil, synth.ErrNoSolution
 		}
-		return s.finish(tpl.Instantiate(params), nil)
+		out, err = s.finish(tpl.Instantiate(params), nil)
+	default:
+		return nil, fmt.Errorf("numeric: %d qubits exceeds the 3-qubit resynthesis limit", numQubits)
 	}
-	return nil, fmt.Errorf("numeric: %d qubits exceeds the 3-qubit resynthesis limit", numQubits)
+	if err == nil && out.TwoQubitCount() > maxTwoQubit {
+		return nil, synth.ErrNoSolution
+	}
+	return out, err
 }
 
 // one solves the single-qubit case analytically via Euler angles.
@@ -98,11 +124,12 @@ func one(target linalg.Matrix, n int) (*circuit.Circuit, error) {
 	return c, nil
 }
 
-// search explores structures in increasing CX count, so the first success
-// carries the minimal two-qubit cost. For 2 qubits the structure space is a
-// line (0..3 CX suffice by the KAK theorem); for 3 qubits a beam over pair
-// sequences, warm-starting each child from its parent's parameters.
-func (s *Synthesizer) search(ctx context.Context, target linalg.Matrix, n int, tol float64) (*Template, []float64, float64) {
+// search explores structures of at most maxCX CX in increasing CX count,
+// so the first success carries the minimal two-qubit cost. For 2 qubits
+// the structure space is a line (0..3 CX suffice by the KAK theorem); for 3
+// qubits a beam over pair sequences, warm-starting each child from its
+// parent's parameters.
+func (s *Synthesizer) search(ctx context.Context, target linalg.Matrix, n int, tol float64, maxCX int) (*Template, []float64, float64) {
 	var deadline time.Time
 	if s.MaxTime > 0 {
 		deadline = time.Now().Add(s.MaxTime)
@@ -172,6 +199,9 @@ func (s *Synthesizer) search(ctx context.Context, target linalg.Matrix, n int, t
 	// approximate the target, which the incremental search below discovers.
 	if n == 2 && tol < 1e-6 {
 		k := MinCXCount(target)
+		if k > maxCX {
+			return nil, nil, math.Inf(1)
+		}
 		var structure [][2]int
 		for i := 0; i < k; i++ {
 			structure = append(structure, [2]int{0, 1})
@@ -196,7 +226,7 @@ func (s *Synthesizer) search(ctx context.Context, target linalg.Matrix, n int, t
 	}
 	beam := []cand{best}
 	pairs := pairSets(n)
-	for depth := 1; depth <= s.MaxBlocks; depth++ {
+	for depth := 1; depth <= maxCX; depth++ {
 		var next []cand
 		for _, b := range beam {
 			for _, p := range pairs {

@@ -2,7 +2,10 @@
 // continuous gate sets: template circuits made of CX gates and
 // parameterized single-qubit rotations, instantiated by Rotosolve-style
 // exact coordinate ascent on the Hilbert–Schmidt overlap, searched
-// structure-by-structure in increasing two-qubit gate count.
+// structure-by-structure in increasing two-qubit gate count up to a
+// ceiling. Resynthesis passes the replaced block's two-qubit count as that
+// ceiling (Synthesizer.SynthesizeBounded), so the search never climbs past
+// what the block already costs.
 package numeric
 
 import (

@@ -1,7 +1,11 @@
 // Package synth defines the unitary synthesis interface shared by the
 // numeric (continuous gate sets, BQSKit-style) and finite (Clifford+T,
 // Synthetiq-style) synthesizers. The resynthesis transformations of
-// internal/opt wrap a synthesizer into a circuit transformation (§4.1).
+// internal/opt wrap a synthesizer into a circuit transformation (§4.1),
+// calling it through SynthesizeBounded with the replaced block's
+// two-qubit count as the ceiling: a synthesizer that implements
+// BoundedSynthesizer (the numeric one) then never proposes a block with
+// more two-qubit gates than the one it would replace.
 package synth
 
 import (
@@ -39,12 +43,26 @@ type ContextSynthesizer interface {
 	SynthesizeContext(ctx context.Context, target linalg.Matrix, numQubits int, eps float64) (*circuit.Circuit, error)
 }
 
-// SynthesizeContext invokes s under ctx when it supports cancellation,
-// degrading to the blocking Synthesize otherwise. A nil or Background ctx
-// is equivalent to calling Synthesize directly.
-func SynthesizeContext(ctx context.Context, s Synthesizer, target linalg.Matrix, numQubits int, eps float64) (*circuit.Circuit, error) {
-	if cs, ok := s.(ContextSynthesizer); ok && ctx != nil {
-		return cs.SynthesizeContext(ctx, target, numQubits, eps)
+// BoundedSynthesizer is a Synthesizer that takes a two-qubit ceiling:
+// SynthesizeBounded returns a circuit with at most maxTwoQubit two-qubit
+// gates, or ErrNoSolution as soon as it finds that none fits, and observes
+// ctx like SynthesizeContext. The numeric synthesizer implements it; the
+// finite one does not (its cost is the T count).
+type BoundedSynthesizer interface {
+	Synthesizer
+	SynthesizeBounded(ctx context.Context, target linalg.Matrix, numQubits int, eps float64, maxTwoQubit int) (*circuit.Circuit, error)
+}
+
+// SynthesizeBounded invokes s with the two-qubit ceiling maxTwoQubit when
+// it is a BoundedSynthesizer. Otherwise it runs s under ctx when s supports
+// cancellation, or calls the blocking Synthesize, and the result may have
+// more two-qubit gates than the ceiling.
+func SynthesizeBounded(ctx context.Context, s Synthesizer, target linalg.Matrix, numQubits int, eps float64, maxTwoQubit int) (*circuit.Circuit, error) {
+	switch s := s.(type) {
+	case BoundedSynthesizer:
+		return s.SynthesizeBounded(ctx, target, numQubits, eps, maxTwoQubit)
+	case ContextSynthesizer:
+		return s.SynthesizeContext(ctx, target, numQubits, eps)
 	}
 	return s.Synthesize(target, numQubits, eps)
 }
