@@ -1,10 +1,10 @@
 // Command guoqbench regenerates the paper's tables and figures, and runs
-// sharded benchmark sweeps for the distributed service.
+// sharded benchmark sweeps.
 //
 // Usage:
 //
 //	guoqbench -exp fig1 [-budget 500ms] [-trials 3] [-limit 40] [-seed 1]
-//	          [-shard i/n] [-remote addr] [-json out.json]
+//	          [-shard i/n] [-json out.json]
 //
 // Experiments: table2, table3, fig1, fig7, fig8, fig9, fig10, fig11,
 // fig12, fig13, fig14, fig15, parallel, huge, bench, all. -limit 0 runs
@@ -18,14 +18,13 @@
 //
 // Distributed sweeps: -shard i/n statically runs every n-th circuit
 // starting at i (any experiment), so n machines cover one suite exactly
-// once with no coordination. The "bench" experiment sweeps the suite
+// once with no coordination. Every circuit runs for the same -budget, so
+// the shards finish together. The "bench" experiment sweeps the suite
 // through GUOQ once per circuit and records per-circuit results; -json
 // writes them as a JSON array streamed one element per finished circuit
-// (to a file, or stdout with "-"), and -remote addr switches it to
-// dynamic sharding — circuits are leased from a guoqd coordinator's work
-// queue (dead workers' leases expire and their circuits are re-issued)
-// and every result is reported back, so the coordinator accumulates the
-// merged suite (curl /v1/queues/bench).
+// (to a file, or stdout with "-"). jq -s add bench_*.json merges the
+// shards' arrays, and a shard whose machine died is re-run with the same
+// -shard i/n.
 //
 // The bench sweep is interruptible: SIGINT/SIGTERM stops between circuits
 // (the in-flight circuit finishes with its best-so-far), the JSON array is
@@ -40,7 +39,6 @@
 // Custom targets: -gateset-file registers a gate set from a JSON
 // description (guoq.ParseGateSetJSON), after which -gateset can name it —
 // the suite is translated into the custom basis like any built-in target.
-// -token authenticates against a coordinator started with guoqd -token.
 package main
 
 import (
@@ -54,7 +52,6 @@ import (
 	"time"
 
 	"github.com/guoq-dev/guoq"
-	"github.com/guoq-dev/guoq/internal/dist"
 	"github.com/guoq-dev/guoq/internal/experiments"
 )
 
@@ -66,16 +63,12 @@ func main() {
 		limit   = flag.Int("limit", 40, "suite subsample size (0 = full 247)")
 		seed    = flag.Int64("seed", 1, "base random seed")
 		shard   = flag.String("shard", "", "static shard i/n: run every n-th circuit starting at i (e.g. 0/4)")
-		remote  = flag.String("remote", "", "guoqd coordinator address for dynamic sharding (bench only)")
 		jsonOut = flag.String("json", "", "write results as JSON (bench and huge; \"-\" = stdout)")
 		gateSet = flag.String("gateset", "ibmq20", "target gate set for bench (built-in or loaded via -gateset-file)")
 		gsFile  = flag.String("gateset-file", "", "register a custom gate set from a JSON description (guoq.ParseGateSetJSON) before resolving -gateset")
 		workers = flag.Int("workers", 1, "per-circuit portfolio size for bench")
 		metrics = flag.Bool("metrics", false, "embed a per-circuit metrics snapshot (allocs/iter, cache hits, per-rule accepts) in bench results")
-		queue   = flag.String("queue", "bench", "work queue name on the coordinator")
 		hgGates = flag.Int("huge-gates", 10000, "generated circuit size for the huge experiment")
-		ttl     = flag.Duration("lease-ttl", 60*time.Second, "job lease duration in remote mode")
-		token   = flag.String("token", os.Getenv("GUOQD_TOKEN"), "bearer token for a -remote coordinator started with -token (default $GUOQD_TOKEN)")
 	)
 	flag.Parse()
 	if *gsFile != "" {
@@ -127,15 +120,6 @@ func main() {
 		bo := experiments.BenchOptions{GateSet: *gateSet, Workers: *workers, Context: ctx, Metrics: *metrics}
 		if host, err := os.Hostname(); err == nil {
 			bo.Worker = fmt.Sprintf("%s-%d", host, os.Getpid())
-		}
-		if *remote != "" {
-			client, err := dist.Dial(*remote, "", bo.Worker)
-			if err != nil {
-				return err
-			}
-			client.Context = ctx
-			client.Token = *token
-			bo.Source = &dist.JobSource{Client: client, QueueName: *queue, TTL: *ttl}
 		}
 		if *jsonOut != "" {
 			w := os.Stdout

@@ -1,52 +1,48 @@
 // Command guoqd is the distributed optimization coordinator: it serves
-// best-so-far exchange sessions for guoq workers on other machines and a
-// sharded work queue for guoqbench workers.
+// best-so-far exchange sessions for guoq workers on other machines, behind
+// a content-addressed result cache that answers repeated submissions
+// without a search.
 //
 // Usage:
 //
-//	guoqd -listen :7077 [-token secret] [-lease-ttl 60s] [-max-attempts 3]
-//	      [-seed-bench] [-limit 40] [-queue bench] [-grace 5s] [-quiet]
+//	guoqd -listen :7077 [-token secret] [-grace 5s] [-quiet]
 //	      [-pprof-addr :6060] [-data-dir /var/lib/guoqd] [-sync 25ms]
 //	      [-checkpoint 1m] [-cache-entries 4096] [-cache-size 256]
 //	      [-quota rate[:burst]]
 //
 // -addr is an alias for -listen and overrides it when set.
 //
-// With -data-dir the coordinator is durable: exchange sessions and the
-// work queue are logged to a write-ahead log and periodically snapshotted
-// under that directory (-checkpoint sets the snapshot interval, -sync the
-// fsync batching window; -sync 0 fsyncs every append), and a restart with
-// the same -data-dir replays them — sessions keep their ε budgets and
-// best-so-far, leased jobs keep their leases. The directory also spills
-// the content-addressed result cache (served on POST /v1/submit), so
-// optimized circuits survive restarts too. -quota rate[:burst] enables a per-token (or per-client
+// With -data-dir the coordinator is durable: exchange sessions are logged
+// to a write-ahead log and periodically snapshotted under that directory
+// (-checkpoint sets the snapshot interval), and a restart with the same
+// -data-dir replays them — sessions keep their ε budgets and best-so-far.
+// Each record reaches the operating system before its request is
+// answered, so a crash of the process loses nothing; -sync sets the fsync
+// batching window (-sync 0 fsyncs every append), which bounds what a power
+// loss can take. The directory also spills the content-addressed result
+// cache (served on POST /v1/submit), so optimized circuits survive
+// restarts too. -quota rate[:burst] enables a per-token (or per-client
 // host, when unauthenticated) token-bucket rate limit on /v1/ endpoints;
 // rejected requests get 429 with Retry-After.
 //
-// With -token (or the GUOQD_TOKEN environment variable) every exchange and
-// queue endpoint requires "Authorization: Bearer <token>"; workers pass the
-// same value via guoq/guoqbench -token. /healthz and /metrics stay open:
-// the metrics endpoint serves the coordinator's registry (request counts
-// and latency, queue depths, lease retries, exchange adoptions, live
-// sessions, uptime) in Prometheus text format, so a stock Prometheus
-// scrape config needs no credentials. -pprof-addr additionally serves
-// net/http/pprof on its own listener for live profiling.
+// With -token (or the GUOQD_TOKEN environment variable) every /v1/
+// endpoint requires "Authorization: Bearer <token>"; guoq workers pass the
+// same value via guoq -token. /healthz and /metrics stay open: the metrics
+// endpoint serves the coordinator's registry (request counts and latency,
+// exchange publications and adoptions, cache hits, live sessions, uptime)
+// in Prometheus text format, so a stock Prometheus scrape config needs no
+// credentials. -pprof-addr additionally serves net/http/pprof on its own
+// listener for live profiling.
 //
 // SIGINT/SIGTERM shuts the daemon down gracefully: the listener stops
 // accepting, in-flight requests get up to -grace to finish, and request
 // contexts observe the shutdown (a second signal kills immediately).
 //
-// With -seed-bench the daemon seeds its work queue with the benchmark
-// suite (subsampled to -limit circuits, 0 = all 247), so guoqbench
-// workers started with -remote lease disjoint circuits until the suite is
-// drained; without it the queue starts empty and can be filled over
-// POST /v1/jobs/push. Exchange sessions are created on demand by the
-// first worker that connects.
-//
-// Inspect a running daemon with:
+// Benchmark sweeps need no coordinator: guoqbench -shard i/n splits a
+// suite across n processes. Exchange sessions are created on demand by
+// the first worker that connects. Inspect a running daemon with:
 //
 //	curl http://localhost:7077/v1/status
-//	curl http://localhost:7077/v1/queues/bench
 package main
 
 import (
@@ -64,10 +60,7 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/guoq-dev/guoq/internal/benchmarks"
 	"github.com/guoq-dev/guoq/internal/dist"
-	"github.com/guoq-dev/guoq/internal/experiments"
-	"github.com/guoq-dev/guoq/internal/gateset"
 )
 
 func main() {
@@ -75,12 +68,6 @@ func main() {
 		listen       = flag.String("listen", ":7077", "address to serve on")
 		addr         = flag.String("addr", "", "alias for -listen; overrides it when set")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
-		leaseTTL     = flag.Duration("lease-ttl", 60*time.Second, "default job lease duration (dead workers' jobs requeue after this)")
-		maxAttempts  = flag.Int("max-attempts", 3, "lease attempts before a job is marked failed")
-		seedBench    = flag.Bool("seed-bench", false, "seed the work queue with the benchmark suite")
-		gateSet      = flag.String("gateset", "ibmq20", "gate set whose suite seeds the queue (must match the workers' -gateset)")
-		limit        = flag.Int("limit", 40, "suite subsample size for -seed-bench (0 = full suite)")
-		queue        = flag.String("queue", "bench", "work queue name for -seed-bench")
 		grace        = flag.Duration("grace", 5*time.Second, "drain deadline for in-flight requests on shutdown")
 		quiet        = flag.Bool("quiet", false, "suppress per-request logging")
 		token        = flag.String("token", os.Getenv("GUOQD_TOKEN"), "shared bearer token required on /v1/ endpoints (default $GUOQD_TOKEN; empty = open; comma-separate multiple tokens)")
@@ -103,8 +90,6 @@ func main() {
 
 	logger := log.New(os.Stderr, "guoqd: ", log.LstdFlags)
 	opts := dist.ServerOptions{
-		LeaseTTL:        *leaseTTL,
-		MaxAttempts:     *maxAttempts,
 		Token:           *token,
 		DataDir:         *dataDir,
 		CacheEntries:    *cacheEntries,
@@ -134,28 +119,6 @@ func main() {
 	}
 	if *dataDir != "" {
 		logger.Printf("durable state in %s", *dataDir)
-	}
-
-	if *seedBench {
-		// Seed with the suite of the workers' gate set: the Clifford+T set
-		// has its own suite with different circuit names, and a queue
-		// seeded from the wrong one would drain as "unknown circuit"
-		// reports without any real work.
-		gs, err := gateset.ByName(*gateSet)
-		if err != nil {
-			logger.Fatal(err)
-		}
-		suite, err := benchmarks.SuiteFor(gs)
-		if err != nil {
-			logger.Fatal(err)
-		}
-		suite = experiments.Subsample(suite, *limit)
-		jobs := make([]dist.Job, 0, len(suite))
-		for _, b := range suite {
-			jobs = append(jobs, dist.Job{ID: b.Name})
-		}
-		added := srv.Push(*queue, jobs)
-		logger.Printf("seeded queue %q with %d %s benchmark circuits", *queue, added, gs.Name)
 	}
 
 	// First SIGINT/SIGTERM starts the graceful drain; restoring default

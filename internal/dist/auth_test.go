@@ -63,8 +63,8 @@ func TestTokenAuthHTTP(t *testing.T) {
 	if code := post("/v1/exchange", "", `{"session":"s"}`); code != http.StatusUnauthorized {
 		t.Fatalf("exchange without token = %d, want 401", code)
 	}
-	if code := post("/v1/jobs/lease", "sesame", `{"queue":"q"}`); code != http.StatusUnauthorized {
-		t.Fatalf("lease with malformed auth header = %d, want 401", code)
+	if code := post("/v1/exchange", "sesame", `{"session":"s"}`); code != http.StatusUnauthorized {
+		t.Fatalf("exchange with malformed auth header = %d, want 401", code)
 	}
 	if code := post("/v1/exchange", "Bearer sesame", `{"session":"s"}`); code != http.StatusOK {
 		t.Fatalf("exchange with token = %d, want 200", code)
@@ -72,7 +72,7 @@ func TestTokenAuthHTTP(t *testing.T) {
 }
 
 // TestTokenAuthClient: a Client with the matching Token works end to end
-// (exchange and queue paths); one without degrades gracefully — exchanges
+// (exchange and submit); one without degrades gracefully — exchanges
 // count as errors rather than panics, and the worker keeps optimizing
 // alone.
 func TestTokenAuthClient(t *testing.T) {
@@ -89,11 +89,8 @@ func TestTokenAuthClient(t *testing.T) {
 	if st := authed.Stats(); st.Errors != 0 || st.Exchanges != 1 {
 		t.Fatalf("authed stats = %+v, want 1 clean exchange", st)
 	}
-	if _, err := authed.Push("q", []dist.Job{{ID: "a"}}); err != nil {
-		t.Fatalf("authed push failed: %v", err)
-	}
-	if _, err := authed.Queue("q"); err != nil {
-		t.Fatalf("authed queue status failed: %v", err)
+	if resp, err := authed.Submit(c, "nam", "2q", 1e-8); err != nil || resp.Session == "" {
+		t.Fatalf("authed submit = (%+v, %v), want a session", resp, err)
 	}
 
 	anon := client(t, hs, "sess", "w2", 1e-8)
@@ -104,7 +101,7 @@ func TestTokenAuthClient(t *testing.T) {
 	if st := anon.Stats(); st.Errors != 1 {
 		t.Fatalf("anon stats = %+v, want the rejected exchange counted as an error", st)
 	}
-	if _, err := anon.Push("q", []dist.Job{{ID: "b"}}); err == nil {
-		t.Fatal("unauthenticated push succeeded")
+	if _, err := anon.Submit(c, "nam", "2q", 1e-8); err == nil {
+		t.Fatal("unauthenticated submit succeeded")
 	}
 }

@@ -59,10 +59,9 @@ type Client struct {
 	// -token (ServerOptions.Token). Set it before the first request.
 	Token string
 	// Context, when set, is the base context every HTTP request derives
-	// from: cancelling it aborts in-flight exchanges, leases, and
-	// completion reports, and makes JobSource.LeaseNext stop polling. The
-	// CLIs bind it to their signal context so a SIGINT never leaves a
-	// request (or a lease poll loop) dangling. Nil means
+	// from: cancelling it aborts in-flight submits and exchanges and cuts
+	// short a retry's backoff. guoq binds it to its signal context so a
+	// SIGINT never leaves a request dangling. Nil means
 	// context.Background().
 	Context context.Context
 	// Gzip compresses request bodies past a size floor. Off by default;
@@ -71,11 +70,11 @@ type Client struct {
 	// Go's HTTP transport asks for gzip on its own and inflates the reply,
 	// and with Gzip on the client asks itself and inflates it here.
 	Gzip bool
-	// Retries bounds the extra attempts made when an idempotent request
-	// (exchange, submit, push, complete — never lease) fails with a
-	// transient error: a network fault or a 429/502/503/504. Each retry
-	// backs off exponentially with jitter, honoring Retry-After on 429.
-	// 0 means the default of 2; negative disables retrying.
+	// Retries bounds the extra attempts made when a request (exchange or
+	// submit; both tolerate duplicate delivery) fails with a transient
+	// error: a network fault or a 429/502/503/504. Each retry backs off
+	// exponentially with jitter, honoring Retry-After on 429. 0 means the
+	// default of 2; negative disables retrying.
 	Retries int
 
 	// m mirrors the stats into a registry when Instrument was called; its
@@ -102,7 +101,7 @@ type ClientStats struct {
 	Throttled int
 	// Errors counts failed round trips (network, HTTP, or decode).
 	Errors int
-	// Retries counts retried attempts on idempotent requests.
+	// Retries counts retried request attempts.
 	Retries int
 }
 
@@ -135,13 +134,6 @@ func (c *Client) Stats() ClientStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// authorize attaches the shared bearer token when one is configured.
-func (c *Client) authorize(req *http.Request) {
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
-	}
 }
 
 // ctx returns the client's base request context.
@@ -196,7 +188,7 @@ func (c *Client) Exchange(best *circuit.Circuit, bestErr, bestCost float64) (*ci
 		Best:    Solution{Envelope: circuit.Seal(best, bestErr), Cost: bestCost},
 	}
 	var resp ExchangeResponse
-	if err := c.postIdem("/v1/exchange", req, &resp); err != nil {
+	if err := c.post("/v1/exchange", req, &resp); err != nil {
 		c.fail()
 		return nil, 0, false
 	}
@@ -241,58 +233,8 @@ func (c *Client) Submit(circ *circuit.Circuit, target, objective string, epsilon
 		Worker:    c.Worker,
 	}
 	var resp SubmitResponse
-	err := c.postIdem("/v1/submit", req, &resp)
+	err := c.post("/v1/submit", req, &resp)
 	return resp, err
-}
-
-// Push enqueues jobs onto a named queue, returning how many were new.
-func (c *Client) Push(queue string, jobs []Job) (int, error) {
-	var resp PushResponse
-	err := c.postIdem("/v1/jobs/push", PushRequest{Queue: queue, Jobs: jobs}, &resp)
-	return resp.Added, err
-}
-
-// Lease asks for one job. ok=false with drained=true means the queue is
-// finished; ok=false with drained=false means everything pending is
-// currently leased elsewhere — poll again later.
-func (c *Client) Lease(queue string, ttl time.Duration) (job Job, ok, drained bool, err error) {
-	req := LeaseRequest{Queue: queue, Worker: c.Worker, TTLMillis: ttl.Milliseconds()}
-	var resp LeaseResponse
-	if err := c.post("/v1/jobs/lease", req, &resp); err != nil {
-		return Job{}, false, false, err
-	}
-	return resp.Job, resp.OK, resp.Drained, nil
-}
-
-// Complete reports a finished job; result is marshalled to JSON.
-func (c *Client) Complete(queue, id string, result any) error {
-	raw, err := json.Marshal(result)
-	if err != nil {
-		return err
-	}
-	var resp CompleteResponse
-	return c.postIdem("/v1/jobs/complete", CompleteRequest{
-		Queue: queue, Worker: c.Worker, ID: id, Result: raw,
-	}, &resp)
-}
-
-// Queue fetches a queue's status including collected results.
-func (c *Client) Queue(queue string) (QueueStatus, error) {
-	var st QueueStatus
-	req, err := http.NewRequestWithContext(c.ctx(), http.MethodGet, c.base+"/v1/queues/"+queue, nil)
-	if err != nil {
-		return st, err
-	}
-	c.authorize(req)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("queue status returned %s", resp.Status)
-	}
-	return st, json.NewDecoder(resp.Body).Decode(&st)
 }
 
 // encodeRequest marshals req as JSON, gzipped past the size floor when the
@@ -346,48 +288,6 @@ func (e *httpStatusError) Error() string {
 	return fmt.Sprintf("dist: %s returned %d", e.path, e.code)
 }
 
-// post performs one request/response cycle with gzip negotiation. No
-// retrying — see postIdem for that.
-func (c *Client) post(path string, req, into any) error {
-	if h := c.m.requestSeconds.With(path); h != nil {
-		defer h.Time()()
-	}
-	body, ce, err := c.encodeRequest(req)
-	if err != nil {
-		return err
-	}
-	hreq, err := http.NewRequestWithContext(c.ctx(), http.MethodPost, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	hreq.Header.Set("Content-Type", contentTypeJSON)
-	if ce != "" {
-		hreq.Header.Set("Content-Encoding", ce)
-	}
-	if c.Gzip {
-		hreq.Header.Set("Accept-Encoding", "gzip")
-	}
-	c.authorize(hreq)
-	resp, err := c.hc.Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		e := &httpStatusError{path: path, code: resp.StatusCode}
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-			e.retryAfter = time.Duration(secs) * time.Second
-		}
-		var env struct {
-			Error string `json:"error"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&env)
-		e.msg = env.Error
-		return e
-	}
-	return c.decodeResponse(resp, into)
-}
-
 // transient reports whether an attempt failed in a way a retry can fix:
 // a network fault (but not the caller's own cancellation) or a
 // coordinator answering 429/502/503/504. A 429's Retry-After overrides
@@ -408,12 +308,53 @@ func transient(err error) (bool, time.Duration) {
 	return true, 0
 }
 
-// postIdem is post with bounded retry, for idempotent endpoints only:
-// exchange, submit, push, and complete all tolerate duplicate delivery
-// (publishing is monotone, push dedups by job ID, complete is
-// first-writer-wins), but lease is NOT here — a retried lease can strand
-// a job with a ghost worker until its TTL expires.
-func (c *Client) postIdem(path string, req, into any) error {
+// post sends req to path and decodes the 200 reply into into. An attempt
+// that fails transiently is retried, up to Retries times, after a jittered
+// exponential backoff: exchange and submit both tolerate duplicate
+// delivery (publishing is monotone, and a submit looks up the cache or
+// reopens the same session).
+func (c *Client) post(path string, req, into any) error {
+	attempt := func() error {
+		if h := c.m.requestSeconds.With(path); h != nil {
+			defer h.Time()()
+		}
+		body, ce, err := c.encodeRequest(req)
+		if err != nil {
+			return err
+		}
+		hreq, err := http.NewRequestWithContext(c.ctx(), http.MethodPost, c.base+path, bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		hreq.Header.Set("Content-Type", contentTypeJSON)
+		if ce != "" {
+			hreq.Header.Set("Content-Encoding", ce)
+		}
+		if c.Gzip {
+			hreq.Header.Set("Accept-Encoding", "gzip")
+		}
+		if c.Token != "" {
+			hreq.Header.Set("Authorization", "Bearer "+c.Token)
+		}
+		resp, err := c.hc.Do(hreq)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			e := &httpStatusError{path: path, code: resp.StatusCode}
+			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+				e.retryAfter = time.Duration(secs) * time.Second
+			}
+			var env struct {
+				Error string `json:"error"`
+			}
+			_ = json.NewDecoder(resp.Body).Decode(&env)
+			e.msg = env.Error
+			return e
+		}
+		return c.decodeResponse(resp, into)
+	}
 	retries := c.Retries
 	if retries == 0 {
 		retries = 2
@@ -421,13 +362,13 @@ func (c *Client) postIdem(path string, req, into any) error {
 		retries = 0
 	}
 	backoff := 100 * time.Millisecond
-	for attempt := 0; ; attempt++ {
-		err := c.post(path, req, into)
+	for n := 0; ; n++ {
+		err := attempt()
 		if err == nil {
 			return nil
 		}
 		retry, hint := transient(err)
-		if !retry || attempt >= retries {
+		if !retry || n >= retries {
 			return err
 		}
 		// Exponential backoff with full jitter; a 429's Retry-After wins
@@ -449,50 +390,4 @@ func (c *Client) postIdem(path string, req, into any) error {
 			return err
 		}
 	}
-}
-
-// JobSource adapts a Client to a single named queue with a fixed lease
-// TTL, in the shape internal/experiments consumes for sharded benchmark
-// runs: Lease blocks (polling) while other workers still hold leases, and
-// reports ok=false only once the queue is drained.
-type JobSource struct {
-	Client    *Client
-	QueueName string
-	TTL       time.Duration
-	// Poll is the retry period while the queue is busy (default 250 ms).
-	Poll time.Duration
-}
-
-// LeaseNext blocks until a job is available, the queue is drained, or the
-// client's Context is cancelled (the poll sleep is interruptible, so a
-// SIGINT does not linger for a full poll period).
-func (s *JobSource) LeaseNext() (string, bool, error) {
-	poll := s.Poll
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
-	for {
-		job, ok, drained, err := s.Client.Lease(s.QueueName, s.TTL)
-		if err != nil {
-			return "", false, err
-		}
-		if ok {
-			return job.ID, true, nil
-		}
-		if drained {
-			return "", false, nil
-		}
-		timer := time.NewTimer(poll)
-		select {
-		case <-timer.C:
-		case <-s.Client.ctx().Done():
-			timer.Stop()
-			return "", false, s.Client.ctx().Err()
-		}
-	}
-}
-
-// CompleteJob reports one finished job with its raw JSON result.
-func (s *JobSource) CompleteJob(id string, result json.RawMessage) error {
-	return s.Client.Complete(s.QueueName, id, result)
 }

@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gateset"
@@ -209,23 +208,18 @@ func TestWireRejectsBinaryBody(t *testing.T) {
 	}
 }
 
-// Idempotent requests retry through transient failures; leases never do.
+// Requests retry through transient failures.
 func TestClientRetry(t *testing.T) {
-	var pushSeen, leaseSeen int
+	var seen int
 	srv := NewServer(ServerOptions{})
 	inner := srv.Handler()
 	flaky := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/v1/jobs/push":
-			pushSeen++
-			if pushSeen <= 2 {
+		if r.URL.Path == "/v1/submit" {
+			seen++
+			if seen <= 2 {
 				httpError(w, http.StatusServiceUnavailable, "warming up")
 				return
 			}
-		case "/v1/jobs/lease":
-			leaseSeen++
-			httpError(w, http.StatusServiceUnavailable, "warming up")
-			return
 		}
 		inner.ServeHTTP(w, r)
 	})
@@ -233,28 +227,22 @@ func TestClientRetry(t *testing.T) {
 	defer hs.Close()
 
 	c := NewClient(hs.URL, "", "w")
-	c.MinInterval = -1
-	added, err := c.Push("q", []Job{{ID: "a"}})
-	if err != nil || added != 1 {
-		t.Fatalf("Push through flaky server = (%d, %v), want (1, nil)", added, err)
+	circ := circuit.Random(3, 10, gateset.Nam.Gates, rand.New(rand.NewSource(1)))
+	resp, err := c.Submit(circ, "nam", "2q", 1e-8)
+	if err != nil || resp.Session == "" {
+		t.Fatalf("Submit through flaky server = (%+v, %v), want a session", resp, err)
 	}
-	if pushSeen != 3 {
-		t.Fatalf("push attempts = %d, want 3 (2 failures + success)", pushSeen)
+	if seen != 3 {
+		t.Fatalf("submit attempts = %d, want 3 (2 failures + success)", seen)
 	}
 	if st := c.Stats(); st.Retries != 2 {
 		t.Fatalf("stats.Retries = %d, want 2", st.Retries)
-	}
-	// Lease fails immediately: not idempotent, never retried.
-	if _, _, _, err := c.Lease("q", time.Minute); err == nil {
-		t.Fatal("lease through 503 succeeded")
-	}
-	if leaseSeen != 1 {
-		t.Fatalf("lease attempts = %d, want exactly 1 (no retry)", leaseSeen)
 	}
 }
 
 // Retries are bounded and non-transient failures are not retried at all.
 func TestClientRetryBounds(t *testing.T) {
+	circ := circuit.Random(3, 10, gateset.Nam.Gates, rand.New(rand.NewSource(1)))
 	var seen int
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seen++
@@ -262,7 +250,7 @@ func TestClientRetryBounds(t *testing.T) {
 	}))
 	defer hs.Close()
 	c := NewClient(hs.URL, "", "w")
-	if _, err := c.Push("q", []Job{{ID: "a"}}); err == nil {
+	if _, err := c.Submit(circ, "nam", "2q", 1e-8); err == nil {
 		t.Fatal("400 reported as success")
 	}
 	if seen != 1 {
@@ -277,7 +265,7 @@ func TestClientRetryBounds(t *testing.T) {
 	defer hs2.Close()
 	c2 := NewClient(hs2.URL, "", "w")
 	c2.Retries = 1
-	if _, err := c2.Push("q", []Job{{ID: "a"}}); err == nil {
+	if _, err := c2.Submit(circ, "nam", "2q", 1e-8); err == nil {
 		t.Fatal("permanently down server reported success")
 	}
 	if seen != 2 {

@@ -9,10 +9,9 @@
 //   - A coordinator server (server.go), surfaced as the guoqd daemon:
 //     best-so-far exchange sessions keyed by a session id (every
 //     participant in a session optimizes the same circuit under the same
-//     objective), plus named work queues that shard a benchmark suite
-//     across workers with lease/retry semantics — a job leased by a worker
-//     that dies is re-queued when the lease expires, and given up after a
-//     bounded number of attempts.
+//     objective), behind a content-addressed result cache that answers a
+//     repeated submission without a search. Benchmark sweeps need no
+//     coordinator: guoqbench -shard i/n splits a suite statically.
 //
 //   - A client (client.go) implementing opt.Exchanger over the network, so
 //     a Portfolio on one machine plugs into a guoqd coordinator exactly

@@ -53,17 +53,18 @@ func FuzzReadBody(f *testing.F) {
 	big := `{"session":"s","best":{"qasm":"qreg q[1];\n` + strings.Repeat(`h q[0];\n`, 200) + `","cost":200}}`
 	f.Add([]byte(big), "")
 	f.Add(gzipBytes(f, big), "gzip")
-	f.Add([]byte(`{"queue":"q","jobs":[{"id":"a"},{"id":"b","payload":"p"}]}`), "")
-	f.Add([]byte(`{"queue":"q","worker":"w","ttl_ms":-5}`), "")
-	// Raw results: re-encoding compacts whitespace and escapes HTML.
-	f.Add([]byte(`{"queue":"q","worker":"w","id":"a","result":{ "gates" : [1, 2.5e3, null], "ok": true }}`), "")
-	f.Add([]byte(`{"queue":"q","worker":"w","id":"a","result":"<b>&</b>"}`), "")
+	// Re-encoding compacts whitespace, normalizes exponents, drops unknown
+	// fields and escapes HTML.
+	f.Add([]byte(`{ "session" : "s" , "best" : { "qasm" : "qreg q[1];\n" , "err" : 2.5E-3 , "cost" : 1e2 } , "jobs" : [ {"id":"a"}, null, [1, 2.5e3] ] }`), "")
+	f.Add([]byte(`{"qasm":"<b>&</b>","target":"nam","objective":"2q","worker":"<w>"}`), "")
 	// Degenerate and ill-typed JSON.
 	f.Add([]byte{}, "")
 	f.Add([]byte("null"), "")
 	f.Add([]byte(`{"epsilon":"1e-8"}`), "")
+	f.Add([]byte(`{"session":"s","best":{"qasm":["h q[0];"],"cost":"3"}}`), "")
 	f.Add([]byte(`{"epsilon":1e999}`), "")
-	f.Add([]byte(`{"ttl_ms":9223372036854775808}`), "")
+	f.Add([]byte(`{"session":"s","epsilon":-5,"best":{"err":-1e-9,"cost":-5}}`), "")
+	f.Add([]byte(`{"epsilon":9223372036854775808,"best":{"cost":-9223372036854775809}}`), "")
 	f.Add([]byte("{\"session\":\"\xff\xfe\",\"worker\":\"\\ud800\"}"), "") // decodes to U+FFFD
 	f.Add([]byte(`{"session":"a","session":"b"}{"trailing":true}`), "")
 	f.Add([]byte(`{"result":`+strings.Repeat("[", 10001)+strings.Repeat("]", 10001)+`}`), "")
@@ -90,9 +91,6 @@ func FuzzReadBody(f *testing.F) {
 		for _, mk := range []func() any{
 			func() any { return &ExchangeRequest{} },
 			func() any { return &SubmitRequest{} },
-			func() any { return &PushRequest{} },
-			func() any { return &LeaseRequest{} },
-			func() any { return &CompleteRequest{} },
 		} {
 			v := mk()
 			rec := httptest.NewRecorder()

@@ -3,31 +3,25 @@ package dist
 import (
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/guoq-dev/guoq/internal/obs"
 )
 
 // serverMetrics is the coordinator's pre-resolved instrument bundle.
-// Counters are incremented by the handlers; fleet-state values (queue
-// depths, live sessions, uptime) are gauge functions that read the
-// server's state under its lock at scrape time, so they need no
-// bookkeeping on the request paths.
+// Counters are incremented by the handlers; fleet-state values (cache
+// size, live sessions, uptime) are gauge functions that read the server's
+// state at scrape time, so they need no bookkeeping on the request paths.
 type serverMetrics struct {
 	requests          *obs.CounterVec   // {path, code}
 	requestSeconds    *obs.HistogramVec // {path}
 	publishes         *obs.Counter
 	adoptions         *obs.Counter
-	leases            *obs.Counter
-	leaseRetries      *obs.Counter
-	completed         *obs.Counter
 	cacheHits         *obs.Counter
 	cacheMisses       *obs.Counter
 	quotaRejections   *obs.Counter
 	storeErrors       *obs.Counter
 	sessionsRecovered *obs.Counter
-	jobsRecovered     *obs.Counter
 }
 
 // newServerMetrics registers the coordinator families on reg and installs
@@ -39,9 +33,6 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		requestSeconds: reg.HistogramVec("guoqd_request_seconds", "HTTP request latency.", nil, "path"),
 		publishes:      reg.Counter("guoqd_exchange_publishes_total", "Exchange requests that improved a session's stored best."),
 		adoptions:      reg.Counter("guoqd_exchange_adoptions_total", "Exchange responses that offered the session best for adoption."),
-		leases:         reg.Counter("guoqd_lease_requests_total", "Job lease requests."),
-		leaseRetries:   reg.Counter("guoqd_lease_retries_total", "Leases handed out for a job whose previous lease expired."),
-		completed:      reg.Counter("guoqd_jobs_completed_total", "Jobs completed with a result."),
 		cacheHits:      reg.Counter("guoqd_cache_hits_total", "Submissions answered from the content-addressed result cache."),
 		cacheMisses:    reg.Counter("guoqd_cache_misses_total", "Submissions that had to open a search session."),
 		quotaRejections: reg.Counter("guoqd_quota_rejections_total",
@@ -50,8 +41,6 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 			"Write-ahead log append or checkpoint failures (state kept in memory)."),
 		sessionsRecovered: reg.Counter("guoqd_sessions_recovered_total",
 			"Exchange sessions restored from the durable store at boot."),
-		jobsRecovered: reg.Counter("guoqd_jobs_recovered_total",
-			"Pending or leased jobs restored from the durable store at boot."),
 	}
 	reg.GaugeFunc("guoqd_cache_entries", "Entries resident in the result cache.", func() float64 {
 		return float64(s.cache.Len())
@@ -74,41 +63,16 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		}
 		return float64(n)
 	})
-	queueSum := func(pick func(QueueStatus) int) func() float64 {
-		return func() float64 {
-			now := s.now()
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			n := 0
-			for _, q := range s.queues {
-				n += pick(q.status(now, false))
-			}
-			return float64(n)
-		}
-	}
-	reg.GaugeFunc("guoqd_queue_pending_jobs", "Jobs pending across all queues.",
-		queueSum(func(st QueueStatus) int { return st.Pending }))
-	reg.GaugeFunc("guoqd_queue_leased_jobs", "Jobs currently leased across all queues.",
-		queueSum(func(st QueueStatus) int { return st.Leased }))
-	reg.GaugeFunc("guoqd_jobs_done", "Jobs completed across all queues.",
-		queueSum(func(st QueueStatus) int { return st.Done }))
-	reg.GaugeFunc("guoqd_jobs_failed", "Jobs marked failed across all queues.",
-		queueSum(func(st QueueStatus) int { return len(st.Failed) }))
 	return sm
 }
 
 // metricPath maps a request path to a bounded label value: known endpoints
-// keep their pattern, per-queue reads collapse to one series, and anything
-// else (scanners, typos) shares a single bucket so an attacker cannot grow
-// the registry.
+// keep their path, and anything else (scanners, typos) shares a single
+// bucket so an attacker cannot grow the registry.
 func metricPath(p string) string {
 	switch p {
-	case "/v1/submit", "/v1/exchange", "/v1/jobs/push", "/v1/jobs/lease", "/v1/jobs/complete",
-		"/v1/status", "/healthz", "/metrics":
+	case "/v1/submit", "/v1/exchange", "/v1/status", "/healthz", "/metrics":
 		return p
-	}
-	if strings.HasPrefix(p, "/v1/queues/") {
-		return "/v1/queues/{name}"
 	}
 	return "other"
 }

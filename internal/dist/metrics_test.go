@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/dist"
@@ -18,16 +17,14 @@ import (
 )
 
 // /metrics serves the Prometheus text format and reflects real traffic:
-// exchange publications and adoptions, lease handouts and retries, queue
-// depths, request counters — and it stays open when token auth locks the
-// /v1/ endpoints (like /healthz, so a stock scrape config needs no
-// credentials).
+// exchange publications and adoptions, live sessions, request counters —
+// and it stays open when token auth locks the /v1/ endpoints (like
+// /healthz, so a stock scrape config needs no credentials).
 func TestMetricsEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv, hs := newLoopback(t, dist.ServerOptions{
-		Token:    "sekrit",
-		LeaseTTL: 10 * time.Millisecond,
-		Metrics:  reg,
+		Token:   "sekrit",
+		Metrics: reg,
 	})
 	if srv.Registry() != reg {
 		t.Fatal("server did not adopt the supplied registry")
@@ -45,16 +42,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	w2.Exchange(better, 0, cost(better))                   // publish an improvement
 	if _, _, ok := w1.Exchange(base, 0, cost(base)); !ok { // adopt it
 		t.Fatal("expected an adoption")
-	}
-
-	// One lease, let it expire, lease again: the second handout is a retry.
-	srv.Push("q", []dist.Job{{ID: "job"}})
-	if _, ok, _, err := w1.Lease("q", 5*time.Millisecond); err != nil || !ok {
-		t.Fatalf("first lease: ok=%v err=%v", ok, err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if _, ok, _, err := w1.Lease("q", time.Minute); err != nil || !ok {
-		t.Fatalf("re-lease after expiry: ok=%v err=%v", ok, err)
 	}
 
 	// A guoq worker colocated with the daemon shares the registry: engine
@@ -86,9 +73,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"guoqd_exchange_publishes_total 2",
 		"guoqd_exchange_adoptions_total 1",
-		"guoqd_lease_requests_total 2",
-		"guoqd_lease_retries_total 1",
-		"guoqd_queue_leased_jobs 1",
 		"guoqd_sessions_live 1",
 		`guoqd_requests_total{path="/v1/exchange",code="200"} 3`,
 		`guoqd_request_seconds_count{path="/v1/exchange"} 3`,
@@ -118,9 +102,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// Cardinality of the path label is bounded: unknown paths and per-queue
-// reads collapse to fixed label values, so a scanner cannot grow the
-// registry.
+// Cardinality of the path label is bounded: unknown paths, including the
+// retired per-queue reads, collapse to one label value, so a scanner
+// cannot grow the registry.
 func TestMetricsPathCardinality(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, hs := newLoopback(t, dist.ServerOptions{Metrics: reg})
@@ -138,17 +122,14 @@ func TestMetricsPathCardinality(t *testing.T) {
 			t.Fatalf("unbounded path label leaked into the registry: %s", k)
 		}
 	}
-	if snap[`guoqd_request_seconds_count{path="/v1/queues/{name}"}`] != 2 {
-		t.Fatalf("per-queue requests did not collapse to one series: %v", snap)
-	}
-	if snap[`guoqd_request_seconds_count{path="other"}`] != 2 {
+	if snap[`guoqd_request_seconds_count{path="other"}`] != 4 {
 		t.Fatalf("unknown paths did not collapse to \"other\": %v", snap)
 	}
 }
 
 // GET /v1/status carries the fleet-level additions — uptime and live
-// exchange sessions — alongside the original session/queue maps (new
-// fields only: old clients ignore them, old servers omit them).
+// exchange sessions — alongside the original session map (new fields
+// only: old clients ignore them, old servers omit them).
 func TestStatusUptimeAndLiveSessions(t *testing.T) {
 	_, hs := newLoopback(t, dist.ServerOptions{})
 	w := client(t, hs, "s", "w", 1e-8)

@@ -10,22 +10,14 @@ import (
 
 // Durability: when ServerOptions.DataDir is set (use OpenServer), every
 // state change the coordinator must survive a restart with — session
-// creation and stored improvements, queue pushes, leases, completions — is
-// appended to a write-ahead log before the response goes out, and the full
-// state is periodically snapshotted so the log stays short. Replay on boot
-// reconstructs sessions (with their ε budgets and best-so-far) and queues
-// (pending jobs, unexpired leases with their attempt counts, results).
-// Failed-job verdicts are not logged: they are derived state, recomputed
-// from replayed attempt counts the first time an expired lease is reaped.
+// creation and stored improvements — is appended to a write-ahead log
+// before the response goes out, and the full state is periodically
+// snapshotted so the log stays short. Replay on boot reconstructs sessions
+// with their ε budgets and best-so-far.
 //
-// Record types in the WAL. Each is a full upsert or an idempotent
-// transition, so replay after a crash anywhere is safe.
-const (
-	recSession  = "session"  // sessionRecord: create/update one session
-	recPush     = "push"     // pushRecord: enqueue jobs (dedup on replay)
-	recLease    = "lease"    // leaseRecord: job handed to a worker
-	recComplete = "complete" // completeRecord: job finished with a result
-)
+// recSession is the one record type in the WAL: a full upsert of one
+// session (sessionRecord), so replay after a crash anywhere is safe.
+const recSession = "session"
 
 // compactEvery bounds WAL growth between snapshots: once this many records
 // accumulate, the checkpoint goroutine folds them into a snapshot.
@@ -45,45 +37,9 @@ type sessionRecord struct {
 	CacheKey string `json:"cache_key,omitempty"`
 }
 
-type pushRecord struct {
-	Queue string `json:"queue"`
-	Jobs  []Job  `json:"jobs"`
-}
-
-type leaseRecord struct {
-	Queue    string    `json:"queue"`
-	ID       string    `json:"id"`
-	Worker   string    `json:"worker"`
-	Attempts int       `json:"attempts"`
-	Expires  time.Time `json:"expires"`
-}
-
-type completeRecord struct {
-	Queue  string          `json:"queue"`
-	ID     string          `json:"id"`
-	Result json.RawMessage `json:"result,omitempty"`
-}
-
-// jobState is a queued job in the snapshot: pending jobs carry their
-// retry count, leased jobs additionally their holder and expiry.
-type jobState struct {
-	Job      Job       `json:"job"`
-	Attempts int       `json:"attempts,omitempty"`
-	Worker   string    `json:"worker,omitempty"`
-	Expires  time.Time `json:"expires,omitempty"`
-}
-
-type queueState struct {
-	Pending []jobState                 `json:"pending,omitempty"`
-	Leased  []jobState                 `json:"leased,omitempty"`
-	Results map[string]json.RawMessage `json:"results,omitempty"`
-	Failed  []string                   `json:"failed,omitempty"`
-}
-
 // serverState is the snapshot payload handed to store.Log.Compact.
 type serverState struct {
-	Sessions []sessionRecord       `json:"sessions,omitempty"`
-	Queues   map[string]queueState `json:"queues,omitempty"`
+	Sessions []sessionRecord `json:"sessions,omitempty"`
 }
 
 // OpenServer builds a coordinator like NewServer and, when opts.DataDir is
@@ -128,37 +84,16 @@ func (s *Server) restore(rec *store.Recovery) error {
 		for _, sr := range st.Sessions {
 			s.sessions[sr.ID] = sessionFromRecord(sr)
 		}
-		for name, qs := range st.Queues {
-			q := newWorkQueue(s.opts.MaxAttempts)
-			for _, js := range qs.Pending {
-				q.pending = append(q.pending, &queuedJob{job: js.Job, attempts: js.Attempts})
-			}
-			for _, js := range qs.Leased {
-				q.leased[js.Job.ID] = &queuedJob{job: js.Job, attempts: js.Attempts, worker: js.Worker, expires: js.Expires}
-			}
-			for id, r := range qs.Results {
-				q.results[id] = r
-			}
-			for _, id := range qs.Failed {
-				q.failed[id] = true
-			}
-			s.queues[name] = q
-		}
 	}
 	for _, r := range rec.Records {
 		if err := s.applyRecordLocked(r); err != nil {
 			return fmt.Errorf("record %d (%s): %w", r.LSN, r.Type, err)
 		}
 	}
-	sessions, jobs := len(s.sessions), 0
-	for _, q := range s.queues {
-		jobs += len(q.pending) + len(q.leased)
-	}
-	s.recoveredSessions, s.recoveredJobs = sessions, jobs
-	s.sm.sessionsRecovered.Add(int64(sessions))
-	s.sm.jobsRecovered.Add(int64(jobs))
-	if sessions > 0 || jobs > 0 || len(s.queues) > 0 {
-		s.logf("store: recovered %d sessions and %d live jobs across %d queues", sessions, jobs, len(s.queues))
+	s.recoveredSessions = len(s.sessions)
+	s.sm.sessionsRecovered.Add(int64(s.recoveredSessions))
+	if s.recoveredSessions > 0 {
+		s.logf("store: recovered %d sessions", s.recoveredSessions)
 	}
 	return nil
 }
@@ -185,76 +120,12 @@ func (s *Server) applyRecordLocked(r store.Record) error {
 			return err
 		}
 		s.sessions[sr.ID] = sessionFromRecord(sr)
-	case recPush:
-		var pr pushRecord
-		if err := json.Unmarshal(r.Data, &pr); err != nil {
-			return err
-		}
-		q := s.queues[pr.Queue]
-		if q == nil {
-			q = newWorkQueue(s.opts.MaxAttempts)
-			s.queues[pr.Queue] = q
-		}
-		q.push(pr.Jobs)
-	case recLease:
-		var lr leaseRecord
-		if err := json.Unmarshal(r.Data, &lr); err != nil {
-			return err
-		}
-		q := s.queues[lr.Queue]
-		if q == nil {
-			return nil // push record lost to an older snapshot bug; skip
-		}
-		// Move the job from pending (where the push replay left it, or a
-		// prior lease's expiry would return it) into the leased map with
-		// the logged attempt count and expiry.
-		for i, p := range q.pending {
-			if p.job.ID == lr.ID {
-				q.pending = append(q.pending[:i], q.pending[i+1:]...)
-				p.attempts, p.worker, p.expires = lr.Attempts, lr.Worker, lr.Expires
-				q.leased[lr.ID] = p
-				return nil
-			}
-		}
-		if j, ok := q.leased[lr.ID]; ok {
-			j.attempts, j.worker, j.expires = lr.Attempts, lr.Worker, lr.Expires
-		}
-	case recComplete:
-		var cr completeRecord
-		if err := json.Unmarshal(r.Data, &cr); err != nil {
-			return err
-		}
-		if q := s.queues[cr.Queue]; q != nil {
-			// A completion the queue no longer recognizes (snapshot raced
-			// the log) is not worth failing recovery over.
-			_ = q.complete(cr.ID, cr.Result, s.now())
-		}
 	default:
-		// Unknown record types are forward compatibility: a newer guoqd
-		// wrote them; this one preserves what it understands.
+		// Unknown record types are skipped: a newer guoqd wrote them, or an
+		// older one logged its job queue. This one restores what it
+		// understands.
 	}
 	return nil
-}
-
-// persist appends one record to the WAL (no-op without a store) and nudges
-// the checkpointer once enough records accumulate. Append errors are
-// logged, not fatal: the coordinator keeps serving from memory and the
-// operator sees the disk problem in the log and the error counter.
-func (s *Server) persist(typ string, data any) {
-	if s.store == nil {
-		return
-	}
-	if _, err := s.store.Append(typ, data); err != nil {
-		s.sm.storeErrors.Inc()
-		s.logf("store: append %s: %v", typ, err)
-		return
-	}
-	if s.store.SinceCompact() >= compactEvery {
-		select {
-		case s.checkpointCh <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // record snapshots a session into its durable form. now is passed in
@@ -274,12 +145,26 @@ func (ss *session) record(id string, now time.Time) sessionRecord {
 	}
 }
 
-// persistSession appends a full upsert of one session.
+// persistSession appends a full upsert of one session to the WAL (no-op
+// without a store) and nudges the checkpointer once enough records
+// accumulate. Append errors are logged, not fatal: the coordinator keeps
+// serving from memory and the operator sees the disk problem in the log
+// and the error counter.
 func (s *Server) persistSession(id string, ss *session) {
 	if s.store == nil {
 		return
 	}
-	s.persist(recSession, ss.record(id, s.now()))
+	if _, err := s.store.Append(recSession, ss.record(id, s.now())); err != nil {
+		s.sm.storeErrors.Inc()
+		s.logf("store: append %s: %v", recSession, err)
+		return
+	}
+	if s.store.SinceCompact() >= compactEvery {
+		select {
+		case s.checkpointCh <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // checkpointLoop folds the WAL into a snapshot when nudged by record
@@ -312,30 +197,11 @@ func (s *Server) checkpointLoop() {
 // snapshotState marshals the full coordinator state for a snapshot.
 func (s *Server) snapshotState() serverState {
 	now := s.now()
-	st := serverState{Queues: map[string]queueState{}}
+	var st serverState
 	s.mu.Lock()
 	sessions := make(map[string]*session, len(s.sessions))
 	for id, ss := range s.sessions {
 		sessions[id] = ss
-	}
-	for name, q := range s.queues {
-		qs := queueState{}
-		for _, j := range q.pending {
-			qs.Pending = append(qs.Pending, jobState{Job: j.job, Attempts: j.attempts})
-		}
-		for _, j := range q.leased {
-			qs.Leased = append(qs.Leased, jobState{Job: j.job, Attempts: j.attempts, Worker: j.worker, Expires: j.expires})
-		}
-		if len(q.results) > 0 {
-			qs.Results = make(map[string]json.RawMessage, len(q.results))
-			for id, r := range q.results {
-				qs.Results[id] = r
-			}
-		}
-		for id := range q.failed {
-			qs.Failed = append(qs.Failed, id)
-		}
-		st.Queues[name] = qs
 	}
 	s.mu.Unlock()
 	for id, ss := range sessions {

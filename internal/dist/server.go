@@ -25,9 +25,6 @@ const maxBodyBytes = 64 << 20
 
 // ServerOptions tunes a coordinator server. The zero value is usable.
 type ServerOptions struct {
-	// LeaseTTL is the lease duration applied when a LeaseRequest does not
-	// pick one (default 60 s).
-	LeaseTTL time.Duration
 	// SessionTTL bounds how long an idle exchange session is retained: a
 	// session with no exchange traffic for the TTL is garbage collected, so
 	// a long-lived guoqd does not grow without bound as searches come and
@@ -36,21 +33,18 @@ type ServerOptions struct {
 	// best, which the worker republishes at its next exchange). Zero
 	// selects the default of 30 min; negative disables GC.
 	SessionTTL time.Duration
-	// MaxAttempts is how many times a job is handed out before it is
-	// marked failed (default 3).
-	MaxAttempts int
-	// Token, when non-empty, requires every /v1/ request (exchange and
-	// queue endpoints alike) to carry "Authorization: Bearer <token>";
-	// requests without it get 401. /healthz stays open so load balancers
-	// and Dial's reachability probe keep working. The comparison is
-	// constant-time. Empty leaves the coordinator open (trusted networks,
-	// tests). Multiple acceptable tokens may be given comma-separated —
-	// one per tenant — which is what makes per-token quotas meaningful.
+	// Token, when non-empty, requires every /v1/ request (submit, exchange
+	// and status alike) to carry "Authorization: Bearer <token>"; requests
+	// without it get 401. /healthz stays open so load balancers and Dial's
+	// reachability probe keep working. The comparison is constant-time.
+	// Empty leaves the coordinator open (trusted networks, tests). Multiple
+	// acceptable tokens may be given comma-separated — one per tenant —
+	// which is what makes per-token quotas meaningful.
 	Token string
 	// DataDir, when non-empty, makes coordinator state durable (use
-	// OpenServer): sessions and queues are write-ahead logged under this
-	// directory, snapshotted periodically, and replayed on boot; the
-	// result cache spills there too. Empty keeps everything in memory.
+	// OpenServer): sessions are write-ahead logged under this directory,
+	// snapshotted periodically, and replayed on boot; the result cache
+	// spills there too. Empty keeps everything in memory.
 	DataDir string
 	// SyncEvery is the WAL fsync batching cadence (see store.Options).
 	SyncEvery time.Duration
@@ -77,9 +71,9 @@ type ServerOptions struct {
 	Metrics *obs.Registry
 }
 
-// Server is the guoqd coordinator: best-so-far exchange sessions plus
-// sharded work queues. It is safe for concurrent use; expose it over HTTP
-// with Handler.
+// Server is the guoqd coordinator: best-so-far exchange sessions behind a
+// content-addressed result cache. It is safe for concurrent use; expose it
+// over HTTP with Handler.
 type Server struct {
 	opts  ServerOptions
 	now   func() time.Time // injectable clock for tests
@@ -94,7 +88,6 @@ type Server struct {
 	quota *store.Limiter
 
 	recoveredSessions int
-	recoveredJobs     int
 
 	checkpointCh   chan struct{}
 	checkpointDone chan struct{}
@@ -102,8 +95,7 @@ type Server struct {
 	closeOnce      sync.Once
 
 	mu       sync.Mutex
-	sessions map[string]*session   // guarded by mu
-	queues   map[string]*workQueue // guarded by mu
+	sessions map[string]*session // guarded by mu
 	// nextSweep is no later than the earliest time a session can expire:
 	// the sweep sets it to its earliest survivor's lastUsed + SessionTTL,
 	// and until then no sweep has anything to collect. The zero time
@@ -131,9 +123,6 @@ type session struct {
 
 // NewServer builds a coordinator server.
 func NewServer(opts ServerOptions) *Server {
-	if opts.LeaseTTL <= 0 {
-		opts.LeaseTTL = 60 * time.Second
-	}
 	if opts.SessionTTL == 0 {
 		opts.SessionTTL = 30 * time.Minute
 	}
@@ -149,7 +138,6 @@ func NewServer(opts ServerOptions) *Server {
 		quota:    store.NewLimiter(opts.QuotaRate, opts.QuotaBurst),
 		closeCh:  make(chan struct{}),
 		sessions: map[string]*session{},
-		queues:   map[string]*workQueue{},
 	}
 	if opts.CacheEntries >= 0 {
 		spillDir := ""
@@ -223,27 +211,6 @@ func (s *Server) sweepSessionsLocked(now time.Time) {
 	}
 }
 
-// queue returns the named queue, creating it on first use. Only the push
-// paths create queues; read/lease/complete use lookupQueue so probing a
-// nonexistent name (a typo'd curl, a port scanner) cannot grow the queue
-// map for the daemon's lifetime.
-func (s *Server) queue(name string) *workQueue {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if q, ok := s.queues[name]; ok {
-		return q
-	}
-	q := newWorkQueue(s.opts.MaxAttempts)
-	s.queues[name] = q
-	return q
-}
-
-func (s *Server) lookupQueue(name string) *workQueue {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queues[name]
-}
-
 // exchange applies the coordinator invariants: store a published solution
 // only when it strictly improves the session best, parses, and fits the
 // session's ε budget; offer the stored best only to callers strictly
@@ -280,29 +247,11 @@ func (ss *session) status() SessionStatus {
 	}
 }
 
-// Push seeds a queue and persists the jobs it added: the in-process path
-// used by guoqd at startup, and the body of the HTTP POST /v1/jobs/push
-// endpoint.
-func (s *Server) Push(queue string, jobs []Job) int {
-	q := s.queue(queue)
-	s.mu.Lock()
-	added := q.push(jobs)
-	s.mu.Unlock()
-	if added > 0 {
-		s.persist(recPush, pushRecord{Queue: queue, Jobs: jobs})
-	}
-	return added
-}
-
 // Handler returns the coordinator's HTTP surface.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/submit", s.handleSubmit)
 	mux.HandleFunc("POST /v1/exchange", s.handleExchange)
-	mux.HandleFunc("POST /v1/jobs/push", s.handlePush)
-	mux.HandleFunc("POST /v1/jobs/lease", s.handleLease)
-	mux.HandleFunc("POST /v1/jobs/complete", s.handleComplete)
-	mux.HandleFunc("GET /v1/queues/{name}", s.handleQueue)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -512,111 +461,9 @@ func (ss *session) cacheEntry() (string, store.CacheEntry, bool) {
 	return ss.cacheKey, store.CacheEntry{QASM: ss.best.QASM, Err: ss.best.Err, Cost: ss.best.Cost}, true
 }
 
-func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
-	var req PushRequest
-	if !readBody(w, r, &req) {
-		return
-	}
-	if req.Queue == "" {
-		httpError(w, http.StatusBadRequest, "missing queue")
-		return
-	}
-	added := s.Push(req.Queue, req.Jobs)
-	s.logf("queue %s: pushed %d/%d jobs", req.Queue, added, len(req.Jobs))
-	writeReply(w, r, PushResponse{Added: added})
-}
-
-func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req LeaseRequest
-	if !readBody(w, r, &req) {
-		return
-	}
-	if req.Queue == "" {
-		httpError(w, http.StatusBadRequest, "missing queue")
-		return
-	}
-	ttl := s.opts.LeaseTTL
-	if req.TTLMillis > 0 {
-		ttl = time.Duration(req.TTLMillis) * time.Millisecond
-	}
-	s.sm.leases.Inc()
-	q := s.lookupQueue(req.Queue)
-	if q == nil {
-		// The queue has not been seeded yet (a worker can start before
-		// the pusher): nothing to hand out, but not drained either — the
-		// worker should poll again.
-		writeReply(w, r, LeaseResponse{})
-		return
-	}
-	s.mu.Lock()
-	job, ok, drained := q.lease(req.Worker, ttl, s.now())
-	// A handout whose job was leased before is a retry: its earlier lease
-	// expired (dead worker) and the queue re-issued it. Read under the same
-	// lock as the lease so the attempt count is the handout's own.
-	retry := false
-	var lr leaseRecord
-	if ok {
-		if j := q.leased[job.ID]; j != nil {
-			if j.attempts > 1 {
-				retry = true
-			}
-			lr = leaseRecord{Queue: req.Queue, ID: job.ID, Worker: req.Worker, Attempts: j.attempts, Expires: j.expires}
-		}
-	}
-	s.mu.Unlock()
-	if retry {
-		s.sm.leaseRetries.Inc()
-	}
-	if ok {
-		s.persist(recLease, lr)
-		s.logf("queue %s: leased %q to %s (ttl %v)", req.Queue, job.ID, req.Worker, ttl)
-	}
-	writeReply(w, r, LeaseResponse{OK: ok, Job: job, Drained: drained})
-}
-
-func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req CompleteRequest
-	if !readBody(w, r, &req) {
-		return
-	}
-	if req.Queue == "" || req.ID == "" {
-		httpError(w, http.StatusBadRequest, "missing queue or id")
-		return
-	}
-	q := s.lookupQueue(req.Queue)
-	if q == nil {
-		httpError(w, http.StatusNotFound, "unknown queue "+req.Queue)
-		return
-	}
-	s.mu.Lock()
-	err := q.complete(req.ID, req.Result, s.now())
-	s.mu.Unlock()
-	if err != nil {
-		httpError(w, http.StatusConflict, err.Error())
-		return
-	}
-	s.persist(recComplete, completeRecord{Queue: req.Queue, ID: req.ID, Result: req.Result})
-	s.sm.completed.Inc()
-	s.logf("queue %s: %s completed %q", req.Queue, req.Worker, req.ID)
-	writeReply(w, r, CompleteResponse{OK: true})
-}
-
-func (s *Server) handleQueue(w http.ResponseWriter, r *http.Request) {
-	q := s.lookupQueue(r.PathValue("name"))
-	if q == nil {
-		httpError(w, http.StatusNotFound, "unknown queue "+r.PathValue("name"))
-		return
-	}
-	s.mu.Lock()
-	st := q.status(s.now(), true)
-	s.mu.Unlock()
-	writeReply(w, r, st)
-}
-
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st := Status{
 		Sessions:      map[string]SessionStatus{},
-		Queues:        map[string]QueueStatus{},
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	}
 	now := s.now()
@@ -628,9 +475,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	sessions := make(map[string]*session, len(s.sessions))
 	for id, ss := range s.sessions {
 		sessions[id] = ss
-	}
-	for name, q := range s.queues {
-		st.Queues[name] = q.status(now, false)
 	}
 	s.mu.Unlock()
 	for id, ss := range sessions {

@@ -1,20 +1,12 @@
 package dist
 
-import (
-	"encoding/json"
-
-	"github.com/guoq-dev/guoq/internal/circuit"
-)
+import "github.com/guoq-dev/guoq/internal/circuit"
 
 // The HTTP surface of a guoqd coordinator. All request bodies and
 // responses are JSON.
 //
 //	POST /v1/submit         SubmitRequest    -> SubmitResponse
 //	POST /v1/exchange       ExchangeRequest  -> ExchangeResponse
-//	POST /v1/jobs/push      PushRequest      -> PushResponse
-//	POST /v1/jobs/lease     LeaseRequest     -> LeaseResponse
-//	POST /v1/jobs/complete  CompleteRequest  -> CompleteResponse
-//	GET  /v1/queues/{name}                   -> QueueStatus
 //	GET  /v1/status                          -> Status
 //	GET  /healthz                            -> "ok"
 //
@@ -72,7 +64,7 @@ type ExchangeRequest struct {
 	// participants must optimize the same circuit under the same objective
 	// and ε budget; SessionID derives a suitable key.
 	Session string `json:"session"`
-	// Worker is a free-form identity used in logs and lease bookkeeping.
+	// Worker is a free-form identity used in logs.
 	Worker string `json:"worker,omitempty"`
 	// Epsilon is the global error budget ε_f of the search. The first
 	// exchange of a session fixes the session's budget; the server rejects
@@ -88,70 +80,6 @@ type ExchangeResponse struct {
 	Best  Solution `json:"best,omitempty"`
 }
 
-// Job is one unit of shardable work — for benchmark sharding, ID is the
-// suite circuit's name and Payload is unused; pushers with custom work can
-// carry anything textual in Payload.
-type Job struct {
-	ID      string `json:"id"`
-	Payload string `json:"payload,omitempty"`
-}
-
-// PushRequest enqueues jobs onto a named queue. Jobs whose ID the queue
-// has already seen (pending, leased, done, or failed) are skipped, so
-// seeding is idempotent.
-type PushRequest struct {
-	Queue string `json:"queue"`
-	Jobs  []Job  `json:"jobs"`
-}
-
-// PushResponse reports how many jobs were actually enqueued.
-type PushResponse struct {
-	Added int `json:"added"`
-}
-
-// LeaseRequest asks for one job from a queue. The lease expires after TTL
-// (server default when zero); a job whose lease expires before completion
-// returns to the queue for another worker.
-type LeaseRequest struct {
-	Queue     string `json:"queue"`
-	Worker    string `json:"worker"`
-	TTLMillis int64  `json:"ttl_ms,omitempty"`
-}
-
-// LeaseResponse returns a job when one is available. Drained means the
-// queue has nothing pending and nothing leased — workers should stop
-// polling. OK=false with Drained=false means "try again later" (everything
-// pending is currently leased to other workers).
-type LeaseResponse struct {
-	OK      bool `json:"ok"`
-	Job     Job  `json:"job,omitempty"`
-	Drained bool `json:"drained"`
-}
-
-// CompleteRequest reports a finished job with an opaque JSON result.
-type CompleteRequest struct {
-	Queue  string          `json:"queue"`
-	Worker string          `json:"worker"`
-	ID     string          `json:"id"`
-	Result json.RawMessage `json:"result,omitempty"`
-}
-
-// CompleteResponse acknowledges completion.
-type CompleteResponse struct {
-	OK bool `json:"ok"`
-}
-
-// QueueStatus summarizes a queue and carries the collected results, so any
-// participant (or the driver that seeded the queue) can fetch the merged
-// outcome of a sharded run.
-type QueueStatus struct {
-	Pending int                        `json:"pending"`
-	Leased  int                        `json:"leased"`
-	Done    int                        `json:"done"`
-	Failed  []string                   `json:"failed,omitempty"`
-	Results map[string]json.RawMessage `json:"results,omitempty"`
-}
-
 // SessionStatus summarizes one exchange session.
 type SessionStatus struct {
 	Epsilon      float64 `json:"epsilon"`
@@ -161,14 +89,12 @@ type SessionStatus struct {
 	Improvements int     `json:"improvements"`
 }
 
-// Status is the coordinator-wide view returned by GET /v1/status. Queues
-// carries every queue's depths in one response, so fleet operators need no
-// per-queue requests. LiveSessions and UptimeSeconds were added after the
-// first release; older servers simply omit them (new fields only, the wire
-// struct stays backward-compatible).
+// Status is the coordinator-wide view returned by GET /v1/status.
+// LiveSessions and UptimeSeconds were added after the first release; older
+// servers simply omit them (new fields only, the wire struct stays
+// backward-compatible).
 type Status struct {
 	Sessions map[string]SessionStatus `json:"sessions"`
-	Queues   map[string]QueueStatus   `json:"queues"`
 	// LiveSessions counts exchange sessions within their idle TTL.
 	LiveSessions int `json:"live_sessions,omitempty"`
 	// UptimeSeconds is the time since the coordinator started.

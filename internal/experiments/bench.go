@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -17,8 +16,7 @@ import (
 )
 
 // CircuitResult is the machine-readable outcome of optimizing one
-// benchmark circuit — the per-circuit record behind guoqbench -json, and
-// the payload a sharded worker reports back to the guoqd work queue.
+// benchmark circuit — the per-circuit record behind guoqbench -json.
 type CircuitResult struct {
 	Name    string `json:"name"`
 	Family  string `json:"family"`
@@ -52,15 +50,6 @@ type CircuitResult struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// JobSource leases benchmark names from a remote work queue (a guoqd
-// coordinator). LeaseNext blocks while other workers hold leases and
-// returns ok=false once the queue is drained; CompleteJob reports one
-// finished circuit's JSON record. internal/dist.JobSource implements it.
-type JobSource interface {
-	LeaseNext() (id string, ok bool, err error)
-	CompleteJob(id string, result json.RawMessage) error
-}
-
 // BenchOptions configures a Bench sweep.
 type BenchOptions struct {
 	// GateSet is the target gate set (default "ibmq20"). The objective is
@@ -69,11 +58,8 @@ type BenchOptions struct {
 	GateSet string
 	// Workers is the per-circuit portfolio size (≤ 1 = single worker).
 	Workers int
-	// Source, when set, switches from the static Config.Shard split to
-	// dynamic lease-based sharding: circuits are pulled from the remote
-	// queue until it drains, and every result is reported back.
-	Source JobSource
-	// Worker names this process in reported results.
+	// Worker names this process in each result, so merged shard outputs
+	// say where each circuit ran.
 	Worker string
 	// JSON, when set, receives the per-circuit results as an indented JSON
 	// array, streamed one element per finished circuit (the array is valid
@@ -126,10 +112,8 @@ func (s *jsonArrayStream) close() error {
 
 // Bench sweeps benchmark circuits through GUOQ once each and records
 // per-circuit results: gate counts before/after, the accumulated ε bound,
-// and wall time. In static mode the sweep covers the Config's suite
-// selection (subsample, then shard); with a JobSource it instead leases
-// circuit names from a guoqd queue until the queue drains, so N workers
-// dynamically shard one suite with dead-worker retry handled server-side.
+// and wall time. The sweep covers the Config's suite selection (subsample,
+// then shard), so n processes run with Shard 0..n−1 cover the suite once.
 func Bench(cfg Config, bo BenchOptions) ([]CircuitResult, error) {
 	cfg.normalize()
 	if bo.GateSet == "" {
@@ -208,70 +192,14 @@ func Bench(cfg Config, bo BenchOptions) ([]CircuitResult, error) {
 	}
 
 	var results []CircuitResult
-	record := func(r CircuitResult) error {
+	for _, b := range cfg.selectSuite(suite) {
+		if ctx.Err() != nil {
+			break // cancelled: return what completed, valid JSON and all
+		}
+		r := runOne(b)
 		results = append(results, r)
 		if stream != nil {
-			return stream.emit(r)
-		}
-		return nil
-	}
-
-	if bo.Source == nil {
-		for _, b := range cfg.selectSuite(suite) {
-			if ctx.Err() != nil {
-				break // cancelled: return what completed, valid JSON and all
-			}
-			if err := record(runOne(b)); err != nil {
-				return finish(results, stream, err)
-			}
-		}
-	} else {
-		byName := make(map[string]benchmarks.Named, len(suite))
-		for _, b := range suite {
-			byName[b.Name] = b
-		}
-		for ctx.Err() == nil {
-			id, ok, err := bo.Source.LeaseNext()
-			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					break // the poll loop observed our cancellation
-				}
-				return finish(results, stream, fmt.Errorf("experiments: lease: %w", err))
-			}
-			if !ok {
-				break
-			}
-			b, known := byName[id]
-			if !known {
-				// A job this build does not know (version skew between the
-				// seeder and the worker): report it so the queue does not
-				// retry it forever on a worker that can never run it.
-				msg, _ := json.Marshal(map[string]string{"error": "unknown circuit " + id})
-				if err := bo.Source.CompleteJob(id, msg); err != nil {
-					return finish(results, stream, fmt.Errorf("experiments: complete %s: %w", id, err))
-				}
-				continue
-			}
-			r := runOne(b)
-			raw, err := json.Marshal(r)
-			if err != nil {
-				return finish(results, stream, err)
-			}
-			if err := bo.Source.CompleteJob(id, raw); err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					// Interrupted while reporting: the completion HTTP call
-					// ran on the already-cancelled client context. Keep the
-					// finished circuit locally (JSON stream + return value)
-					// and stop gracefully; the coordinator re-issues the
-					// unacknowledged lease after its TTL.
-					if rerr := record(r); rerr != nil {
-						return finish(results, stream, rerr)
-					}
-					break
-				}
-				return finish(results, stream, fmt.Errorf("experiments: complete %s: %w", id, err))
-			}
-			if err := record(r); err != nil {
+			if err := stream.emit(r); err != nil {
 				return finish(results, stream, err)
 			}
 		}

@@ -36,8 +36,7 @@ type Config struct {
 	// cooperating guoqbench processes: a run with Shard=i, Shards=n works
 	// on every n-th circuit starting at i, so n machines sweeping the same
 	// configuration cover the suite exactly once with no coordinator.
-	// Shards ≤ 1 disables sharding. For dynamic (lease-based) distribution
-	// see Bench with a JobSource.
+	// Shards ≤ 1 disables sharding.
 	Shard, Shards int
 	// Epsilon is the approximation budget for approximate tools (10⁻⁸).
 	Epsilon float64
@@ -62,10 +61,8 @@ func (cfg *Config) normalize() {
 	}
 }
 
-// Subsample picks limit evenly spaced circuits (0 = all). Exported so the
-// guoqd daemon seeds its work queue with exactly the circuits a local
-// guoqbench run at the same -limit would sweep.
-func Subsample(suite []benchmarks.Named, limit int) []benchmarks.Named {
+// subsample picks limit evenly spaced circuits (0 = all), in suite order.
+func subsample(suite []benchmarks.Named, limit int) []benchmarks.Named {
 	if limit <= 0 || limit >= len(suite) {
 		return suite
 	}
@@ -81,7 +78,7 @@ func Subsample(suite []benchmarks.Named, limit int) []benchmarks.Named {
 // subsampling so shards of the same configuration partition the same
 // subsampled suite.
 func (cfg Config) selectSuite(suite []benchmarks.Named) []benchmarks.Named {
-	suite = Subsample(suite, cfg.SuiteLimit)
+	suite = subsample(suite, cfg.SuiteLimit)
 	if cfg.Shards <= 1 {
 		return suite
 	}

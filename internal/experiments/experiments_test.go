@@ -3,14 +3,18 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/guoq-dev/guoq/internal/benchmarks"
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gate"
+	"github.com/guoq-dev/guoq/internal/gateset"
 )
 
 // tinyConfig keeps experiment tests fast: a handful of circuits, tiny
@@ -145,17 +149,104 @@ func TestTables(t *testing.T) {
 	}
 }
 
-func TestSubsampleEven(t *testing.T) {
-	cfg := tinyConfig()
-	_ = cfg
-	var suite []int
-	for i := 0; i < 247; i++ {
-		suite = append(suite, i)
+// subsample keeps suite order and returns limit distinct circuits (the
+// whole suite for a limit of 0 or one at or past its length), and the
+// static shards of selectSuite each keep suite order and together cover
+// the subsample exactly once.
+func TestSelectSuiteShards(t *testing.T) {
+	for _, size := range []int{1, 12, 247} {
+		suite := make([]benchmarks.Named, size)
+		for i := range suite {
+			suite[i].Name = fmt.Sprint(i)
+		}
+		for _, limit := range []int{0, 12, 40, 247, 300} {
+			t.Run(fmt.Sprintf("size%d/limit%d", size, limit), func(t *testing.T) {
+				sub := subsample(suite, limit)
+				want := limit
+				if limit == 0 || limit >= size {
+					want = size
+				}
+				if len(sub) != want {
+					t.Fatalf("subsample kept %d circuits, want %d", len(sub), want)
+				}
+				pos := map[string]int{}
+				for i, b := range sub {
+					idx, _ := strconv.Atoi(b.Name)
+					if i > 0 && idx <= pos[sub[i-1].Name] {
+						t.Fatalf("subsample out of order or repeated at %d: %v", i, names(sub))
+					}
+					pos[b.Name] = idx
+				}
+				for n := 1; n <= 7; n++ {
+					seen := map[string]int{}
+					for i := 0; i < n; i++ {
+						cfg := Config{SuiteLimit: limit, Shard: i, Shards: n}
+						shard := cfg.selectSuite(suite)
+						for j, b := range shard {
+							if j > 0 && pos[b.Name] <= pos[shard[j-1].Name] {
+								t.Fatalf("shard %d/%d out of suite order: %v", i, n, names(shard))
+							}
+							seen[b.Name]++
+						}
+					}
+					for _, b := range sub {
+						if seen[b.Name] != 1 {
+							t.Fatalf("n %d: circuit %s in %d shards, want 1", n, b.Name, seen[b.Name])
+						}
+					}
+					if len(seen) != len(sub) {
+						t.Fatalf("n %d: shards hold %d circuits, subsample %d", n, len(seen), len(sub))
+					}
+				}
+			})
+		}
 	}
-	// Subsample via the generic helper on the real type is covered by
-	// Fig10; here check bounds logic inline for documentation purposes.
-	if got := 247 * 5 / 6; got >= 247 {
-		t.Fatal("subsample index out of range")
+}
+
+func names(suite []benchmarks.Named) []string {
+	var out []string
+	for _, b := range suite {
+		out = append(out, b.Name)
+	}
+	return out
+}
+
+// Two static shards of a bench sweep run every circuit of the subsample
+// exactly once, each within ε and never worse than its input.
+func TestBenchStaticShards(t *testing.T) {
+	byName := map[string]int{}
+	for i := 0; i < 2; i++ {
+		cfg := Config{Budget: 20 * time.Millisecond, SuiteLimit: 4, Shard: i, Shards: 2, Epsilon: 1e-8, Seed: 1}
+		worker := fmt.Sprintf("shard-%d", i)
+		rs, err := Bench(cfg, BenchOptions{Worker: worker})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
+			byName[r.Name]++
+			if r.Worker != worker {
+				t.Fatalf("%s: worker %q, want %q", r.Name, r.Worker, worker)
+			}
+			if r.Err > cfg.Epsilon {
+				t.Fatalf("%s: ε bound %g exceeds budget %g", r.Name, r.Err, cfg.Epsilon)
+			}
+			if r.TwoQubitAfter > r.TwoQubitBefore {
+				t.Fatalf("%s: two-qubit count regressed %d -> %d", r.Name, r.TwoQubitBefore, r.TwoQubitAfter)
+			}
+		}
+	}
+	suite, err := benchmarks.SuiteFor(gateset.IBMQ20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := subsample(suite, 4)
+	if len(byName) != len(want) {
+		t.Fatalf("shards ran %v, want the %d circuits %v", byName, len(want), names(want))
+	}
+	for _, b := range want {
+		if byName[b.Name] != 1 {
+			t.Fatalf("circuit %s ran %d times, want exactly 1 (counts: %v)", b.Name, byName[b.Name], byName)
+		}
 	}
 }
 

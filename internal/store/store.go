@@ -68,11 +68,12 @@ type Recovery struct {
 
 // Options tunes a Log. The zero value is usable.
 type Options struct {
-	// SyncEvery batches fsyncs: Append acknowledges once the record is
-	// written to the OS, and a background flusher syncs the file at this
-	// cadence, so a burst of appends costs one fsync instead of one each.
-	// Zero selects 25 ms; negative syncs on every append (strongest
-	// durability, slowest).
+	// SyncEvery batches fsyncs: Append returns once the record is written
+	// to the OS, so a crash of the process loses nothing, and a background
+	// flusher syncs the file at this cadence, so a burst of appends costs
+	// one fsync instead of one each. A power loss can take the appends of
+	// the last window. Zero selects 25 ms; negative syncs on every append
+	// (strongest durability, slowest).
 	SyncEvery time.Duration
 }
 
@@ -90,14 +91,14 @@ type Log struct {
 	syncEvery time.Duration
 
 	mu           sync.Mutex
-	f            *os.File      // guarded by mu
-	w            *bufio.Writer // guarded by mu
-	lsn          uint64        // last assigned sequence number; guarded by mu
-	snapLSN      uint64        // covered by the on-disk snapshot; guarded by mu
-	sinceCompact int           // records appended since the last Compact; guarded by mu
-	dirty        bool          // bytes written since the last fsync; guarded by mu
-	err          error         // sticky write/sync failure; guarded by mu
-	closed       bool          // guarded by mu
+	f            *os.File // guarded by mu
+	frame        []byte   // reused to build each frame; guarded by mu
+	lsn          uint64   // last assigned sequence number; guarded by mu
+	snapLSN      uint64   // covered by the on-disk snapshot; guarded by mu
+	sinceCompact int      // records appended since the last Compact; guarded by mu
+	dirty        bool     // bytes written since the last fsync; guarded by mu
+	err          error    // sticky write/sync failure; guarded by mu
+	closed       bool     // guarded by mu
 
 	stop chan struct{}
 	done chan struct{}
@@ -161,7 +162,6 @@ func Open(dir string, o Options) (*Log, *Recovery, error) {
 		dir:       dir,
 		syncEvery: o.SyncEvery,
 		f:         f,
-		w:         bufio.NewWriter(f),
 		lsn:       lsn,
 		snapLSN:   snapLSN,
 		stop:      make(chan struct{}),
@@ -228,8 +228,9 @@ func (l *Log) flusher() {
 }
 
 // Append marshals data, assigns the next LSN, and writes the framed record
-// to the WAL. Durability follows the SyncEvery policy; call Sync for a
-// hard barrier. Returns the assigned LSN.
+// to the WAL file with one write, so the record survives a crash of the
+// process once Append returns. Durability against power loss follows the
+// SyncEvery policy; call Sync for a hard barrier. Returns the assigned LSN.
 func (l *Log) Append(typ string, data any) (uint64, error) {
 	raw, err := json.Marshal(data)
 	if err != nil {
@@ -248,14 +249,10 @@ func (l *Log) Append(typ string, data any) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		l.err = err
-		return 0, err
-	}
-	if _, err := l.w.Write(payload); err != nil {
+	l.frame = binary.LittleEndian.AppendUint32(l.frame[:0], uint32(len(payload)))
+	l.frame = binary.LittleEndian.AppendUint32(l.frame, crc32.ChecksumIEEE(payload))
+	l.frame = append(l.frame, payload...)
+	if _, err := l.f.Write(l.frame); err != nil {
 		l.err = err
 		return 0, err
 	}
@@ -276,10 +273,6 @@ func (l *Log) syncLocked() error {
 	if !l.dirty {
 		return nil
 	}
-	if err := l.w.Flush(); err != nil {
-		l.err = err
-		return err
-	}
 	if err := l.f.Sync(); err != nil {
 		l.err = err
 		return err
@@ -288,7 +281,7 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// Sync flushes and fsyncs pending appends immediately.
+// Sync fsyncs pending appends immediately.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -325,7 +318,7 @@ func (l *Log) Compact(state any) error {
 	if l.closed {
 		return fmt.Errorf("store: log closed")
 	}
-	// The snapshot must not claim records still sitting in the buffer.
+	// The snapshot must not claim records a power loss could still take.
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
@@ -350,7 +343,6 @@ func (l *Log) Compact(state any) error {
 		l.err = err
 		return fmt.Errorf("store: %w", err)
 	}
-	l.w.Reset(l.f)
 	l.snapLSN = l.lsn
 	l.sinceCompact = 0
 	l.dirty = false

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 type testRec struct {
@@ -61,6 +62,30 @@ func TestLogAppendReplay(t *testing.T) {
 	// Appends after reopen continue the sequence.
 	if lsn, err := l.Append("n", testRec{N: 6}); err != nil || lsn != 6 {
 		t.Fatalf("post-reopen Append = (%d, %v), want (6, nil)", lsn, err)
+	}
+}
+
+// A returned Append is in the WAL file whatever the fsync window: reopening
+// the directory while the first Log is neither synced nor closed, as a
+// restart after a crash of the process would, replays the record.
+func TestLogAppendSurvivesProcessCrash(t *testing.T) {
+	for _, every := range []time.Duration{25 * time.Millisecond, time.Hour} {
+		t.Run(every.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			l, _, err := Open(dir, Options{SyncEvery: every})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if _, err := l.Append("n", testRec{N: 1}); err != nil {
+				t.Fatal(err)
+			}
+			l2, rec := openT(t, dir)
+			defer l2.Close()
+			if len(rec.Records) != 1 || rec.TornTail {
+				t.Fatalf("reopened WAL replayed %d records (torn tail %v), want the 1 appended", len(rec.Records), rec.TornTail)
+			}
+		})
 	}
 }
 
