@@ -501,8 +501,8 @@ func BenchmarkRuleFullPass(b *testing.B) {
 // workload through one persistent rewrite.Engine. Each iteration applies
 // the pass in place and rolls it back, so — like the pure benchmark, which
 // discards its output — every iteration sees the same input circuit; the
-// engine keeps its DAG across iterations and skips cached no-match
-// anchors. It is a smoke benchmark of the apply-and-rollback shape, which
+// engine keeps its DAG across iterations and visits only each rule's
+// candidate anchors of unknown verdict. It is a smoke benchmark of the apply-and-rollback shape, which
 // the search loop rarely takes; TestPerfTrajectory gates the loop's real
 // traffic instead.
 func BenchmarkEngineFullPass(b *testing.B) {

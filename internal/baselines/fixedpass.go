@@ -17,7 +17,8 @@ import (
 // on two-qubit reduction.
 //
 // The pipeline runs against one persistent rewrite.Engine: rule passes
-// reuse its incremental DAG and match caches across rounds, and the
+// reuse its incremental DAG and match caches across rounds (the rule
+// library is compiled once per run, so each rule keeps one cache), and the
 // whole-circuit passes report changed counts instead of being compared
 // deep-Equal against their input.
 type FixedPass struct {
@@ -27,12 +28,13 @@ type FixedPass struct {
 	Rounds int
 }
 
-// Pass is one deterministic rewrite pass over the pipeline's engine. It
-// returns how many sites it changed (zero for a no-op).
-type Pass func(e *rewrite.Engine, gs *gateset.GateSet) int
+// Pass is one deterministic rewrite pass over the pipeline's engine, given
+// the gate set's rule library. It returns how many sites it changed (zero
+// for a no-op).
+type Pass func(e *rewrite.Engine, gs *gateset.GateSet, rules []*rewrite.Rule) int
 
 // CleanupPass cancels inverse pairs and merges adjacent rotations.
-func CleanupPass(e *rewrite.Engine, gs *gateset.GateSet) int {
+func CleanupPass(e *rewrite.Engine, gs *gateset.GateSet, _ []*rewrite.Rule) int {
 	out, changed := rewrite.CleanupChangedFor(e.Circuit(), gs)
 	if changed > 0 {
 		e.SetCircuit(out)
@@ -41,7 +43,7 @@ func CleanupPass(e *rewrite.Engine, gs *gateset.GateSet) int {
 }
 
 // FusePass fuses single-qubit runs (continuous sets only).
-func FusePass(e *rewrite.Engine, gs *gateset.GateSet) int {
+func FusePass(e *rewrite.Engine, gs *gateset.GateSet, _ []*rewrite.Rule) int {
 	if !gs.Continuous() {
 		return 0
 	}
@@ -53,7 +55,7 @@ func FusePass(e *rewrite.Engine, gs *gateset.GateSet) int {
 }
 
 // FoldPass runs global phase folding (rotation merging).
-func FoldPass(e *rewrite.Engine, gs *gateset.GateSet) int {
+func FoldPass(e *rewrite.Engine, gs *gateset.GateSet, _ []*rewrite.Rule) int {
 	out, changed := phasepoly.FoldChangedFor(e.Circuit(), gs)
 	if changed > 0 {
 		e.SetCircuit(out)
@@ -63,11 +65,7 @@ func FoldPass(e *rewrite.Engine, gs *gateset.GateSet) int {
 
 // RulesPass applies every library rule once, full-pass, in a fixed order
 // (commutation-aware cancellation).
-func RulesPass(e *rewrite.Engine, gs *gateset.GateSet) int {
-	rules, err := rewrite.RulesFor(gs.Name)
-	if err != nil {
-		return 0
-	}
+func RulesPass(e *rewrite.Engine, _ *gateset.GateSet, rules []*rewrite.Rule) int {
 	sites := 0
 	for _, r := range rules {
 		if r.Delta() >= 0 {
@@ -81,18 +79,14 @@ func RulesPass(e *rewrite.Engine, gs *gateset.GateSet) int {
 // CommutationPass applies the size-neutral commutation rules once each,
 // then the reducing rules — the "commutative cancellation" trick of
 // Qiskit/tket pipelines.
-func CommutationPass(e *rewrite.Engine, gs *gateset.GateSet) int {
-	rules, err := rewrite.RulesFor(gs.Name)
-	if err != nil {
-		return 0
-	}
+func CommutationPass(e *rewrite.Engine, gs *gateset.GateSet, rules []*rewrite.Rule) int {
 	sites := 0
 	for _, r := range rules {
 		if r.Delta() == 0 {
 			sites += e.FullPass(r, 0)
 		}
 	}
-	return sites + RulesPass(e, gs)
+	return sites + RulesPass(e, gs, rules)
 }
 
 // The three fixed-pass profiles. Relative strength (tket > qiskit ≳ voqc on
@@ -141,6 +135,14 @@ func (f *FixedPass) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.C
 // between rounds (individual passes are fast and always run to completion,
 // so the committed state is a whole-pipeline prefix, never a torn pass).
 func (f *FixedPass) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, _ time.Duration, _ int64) *circuit.Circuit {
+	return keepBetter(c, f.run(ctx, c, gs).Circuit(), cost)
+}
+
+// run executes the pipeline on a fresh engine over c and returns the
+// engine.
+func (f *FixedPass) run(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet) *rewrite.Engine {
+	// A gate set without a rule library runs no rule passes: nil rules.
+	rules, _ := rewrite.RulesFor(gs.Name)
 	eng := rewrite.NewEngine(c)
 	rounds := f.Rounds
 	if rounds <= 0 {
@@ -152,12 +154,12 @@ func (f *FixedPass) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs 
 		}
 		before := eng.Circuit().Len()
 		for _, p := range f.Passes {
-			p(eng, gs)
+			p(eng, gs, rules)
 		}
 		eng.Commit()
 		if eng.Circuit().Len() == before {
 			break
 		}
 	}
-	return keepBetter(c, eng.Circuit(), cost)
+	return eng
 }

@@ -128,9 +128,9 @@ func (s *Server) applyRecordLocked(r store.Record) error {
 	return nil
 }
 
-// record snapshots a session into its durable form. now is passed in
-// because lastUsed is guarded by the Server's lock, not the session's.
-func (ss *session) record(id string, now time.Time) sessionRecord {
+// record snapshots a session into its durable form. lastUsed is passed in
+// because it is guarded by the Server's lock, not the session's.
+func (ss *session) record(id string, lastUsed time.Time) sessionRecord {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	return sessionRecord{
@@ -140,7 +140,7 @@ func (ss *session) record(id string, now time.Time) sessionRecord {
 		Best:         ss.best,
 		Exchanges:    ss.exchanges,
 		Improvements: ss.improvements,
-		LastUsed:     now,
+		LastUsed:     lastUsed,
 		CacheKey:     ss.cacheKey,
 	}
 }
@@ -194,18 +194,23 @@ func (s *Server) checkpointLoop() {
 	}
 }
 
-// snapshotState marshals the full coordinator state for a snapshot.
+// snapshotState marshals the full coordinator state for a snapshot. Each
+// session keeps its own idle clock: its lastUsed is read under s.mu while
+// the map is copied.
 func (s *Server) snapshotState() serverState {
-	now := s.now()
-	var st serverState
+	type entry struct {
+		ss       *session
+		lastUsed time.Time
+	}
 	s.mu.Lock()
-	sessions := make(map[string]*session, len(s.sessions))
+	sessions := make(map[string]entry, len(s.sessions))
 	for id, ss := range s.sessions {
-		sessions[id] = ss
+		sessions[id] = entry{ss, ss.lastUsed}
 	}
 	s.mu.Unlock()
-	for id, ss := range sessions {
-		st.Sessions = append(st.Sessions, ss.record(id, now))
+	var st serverState
+	for id, e := range sessions {
+		st.Sessions = append(st.Sessions, e.ss.record(id, e.lastUsed))
 	}
 	return st
 }

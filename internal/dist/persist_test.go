@@ -3,6 +3,7 @@ package dist
 import (
 	"encoding/json"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -240,5 +241,50 @@ func TestCloseCheckpointsAndReopens(t *testing.T) {
 	adopted, _, ok := w2.Exchange(circuit.Random(3, 30, gateset.IBMEagle.Gates, rng), 0, 99)
 	if !ok || adopted.WriteQASM() != c.WriteQASM() {
 		t.Fatalf("snapshot-recovered session did not offer its best (ok=%v)", ok)
+	}
+}
+
+// TestCheckpointKeepsIdleClocks: a checkpoint records each session's own
+// last use, not the checkpoint time, so a restart resets no idle clock.
+// "idle" is created at t0 and never touched again; "busy", created with
+// it, is touched at t0+20 min, which only the checkpoint records. Close
+// checkpoints at t0+29 min, and a status poll after the restart at t0+31
+// min must expire the first and keep the second.
+func TestCheckpointKeepsIdleClocks(t *testing.T) {
+	dir := t.TempDir()
+	opts := ServerOptions{SessionTTL: 30 * time.Minute}
+	clock := newFakeClock()
+	srv, hs := openDurable(t, dir, opts)
+	srv.now = clock.Now
+	srv.session("idle", 1e-8)
+	srv.session("busy", 1e-8)
+	clock.Advance(20 * time.Minute)
+	srv.session("busy", 1e-8)
+	clock.Advance(9 * time.Minute)
+	hs.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	srv2, hs2 := openDurable(t, dir, opts)
+	srv2.now = clock.Now
+	if srv2.recoveredSessions != 2 {
+		t.Fatalf("recovered %d sessions, want 2", srv2.recoveredSessions)
+	}
+	clock.Advance(2 * time.Minute)
+	resp, err := http.Get(hs2.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Sessions["idle"]; ok {
+		t.Error("a session idle for 31 min survived a restart past its 30 min TTL")
+	}
+	if _, ok := st.Sessions["busy"]; !ok {
+		t.Error("a session idle for 11 min expired")
 	}
 }

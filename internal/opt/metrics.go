@@ -63,10 +63,10 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		BestCost:        reg.Gauge("guoq_best_cost", "Cost of the best solution found so far."),
 		Migrations:      reg.Counter("guoq_migrations_total", "Exchange adoptions across all searches."),
 
-		EngineCacheHits:   reg.Counter("guoq_engine_cache_hits_total", "Anchors skipped via a cached no-match verdict."),
-		EngineCacheMisses: reg.Counter("guoq_engine_cache_misses_total", "Match attempts the cache could not answer."),
+		EngineCacheHits:   reg.Counter("guoq_engine_cache_hits_total", "Anchors a rule pass skipped unmatched: not a candidate (another gate name than the rule's first) or a recorded no-match."),
+		EngineCacheMisses: reg.Counter("guoq_engine_cache_misses_total", "Match attempts at candidates of unknown verdict."),
 		EngineSplices:     reg.Counter("guoq_engine_splices_total", "Window replacements applied (including rollbacks)."),
-		EngineInvalidated: reg.Counter("guoq_engine_invalidated_total", "Cache entries cleared by halo invalidation."),
+		EngineInvalidated: reg.Counter("guoq_engine_invalidated_total", "Verdict bits reopened by halo invalidation."),
 		EngineHaloGates:   reg.Counter("guoq_engine_halo_gates_total", "Gates swept by halo invalidation BFS passes."),
 		EngineHaloDepth:   reg.Gauge("guoq_engine_halo_depth", "Deepest per-rule (per-wire extent) halo radius in use."),
 		EngineCommits:     reg.Counter("guoq_engine_commits_total", "Accepted transactions."),

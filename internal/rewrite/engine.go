@@ -3,6 +3,7 @@ package rewrite
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -13,23 +14,28 @@ import (
 // Engine is the stateful, incremental rewrite executor. It owns a mutable
 // circuit with a persistently maintained DAG (gate windows are spliced in
 // and out in place, one linear sweep per transformation, instead of a
-// from-scratch BuildDAG per call) and a per-rule match-site cache, so
+// from-scratch BuildDAG per call) and a candidate index of match sites, so
 // iterated full passes — the GUOQ inner loop, fixed-pass pipelines,
 // lookahead search — cost far less than the pure FullPass API, which
 // reallocates and rescans everything on every call.
 //
-// Cache and invalidation contract: for every rule the Engine keeps a
-// two-state per-anchor verdict — unknown or no-match — so a rescan skips
-// known failures outright and runs the matcher everywhere else. A match
-// attempt at an anchor only ever inspects gates within the rule's halo
-// depth (Rule.HaloDepth, derived from the pattern's per-wire extents at
-// compile time) in wire-adjacency steps of the anchor, so after a splice
-// only anchors inside a wire-adjacency halo of the touched windows — BFS
-// steps from the replaced gates and their boundary wire neighbours, out to
-// each rule's own halo depth — can change verdicts; exactly those entries
-// are cleared, right after the splice. SetCircuit adopts a whole-circuit
+// Cache and invalidation contract: an anchor is a candidate for a rule only
+// when its gate's name is the name of the rule's first pattern gate (the
+// matcher rejects every other anchor at its first check). For every rule
+// the Engine keeps one verdict bit per gate: set means a candidate whose
+// verdict is unknown, clear means another gate name or a recorded failure.
+// A pass runs the matcher only at set bits, in the same rotated anchor
+// order as the pure scan, so it finds the same matches. A match attempt at
+// an anchor only ever inspects gates within the rule's halo depth
+// (Rule.HaloDepth, derived from the pattern's per-wire extents at compile
+// time) in wire-adjacency steps of the anchor, so after a splice only
+// anchors inside a wire-adjacency halo of the touched windows — BFS steps
+// from the replaced gates and their boundary wire neighbours, out to each
+// rule's own halo depth — can change verdicts; exactly those candidates are
+// reopened, right after the splice, and every inserted gate starts as a
+// candidate of each rule of its name. SetCircuit adopts a whole-circuit
 // pass's result as one such splice, over the span between the first and
-// the last gate that differ; only Reset drops every cache entry.
+// the last gate that differ; only Reset reopens every candidate.
 //
 // All mutations are recorded on a transaction log: Mark returns a point to
 // which Rollback restores the exact prior gate sequence (a speculative
@@ -45,18 +51,32 @@ type Engine struct {
 	c   *circuit.Circuit
 	dag *circuit.DAG
 
-	caches   map[*Rule]*ruleCache
-	rules    []*ruleCache // caches in creation order, for stable iteration
-	maxDepth int          // deepest per-rule halo among cached rules, for the BFS
+	caches   map[*Rule]ruleCache
+	maxDepth int // deepest per-rule halo among cached rules, for the BFS
+
+	// The candidate index, aligned with the gate list and spliced like it.
+	// kind[i] is gate i's interned name; verd[i*words:(i+1)*words] holds
+	// gate i's verdict bits, one per rule cache. kindMask holds, per kind,
+	// the bits of the rules whose first pattern gate has that name, and
+	// depthMask, per halo level 0..maxDepth, the bits of the rules whose
+	// halo reaches that level; both rows are words wide.
+	words     int
+	kindIDs   map[gate.Name]int32
+	kind      []int32
+	verd      []uint64
+	kindMask  []uint64
+	depthMask []uint64
 
 	scratch  *matchScratch
-	used     []bool
+	used     []bool // all false between passes
 	matchBuf []*Match
 
-	// Mutation assembly scratch.
+	// Mutation assembly scratch; kindScratch and verdScratch ping-pong with
+	// kind and verd.
 	winBuf      []circuit.SpliceWindow
 	replBuf     []gate.Gate
-	byteScratch []byte
+	kindScratch []int32
+	verdScratch []uint64
 	qOffs       []int
 
 	// Halo BFS scratch: epoch-stamped visited marks and a level queue.
@@ -72,30 +92,24 @@ type Engine struct {
 	stats EngineStats
 }
 
-// Per-anchor cache verdicts.
-const (
-	cacheUnknown = byte(iota)
-	cacheNoMatch
-)
-
-// ruleCache is one rule's match cache. state[i] records the verdict for the
-// rule anchored at gate i, index-aligned with the gate list across
-// splices. depth is the rule's invalidation radius (Rule.HaloDepth),
-// computed from the pattern's per-wire extents at compile time.
+// ruleCache locates one rule's verdict bit in every gate's verdict words:
+// word indexes the word and bit masks the bit. Caches take bits in
+// creation order.
 type ruleCache struct {
-	state []byte
-	depth int
+	word int
+	bit  uint64
 }
 
 // EngineStats counts engine activity since construction, for tests and
 // benchmarks.
 type EngineStats struct {
-	CacheSkips  int // anchors skipped via a cached no-match verdict
-	MatchCalls  int // matchAt invocations (cache misses)
+	CacheSkips  int // anchors a pass sent neither to the used check nor to the matcher
+	MatchCalls  int // matchAt invocations (candidates of unknown verdict)
 	Splices     int // window replacements applied (including rollbacks)
-	Invalidated int // cache entries cleared by halo invalidation
+	Invalidated int // verdict bits reopened by halo invalidation
 	HaloGates   int // gates swept by halo invalidation BFS passes
 	HaloDepth   int // deepest per-rule halo radius in use (gauge)
+	RuleCaches  int // rules with a verdict bit (gauge)
 	Resets      int // full invalidations (Reset)
 	Commits     int // accepted transactions (Commit calls)
 	Rollbacks   int // reverted transactions (Rollback calls that undid work)
@@ -121,10 +135,12 @@ type undoRec struct {
 func NewEngine(c *circuit.Circuit) *Engine {
 	e := &Engine{
 		c:       c.Clone(),
-		caches:  map[*Rule]*ruleCache{},
+		caches:  map[*Rule]ruleCache{},
+		kindIDs: map[gate.Name]int32{},
 		scratch: newMatchScratch(),
 	}
 	e.dag = circuit.BuildDAG(e.c)
+	e.indexAll()
 	return e
 }
 
@@ -140,6 +156,7 @@ func (e *Engine) Snapshot() *circuit.Circuit { return e.c.Clone() }
 func (e *Engine) Stats() EngineStats {
 	s := e.stats
 	s.HaloDepth = e.maxDepth
+	s.RuleCaches = len(e.caches)
 	return s
 }
 
@@ -179,44 +196,77 @@ func (e *Engine) Rollback(mark int) {
 	e.log = e.log[:mark]
 }
 
-// cacheFor returns (creating if needed) the rule's match cache, sized to
-// the current gate count.
-func (e *Engine) cacheFor(r *Rule) *ruleCache {
-	rc := e.caches[r]
-	if rc == nil {
-		n := len(e.c.Gates)
-		rc = &ruleCache{state: make([]byte, n), depth: r.HaloDepth()}
-		e.caches[r] = rc
-		e.rules = append(e.rules, rc)
-		if rc.depth > e.maxDepth {
-			e.maxDepth = rc.depth
+// cacheFor returns (creating if needed) the rule's verdict bit. A new rule
+// takes the next bit, widening every gate's verdict words when the current
+// ones are full, and starts with every gate of its first pattern gate's
+// name as a candidate of unknown verdict.
+func (e *Engine) cacheFor(r *Rule) ruleCache {
+	if rc, ok := e.caches[r]; ok {
+		return rc
+	}
+	idx := len(e.caches)
+	if idx == 64*e.words {
+		w := e.words
+		e.verd = widen(e.verd, len(e.kind), w)
+		e.kindMask = widen(e.kindMask, len(e.kindIDs), w)
+		e.depthMask = widen(e.depthMask, e.maxDepth+1, w)
+		e.words++
+	}
+	w := e.words
+	rc := ruleCache{word: idx / 64, bit: 1 << (idx % 64)}
+	e.caches[r] = rc
+	depth := r.HaloDepth()
+	if depth > e.maxDepth {
+		e.depthMask = append(e.depthMask, make([]uint64, (depth-e.maxDepth)*w)...)
+		e.maxDepth = depth
+	}
+	for l := 0; l <= depth; l++ {
+		e.depthMask[l*w+rc.word] |= rc.bit
+	}
+	k := e.kindOf(r.Pattern[0].Name)
+	e.kindMask[int(k)*w+rc.word] |= rc.bit
+	for i, ki := range e.kind {
+		if ki == k {
+			e.verd[i*w+rc.word] |= rc.bit
 		}
 	}
 	return rc
 }
 
+// widen copies a table of rows words wide into one of rows words+1 wide,
+// the new word of every row zero.
+func widen(s []uint64, rows, words int) []uint64 {
+	out := make([]uint64, rows*(words+1))
+	for r := 0; r < rows; r++ {
+		copy(out[r*(words+1):], s[r*words:(r+1)*words])
+	}
+	return out
+}
+
+// kindOf interns a gate name, giving a new name an all-zero mask row.
+func (e *Engine) kindOf(n gate.Name) int32 {
+	k, ok := e.kindIDs[n]
+	if !ok {
+		k = int32(len(e.kindIDs))
+		e.kindIDs[n] = k
+		e.kindMask = append(e.kindMask, make([]uint64, e.words)...)
+	}
+	return k
+}
+
 // FullPass applies one full pass of rule r starting at the given anchor,
 // in place, and returns the number of sites replaced — bit-for-bit the
 // same result as the pure FullPass on a copy of the circuit. The scan
-// consults and extends the rule's match cache (skipping cached failures);
-// all replacements land in one transaction-logged multi-window splice with
-// a single halo invalidation.
+// visits only the rule's candidates of unknown verdict and records each
+// failure; all replacements land in one transaction-logged multi-window
+// splice with a single halo invalidation.
 //
 //guoq:hotpath
 func (e *Engine) FullPass(r *Rule, start int) int {
-	n := len(e.c.Gates)
-	if n == 0 {
+	if len(e.c.Gates) == 0 {
 		return 0
 	}
-	rc := e.cacheFor(r)
-	if cap(e.used) < n {
-		e.used = make([]bool, n)
-	}
-	used := e.used[:n]
-	for i := range used {
-		used[i] = false
-	}
-	ms := findMatches(e.c, e.dag, r, start, e.scratch, used, rc, e.matchBuf[:0], &e.stats)
+	ms := e.matchCandidates(r, e.cacheFor(r), start)
 	if len(ms) == 0 {
 		e.matchBuf = ms[:0]
 		return 0
@@ -265,6 +315,58 @@ func (e *Engine) FullPass(r *Rule, start int) int {
 	}
 	e.matchBuf = ms[:0]
 	return sites
+}
+
+// matchCandidates is the engine's greedy scan: the same non-overlapping
+// matches of r, in the same order, as the pure scan from start, found by
+// running the matcher only at anchors whose verdict bit is set. A failed
+// attempt clears the bit; a match keeps it, since its window is about to
+// be spliced away (or, when it clashes with an earlier match, still
+// matches).
+//
+//guoq:hotpath
+func (e *Engine) matchCandidates(r *Rule, rc ruleCache, start int) []*Match {
+	n := len(e.c.Gates)
+	if start < 0 {
+		start = 0
+	}
+	start %= n
+	if cap(e.used) < n {
+		e.used = make([]bool, n)
+	}
+	used := e.used[:n]
+	verd, w, bit := e.verd[rc.word:], e.words, rc.bit
+	out := e.matchBuf[:0]
+	visited := 0
+	for lo, hi := start, n; ; lo, hi = 0, start {
+		for i := lo; i < hi; i++ {
+			v := &verd[i*w]
+			if *v&bit == 0 {
+				continue
+			}
+			visited++
+			if used[i] {
+				continue
+			}
+			e.stats.MatchCalls++
+			m, ok := matchAt(e.c, e.dag, r, i, e.scratch)
+			if !ok {
+				*v &^= bit
+				continue
+			}
+			if claim(used, m) {
+				out = append(out, m)
+			}
+		}
+		if lo == 0 {
+			break
+		}
+	}
+	e.stats.CacheSkips += n - visited
+	for _, m := range out {
+		clear(used[m.Lo : m.Hi+1])
+	}
+	return out
 }
 
 // ReplaceRegion splices a resynthesized subcircuit in place of a convex
@@ -344,8 +446,9 @@ func sameBits(a, b gate.Gate) bool {
 }
 
 // Reset adopts a new circuit wholesale — an exchange migration or an async
-// resynthesis result — clearing the transaction log and all caches. The
-// input is cloned; the engine's Circuit() pointer is stable across Reset.
+// resynthesis result — clearing the transaction log and reopening every
+// candidate. The input is cloned; the engine's Circuit() pointer is stable
+// across Reset.
 func (e *Engine) Reset(c *circuit.Circuit) {
 	e.c.NumQubits = c.NumQubits
 	e.c.Gates = e.c.Gates[:0]
@@ -356,32 +459,30 @@ func (e *Engine) Reset(c *circuit.Circuit) {
 		e.log[i] = undoRec{}
 	}
 	e.log = e.log[:0]
-	e.rebuildAll()
-}
-
-// rebuildAll recomputes the DAG from the current gate list and wipes every
-// rule cache (an adopted circuit has no useful halo).
-func (e *Engine) rebuildAll() {
 	e.stats.Resets++
 	e.dag.Rebuild()
-	n := len(e.c.Gates)
-	for _, rc := range e.rules {
-		if cap(rc.state) < n {
-			rc.state = make([]byte, n)
-		} else {
-			rc.state = rc.state[:n]
-			for i := range rc.state {
-				rc.state[i] = cacheUnknown
-			}
-		}
+	e.indexAll()
+}
+
+// indexAll rebuilds the candidate index from the current gate list: every
+// gate is a candidate of unknown verdict for each rule of its name (an
+// adopted circuit has no useful halo).
+func (e *Engine) indexAll() {
+	w := e.words
+	e.kind = e.kind[:0]
+	e.verd = e.verd[:0]
+	for _, g := range e.c.Gates {
+		k := e.kindOf(g.Name)
+		e.kind = append(e.kind, k)
+		e.verd = append(e.verd, e.kindMask[int(k)*w:int(k+1)*w]...)
 	}
 }
 
 // multiSplice applies one transformation's window replacements: a single
-// DAG sweep, one cache splice per rule, and one halo invalidation over all
-// windows. Windows must be ascending and non-overlapping, in current
-// coordinates. When record is set (a forward splice), the inverse is pushed
-// on the undo log; Rollback's undo splices pass false.
+// DAG sweep, one splice of the candidate index, and one halo invalidation
+// over all windows. Windows must be ascending and non-overlapping, in
+// current coordinates. When record is set (a forward splice), the inverse
+// is pushed on the undo log; Rollback's undo splices pass false.
 //
 //guoq:hotpath
 func (e *Engine) multiSplice(ws []circuit.SpliceWindow, record bool) {
@@ -438,45 +539,51 @@ func (e *Engine) multiSplice(ws []circuit.SpliceWindow, record bool) {
 	}
 
 	e.dag.MultiSplice(ws)
-	for _, rc := range e.rules {
-		rc.state = e.multiSpliceBytes(rc.state, ws)
-	}
+	e.spliceIndex(ws)
 	e.invalidate(wins, seeds, qOffs)
 
 	e.seedQ = seeds[:0]
 	e.qOffs = qOffs[:0]
 }
 
-// multiSpliceBytes mirrors a multi-window gate splice on a per-anchor byte
-// slice: each window's entries are replaced by unknown (zero) bytes. The
-// new slice is assembled into a shared scratch buffer that ping-pongs with
-// the old storage.
+// spliceIndex mirrors a multi-window gate splice on the candidate index:
+// each window's entries are replaced by its inserted gates' kinds, each a
+// candidate of unknown verdict for every rule of its name. The new arrays
+// are assembled into scratch buffers that ping-pong with the old storage.
 //
 //guoq:hotpath
-func (e *Engine) multiSpliceBytes(b []byte, ws []circuit.SpliceWindow) []byte {
-	out := e.byteScratch[:0]
+func (e *Engine) spliceIndex(ws []circuit.SpliceWindow) {
+	w := e.words
+	kind, verd := e.kindScratch[:0], e.verdScratch[:0]
 	i := 0
-	for _, w := range ws {
-		out = append(out, b[i:w.Lo]...)
-		for k := 0; k < len(w.Repl); k++ {
-			out = append(out, 0)
+	for _, win := range ws {
+		kind = append(kind, e.kind[i:win.Lo]...)
+		verd = append(verd, e.verd[i*w:win.Lo*w]...)
+		for _, g := range win.Repl {
+			k := e.kindOf(g.Name)
+			kind = append(kind, k)
+			verd = append(verd, e.kindMask[int(k)*w:int(k+1)*w]...)
 		}
-		i = w.Hi + 1
+		i = win.Hi + 1
 	}
-	out = append(out, b[i:]...)
-	e.byteScratch = b[:0]
-	return out
+	kind = append(kind, e.kind[i:]...)
+	verd = append(verd, e.verd[i*w:]...)
+	e.kindScratch, e.kind = e.kind[:0], kind
+	e.verdScratch, e.verd = e.verd[:0], verd
 }
 
-// invalidate clears the cache entries in the wire-adjacency halo of the
+// invalidate reopens the candidates in the wire-adjacency halo of the
 // applied windows (post coordinates). One BFS over the post-splice DAG —
 // seeded with the inserted gates and, per touched wire, the gates just
 // outside each window — records each gate's distance from the change; a
-// rule's entries are cleared only within its own compiled radius (Rule.HaloDepth, from the pattern's per-wire
-// extents), since a match attempt for that rule explores at most that many
-// wire steps from its anchor. Keeping the halo per-rule-tight — and much
-// tighter than the old pattern-length bound for long narrow patterns — is
-// what lets small rules retain most of their cache across unrelated edits.
+// rule's candidates are reopened only within its own compiled radius
+// (Rule.HaloDepth, from the pattern's per-wire extents), since a match
+// attempt for that rule explores at most that many wire steps from its
+// anchor. A gate at distance ℓ gets, in one OR per word, the bits its kind
+// and that level's depth mask share. Keeping the halo per-rule-tight — and
+// much tighter than the old pattern-length bound for long narrow patterns —
+// is what lets small rules retain most of their verdicts across unrelated
+// edits.
 //
 //guoq:hotpath
 func (e *Engine) invalidate(wins []undoWin, seeds, qOffs []int) {
@@ -537,17 +644,21 @@ func (e *Engine) invalidate(wins []undoWin, seeds, qOffs []int) {
 		levels = append(levels, len(queue))
 	}
 	e.stats.HaloGates += len(queue)
-	for _, rc := range e.rules {
-		r := rc.depth
-		if r > depth {
-			r = depth
-		}
-		for _, i := range queue[:levels[r]] {
-			if rc.state[i] != cacheUnknown {
-				rc.state[i] = cacheUnknown
-				e.stats.Invalidated++
+	w := e.words
+	lo := 0
+	for l, hi := range levels {
+		dm := e.depthMask[l*w : (l+1)*w]
+		for _, i := range queue[lo:hi] {
+			km := e.kindMask[int(e.kind[i])*w:]
+			v := e.verd[i*w : (i+1)*w]
+			for j := range v {
+				if reopen := km[j] & dm[j] &^ v[j]; reopen != 0 {
+					v[j] |= reopen
+					e.stats.Invalidated += bits.OnesCount64(reopen)
+				}
 			}
 		}
+		lo = hi
 	}
 	e.queue = queue[:0]
 	e.levels = levels[:0]

@@ -1,7 +1,6 @@
 package rewrite
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -349,36 +348,6 @@ func TestEngineDegenerate(t *testing.T) {
 	eng.Reset(circuit.New(2))
 	if eng.Circuit().NumQubits != 2 || eng.Circuit().Len() != 0 {
 		t.Fatal("reset to an empty circuit failed")
-	}
-}
-
-func TestMultiSpliceBytes(t *testing.T) {
-	mkRepl := func(k int) []gate.Gate { return make([]gate.Gate, k) }
-	cases := []struct {
-		in   string
-		ws   []circuit.SpliceWindow
-		want string
-	}{
-		{"11111", []circuit.SpliceWindow{{Lo: 1, Hi: 3, Repl: mkRepl(1)}}, "101"},
-		{"11111", []circuit.SpliceWindow{{Lo: 1, Hi: 3, Repl: mkRepl(5)}}, "1000001"},
-		{"11111", []circuit.SpliceWindow{{Lo: 2, Hi: 1, Repl: mkRepl(2)}}, "1100111"}, // pure insertion
-		{"11111", []circuit.SpliceWindow{{Lo: 0, Hi: 4}}, ""},
-		{"111111", []circuit.SpliceWindow{{Lo: 0, Hi: 1, Repl: mkRepl(1)}, {Lo: 3, Hi: 3, Repl: mkRepl(2)}}, "010011"},
-	}
-	e := NewEngine(circuit.New(1))
-	for i, tc := range cases {
-		b := make([]byte, len(tc.in))
-		for j := range tc.in {
-			b[j] = tc.in[j] - '0'
-		}
-		got := e.multiSpliceBytes(b, tc.ws)
-		s := ""
-		for _, x := range got {
-			s += fmt.Sprint(x)
-		}
-		if s != tc.want {
-			t.Errorf("case %d: got %q, want %q", i, s, tc.want)
-		}
 	}
 }
 

@@ -18,7 +18,7 @@ type Match struct {
 }
 
 // matchScratch holds the matcher's working state so that repeated matching
-// — a full pass, or the Engine's cached rescan — allocates nothing on the
+// — a full pass, or the Engine's candidate scan — allocates nothing on the
 // failure path (the overwhelmingly common one). Between calls the scratch
 // maintains the invariants: qmap and rq all -1, taken empty. A successful
 // match copies its bindings out into a fresh Match, so the scratch can be
@@ -245,18 +245,14 @@ func intsContain(s []int, v int) bool {
 	return false
 }
 
-// findMatches is the shared greedy scan behind FindMatches and the Engine:
-// non-overlapping matches of r collected from start, wrapping around, in
-// anchor order. used must be all-false with length len(c.Gates). rc, when
-// non-nil, is the Engine's per-anchor match cache: anchors with a recorded
-// no-match verdict are skipped without rematching, and fresh no-match
-// verdicts are recorded — sound because matchAt is a pure function of the
-// circuit around the anchor, and the Engine clears entries whose
-// neighbourhood changed. st, when non-nil, accumulates cache-effectiveness
-// counters.
+// findMatches is the pure greedy scan behind FindMatches: non-overlapping
+// matches of r collected from start, wrapping around, in anchor order. used
+// must be all-false with length len(c.Gates). The Engine's scan
+// (matchCandidates) visits the same anchors in the same order, minus those
+// its candidate index knows to fail.
 //
 //guoq:hotpath
-func findMatches(c *circuit.Circuit, d *circuit.DAG, r *Rule, start int, s *matchScratch, used []bool, rc *ruleCache, out []*Match, st *EngineStats) []*Match {
+func findMatches(c *circuit.Circuit, d *circuit.DAG, r *Rule, start int, s *matchScratch, used []bool, out []*Match) []*Match {
 	n := len(c.Gates)
 	if start < 0 {
 		start = 0
@@ -266,38 +262,25 @@ func findMatches(c *circuit.Circuit, d *circuit.DAG, r *Rule, start int, s *matc
 		if used[anchor] {
 			continue
 		}
-		if rc != nil && rc.state[anchor] == cacheNoMatch {
-			if st != nil {
-				st.CacheSkips++
-			}
-			continue
+		if m, ok := matchAt(c, d, r, anchor, s); ok && claim(used, m) {
+			out = append(out, m)
 		}
-		if st != nil {
-			st.MatchCalls++
-		}
-		m, ok := matchAt(c, d, r, anchor, s)
-		if !ok {
-			if rc != nil {
-				rc.state[anchor] = cacheNoMatch
-			}
-			continue
-		}
-		clash := false
-		for i := m.Lo; i <= m.Hi; i++ {
-			if used[i] {
-				clash = true
-				break
-			}
-		}
-		if clash {
-			continue
-		}
-		for i := m.Lo; i <= m.Hi; i++ {
-			used[i] = true
-		}
-		out = append(out, m)
 	}
 	return out
+}
+
+// claim marks m's window as used and reports true, unless the window
+// overlaps an earlier match of the same pass.
+func claim(used []bool, m *Match) bool {
+	for i := m.Lo; i <= m.Hi; i++ {
+		if used[i] {
+			return false
+		}
+	}
+	for i := m.Lo; i <= m.Hi; i++ {
+		used[i] = true
+	}
+	return true
 }
 
 // FindMatches scans the whole circuit and returns all non-overlapping
@@ -311,7 +294,7 @@ func FindMatches(c *circuit.Circuit, r *Rule, start int) []*Match {
 		return nil
 	}
 	d := circuit.BuildDAG(c)
-	return findMatches(c, d, r, start, newMatchScratch(), make([]bool, n), nil, nil, nil)
+	return findMatches(c, d, r, start, newMatchScratch(), make([]bool, n), nil)
 }
 
 // Apply replaces every given match in one pass, producing a new circuit.
