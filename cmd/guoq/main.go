@@ -250,10 +250,11 @@ func main() {
 	}
 	if *metrics {
 		snap := sess.Metrics()
-		fmt.Fprintf(os.Stderr, "engine     %.0f cache hits, %.0f misses, %.0f splices, %.0f invalidated (halo depth %.0f)\n",
+		fmt.Fprintf(os.Stderr, "engine     %.0f cache hits, %.0f misses, %.0f splices, %.0f invalidated (halo depth %.0f), %.0f rule and %.0f τ0 passes skipped\n",
 			snap["guoq_engine_cache_hits_total"],
 			snap["guoq_engine_cache_misses_total"], snap["guoq_engine_splices_total"],
-			snap["guoq_engine_invalidated_total"], snap["guoq_engine_halo_depth"])
+			snap["guoq_engine_invalidated_total"], snap["guoq_engine_halo_depth"],
+			snap["guoq_engine_rule_skips_total"], snap["guoq_engine_pass_skips_total"])
 		if len(res.Rules) > 0 {
 			fmt.Fprintf(os.Stderr, "%-40s %9s %9s %9s\n", "transformation", "attempts", "accepted", "rejected")
 			for _, r := range res.Rules {

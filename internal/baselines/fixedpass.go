@@ -7,7 +7,6 @@ import (
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gateset"
 	"github.com/guoq-dev/guoq/internal/opt"
-	"github.com/guoq-dev/guoq/internal/phasepoly"
 	"github.com/guoq-dev/guoq/internal/rewrite"
 )
 
@@ -35,11 +34,7 @@ type Pass func(e *rewrite.Engine, gs *gateset.GateSet, rules []*rewrite.Rule) in
 
 // CleanupPass cancels inverse pairs and merges adjacent rotations.
 func CleanupPass(e *rewrite.Engine, gs *gateset.GateSet, _ []*rewrite.Rule) int {
-	out, changed := rewrite.CleanupChangedFor(e.Circuit(), gs)
-	if changed > 0 {
-		e.SetCircuit(out)
-	}
-	return changed
+	return e.ApplyPass(opt.CleanupPass, gs)
 }
 
 // FusePass fuses single-qubit runs (continuous sets only).
@@ -47,20 +42,12 @@ func FusePass(e *rewrite.Engine, gs *gateset.GateSet, _ []*rewrite.Rule) int {
 	if !gs.Continuous() {
 		return 0
 	}
-	out, changed := rewrite.Fuse1QChanged(e.Circuit(), gs)
-	if changed > 0 {
-		e.SetCircuit(out)
-	}
-	return changed
+	return e.ApplyPass(opt.Fuse1QPass, gs)
 }
 
 // FoldPass runs global phase folding (rotation merging).
 func FoldPass(e *rewrite.Engine, gs *gateset.GateSet, _ []*rewrite.Rule) int {
-	out, changed := phasepoly.FoldChangedFor(e.Circuit(), gs)
-	if changed > 0 {
-		e.SetCircuit(out)
-	}
-	return changed
+	return e.ApplyPass(opt.PhaseFoldPass, gs)
 }
 
 // RulesPass applies every library rule once, full-pass, in a fixed order

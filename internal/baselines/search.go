@@ -8,7 +8,6 @@ import (
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gateset"
 	"github.com/guoq-dev/guoq/internal/opt"
-	"github.com/guoq-dev/guoq/internal/phasepoly"
 	"github.com/guoq-dev/guoq/internal/rewrite"
 )
 
@@ -101,15 +100,11 @@ func (l *Lookahead) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs 
 		if eng.FullPass(r, 0) == 0 {
 			return false
 		}
-		if out, changed := rewrite.CleanupChangedFor(eng.Circuit(), gs); changed > 0 {
-			eng.SetCircuit(out)
-		}
+		eng.ApplyPass(opt.CleanupPass, gs)
 		return true
 	}
 
-	if out, changed := rewrite.CleanupChangedFor(eng.Circuit(), gs); changed > 0 {
-		eng.SetCircuit(out)
-	}
+	eng.ApplyPass(opt.CleanupPass, gs)
 	eng.Commit()
 	best := eng.Snapshot()
 	bestCost := cost(best)
@@ -210,9 +205,7 @@ func (p *PyZX) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gate
 			break
 		}
 		before := eng.Circuit().Len()
-		if folded, changed := phasepoly.FoldChangedFor(eng.Circuit(), gs); changed > 0 {
-			eng.SetCircuit(folded)
-		}
+		eng.ApplyPass(opt.PhaseFoldPass, gs)
 		// cancel1q only ever removes gates, so equal length means no-op.
 		if c1 := cancel1q(eng.Circuit()); c1.Len() != eng.Circuit().Len() {
 			eng.SetCircuit(c1)

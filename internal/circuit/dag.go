@@ -12,26 +12,28 @@ import (
 //
 // The DAG supports two maintenance modes. BuildDAG constructs a fresh view
 // in one O(gates · arity) pass — the throwaway mode used by the pure
-// FindMatches/FullPass API, which allocates link rows per gate. A
-// long-lived DAG (the rewrite.Engine's) is instead kept current across
-// mutations with Splice/MultiSplice, which replace gate windows in place:
-// the gate list is spliced, and the wire lists and link rows are recomputed
-// into the existing storage (freed rows are pooled), so steady-state
-// maintenance allocates nothing no matter how many windows a pass rewrites.
+// FindMatches/FullPass API. A long-lived DAG (the rewrite.Engine's) is
+// instead kept current across mutations with Splice/MultiSplice, which
+// replace gate windows in place: the gate list is spliced, and the wire
+// lists and links are recomputed into the existing storage, so
+// steady-state maintenance allocates nothing no matter how many windows a
+// pass rewrites. The links are flat: one next and one prev slot per (gate,
+// qubit position), gate i's slots starting at off[i], so neither mode
+// allocates per gate.
 type DAG struct {
 	c *Circuit
 	// wires[q] lists the gate indices acting on qubit q, in circuit order.
 	wires [][]int
-	// next[i] / prev[i] give, per gate qubit position, the following and
-	// preceding gate index on that wire, or -1.
-	next [][]int
-	prev [][]int
+	// Gate i's link slots are off[i] .. off[i+1]-1, aligned with its
+	// Qubits: next[s] and prev[s] give the following and preceding gate
+	// index on that wire, or -1.
+	off  []int
+	next []int
+	prev []int
 
-	// pool recycles freed link rows by capacity class (arity 1..3). Rows
-	// with larger capacity are rare and simply dropped.
-	pool [4][][]int
-	// last is the per-qubit rebuild scratch; gateScratch assembles spliced
-	// gate lists, ping-ponging with the circuit's own slice.
+	// last is the per-qubit rebuild scratch (the link slot of the last
+	// gate seen on each wire); gateScratch assembles spliced gate lists,
+	// ping-ponging with the circuit's own slice.
 	last        []int
 	gateScratch []gate.Gate
 }
@@ -51,11 +53,10 @@ func BuildDAG(c *Circuit) *DAG {
 }
 
 // Rebuild reconstructs the full DAG from the underlying circuit in place,
-// reusing wire storage and pooled link rows from the previous state: the
-// single O(gates · arity) pass of BuildDAG, minus its allocations.
+// reusing the wire and link storage of the previous state: the single
+// O(gates · arity) pass of BuildDAG, minus its allocations.
 func (d *DAG) Rebuild() {
 	c := d.c
-	n := len(c.Gates)
 	if cap(d.wires) < c.NumQubits {
 		d.wires = make([][]int, c.NumQubits)
 	}
@@ -63,78 +64,27 @@ func (d *DAG) Rebuild() {
 	for q := range d.wires {
 		d.wires[q] = d.wires[q][:0]
 	}
-	// Free surplus link rows before shrinking, and nil the entries so a
-	// later grow cannot resurrect a pooled row.
-	for i := n; i < len(d.next); i++ {
-		d.freeRow(d.next[i])
-		d.freeRow(d.prev[i])
-		d.next[i], d.prev[i] = nil, nil
-	}
-	d.next = growRows(d.next, n)
-	d.prev = growRows(d.prev, n)
 	if cap(d.last) < c.NumQubits {
 		d.last = make([]int, c.NumQubits)
 	}
 	last := d.last[:c.NumQubits]
-	for q := range last {
-		last[q] = -1
-	}
+	off, next, prev := d.off[:0], d.next[:0], d.prev[:0]
 	for i, g := range c.Gates {
-		k := len(g.Qubits)
-		nr := d.row(d.next[i], k)
-		pr := d.row(d.prev[i], k)
-		d.next[i], d.prev[i] = nr, pr
-		for k, q := range g.Qubits {
-			d.wires[q] = append(d.wires[q], i)
-			pr[k] = last[q]
-			nr[k] = -1
-			if p := last[q]; p >= 0 {
-				pg := c.Gates[p]
-				for pk, pq := range pg.Qubits {
-					if pq == q {
-						d.next[p][pk] = i
-					}
-				}
+		off = append(off, len(next))
+		for _, q := range g.Qubits {
+			w := d.wires[q]
+			if len(w) > 0 {
+				next[last[q]] = i
+				prev = append(prev, w[len(w)-1])
+			} else {
+				prev = append(prev, -1)
 			}
-			last[q] = i
+			last[q] = len(next)
+			next = append(next, -1)
+			d.wires[q] = append(w, i)
 		}
 	}
-}
-
-// growRows resizes a row table to n entries, preserving existing rows.
-func growRows(rows [][]int, n int) [][]int {
-	if cap(rows) < n {
-		nr := make([][]int, n, n+n/2+8)
-		copy(nr, rows)
-		return nr
-	}
-	return rows[:n]
-}
-
-// row returns a link row of length k, reusing old's storage or a pooled row.
-func (d *DAG) row(old []int, k int) []int {
-	if cap(old) >= k {
-		return old[:k]
-	}
-	d.freeRow(old)
-	return d.newRow(k)
-}
-
-func (d *DAG) newRow(k int) []int {
-	if k < len(d.pool) {
-		if p := d.pool[k]; len(p) > 0 {
-			r := p[len(p)-1]
-			d.pool[k] = p[:len(p)-1]
-			return r[:k]
-		}
-	}
-	return make([]int, k)
-}
-
-func (d *DAG) freeRow(r []int) {
-	if c := cap(r); c > 0 && c < len(d.pool) {
-		d.pool[c] = append(d.pool[c], r[:c])
-	}
+	d.off, d.next, d.prev = append(off, len(next)), next, prev
 }
 
 // MultiSplice replaces every window of ws — ascending, non-overlapping —
@@ -185,14 +135,17 @@ func (d *DAG) Wire(q int) []int { return d.wires[q] }
 // Links returns the raw per-qubit-position next and prev gate links of gate
 // i. The slices alias the DAG's internal state and must not be modified;
 // they are positionally aligned with the gate's Qubits.
-func (d *DAG) Links(i int) (next, prev []int) { return d.next[i], d.prev[i] }
+func (d *DAG) Links(i int) (next, prev []int) {
+	lo, hi := d.off[i], d.off[i+1]
+	return d.next[lo:hi:hi], d.prev[lo:hi:hi]
+}
 
 // NextOnWire returns the gate index following gate i on qubit q, or -1.
 // Gate i must act on q.
 func (d *DAG) NextOnWire(i, q int) int {
 	for k, gq := range d.c.Gates[i].Qubits {
 		if gq == q {
-			return d.next[i][k]
+			return d.next[d.off[i]+k]
 		}
 	}
 	return -1
@@ -202,7 +155,7 @@ func (d *DAG) NextOnWire(i, q int) int {
 func (d *DAG) PrevOnWire(i, q int) int {
 	for k, gq := range d.c.Gates[i].Qubits {
 		if gq == q {
-			return d.prev[i][k]
+			return d.prev[d.off[i]+k]
 		}
 	}
 	return -1
@@ -212,7 +165,8 @@ func (d *DAG) PrevOnWire(i, q int) int {
 // on any of its wires.
 func (d *DAG) Successors(i int) []int {
 	var out []int
-	for _, n := range d.next[i] {
+	next, _ := d.Links(i)
+	for _, n := range next {
 		if n >= 0 && !containsInt(out, n) {
 			out = append(out, n)
 		}
@@ -224,7 +178,8 @@ func (d *DAG) Successors(i int) []int {
 // i on any of its wires.
 func (d *DAG) Predecessors(i int) []int {
 	var out []int
-	for _, p := range d.prev[i] {
+	_, prev := d.Links(i)
+	for _, p := range prev {
 		if p >= 0 && !containsInt(out, p) {
 			out = append(out, p)
 		}

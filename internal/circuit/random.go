@@ -40,8 +40,8 @@ func randQubits(n, k int, rng *rand.Rand) []int {
 	return out
 }
 
-// DefaultTestVocab is a mixed vocabulary exercising 1-, 2-, and 3-qubit
-// gates with and without parameters.
+// DefaultTestVocab is a mixed vocabulary exercising 1- and 2-qubit gates
+// with and without parameters.
 var DefaultTestVocab = []gate.Name{
 	gate.H, gate.X, gate.T, gate.Tdg, gate.S, gate.Rz, gate.Rx,
 	gate.CX, gate.CZ, gate.Rzz,

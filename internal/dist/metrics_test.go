@@ -45,11 +45,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// A guoq worker colocated with the daemon shares the registry: engine
-	// counters — including the halo families — surface through the same
-	// scrape.
+	// counters — including the halo and pass-skip families — surface
+	// through the same scrape.
 	em := opt.NewMetrics(reg)
 	em.AddEngineStats(rewrite.EngineStats{
-		CacheSkips: 5, HaloGates: 11, HaloDepth: 4,
+		CacheSkips: 5, HaloGates: 11, HaloDepth: 4, RuleSkips: 7, PassSkips: 3,
 	})
 
 	// Unauthenticated scrape must succeed despite -token.
@@ -80,6 +80,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"guoq_engine_cache_hits_total 5",
 		"guoq_engine_halo_gates_total 11",
 		"guoq_engine_halo_depth 4",
+		"guoq_engine_rule_skips_total 7",
+		"guoq_engine_pass_skips_total 3",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q\n%s", want, text)

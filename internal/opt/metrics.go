@@ -31,6 +31,8 @@ type Metrics struct {
 	// put atomics inside FullPass).
 	EngineCacheHits   *obs.Counter
 	EngineCacheMisses *obs.Counter
+	EngineRuleSkips   *obs.Counter
+	EnginePassSkips   *obs.Counter
 	EngineSplices     *obs.Counter
 	EngineInvalidated *obs.Counter
 	EngineHaloGates   *obs.Counter
@@ -63,8 +65,10 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		BestCost:        reg.Gauge("guoq_best_cost", "Cost of the best solution found so far."),
 		Migrations:      reg.Counter("guoq_migrations_total", "Exchange adoptions across all searches."),
 
-		EngineCacheHits:   reg.Counter("guoq_engine_cache_hits_total", "Anchors a rule pass skipped unmatched: not a candidate (another gate name than the rule's first) or a recorded no-match."),
+		EngineCacheHits:   reg.Counter("guoq_engine_cache_hits_total", "Anchors a rule pass skipped unmatched: not a candidate (another gate name than the rule's first) or a recorded no-match. A skipped pass (guoq_engine_rule_skips_total) visits no anchor and counts none."),
 		EngineCacheMisses: reg.Counter("guoq_engine_cache_misses_total", "Match attempts at candidates of unknown verdict."),
+		EngineRuleSkips:   reg.Counter("guoq_engine_rule_skips_total", "Rule passes skipped because the rule found nothing on the same gate sequence."),
+		EnginePassSkips:   reg.Counter("guoq_engine_pass_skips_total", "Cleanup, fusion and phase-folding passes skipped because they changed nothing on the same gate sequence."),
 		EngineSplices:     reg.Counter("guoq_engine_splices_total", "Window replacements applied (including rollbacks)."),
 		EngineInvalidated: reg.Counter("guoq_engine_invalidated_total", "Verdict bits reopened by halo invalidation."),
 		EngineHaloGates:   reg.Counter("guoq_engine_halo_gates_total", "Gates swept by halo invalidation BFS passes."),
@@ -88,6 +92,8 @@ func (m *Metrics) AddEngineStats(st rewrite.EngineStats) {
 	}
 	m.EngineCacheHits.Add(int64(st.CacheSkips))
 	m.EngineCacheMisses.Add(int64(st.MatchCalls))
+	m.EngineRuleSkips.Add(int64(st.RuleSkips))
+	m.EnginePassSkips.Add(int64(st.PassSkips))
 	m.EngineSplices.Add(int64(st.Splices))
 	m.EngineInvalidated.Add(int64(st.Invalidated))
 	m.EngineHaloGates.Add(int64(st.HaloGates))

@@ -91,7 +91,9 @@ func (t *RuleTransformation) Apply(c *circuit.Circuit, _ float64, rng *rand.Rand
 }
 
 // ApplyEngine implements EngineApplier: the same full pass, but matched
-// through the engine's per-rule cache and applied as in-place splices.
+// through the engine's per-rule cache and applied as in-place splices. The
+// start anchor is drawn before the engine may skip the pass, so a skip
+// leaves the rng stream as a scan would.
 func (t *RuleTransformation) ApplyEngine(e *rewrite.Engine, _ float64, rng *rand.Rand) (float64, bool) {
 	c := e.Circuit()
 	if c.Len() == 0 {
@@ -100,6 +102,15 @@ func (t *RuleTransformation) ApplyEngine(e *rewrite.Engine, _ float64, rng *rand
 	n := e.FullPass(t.Rule, rng.Intn(c.Len()))
 	return 0, n > 0
 }
+
+// The τ_0 whole-circuit passes as the engine runs them: Engine.ApplyPass
+// adopts a pass's output as one splice when it changed something, and
+// skips a pass that changed nothing at the engine's current version.
+var (
+	CleanupPass   = &rewrite.Pass{Name: "cleanup", Run: rewrite.CleanupChangedFor}
+	Fuse1QPass    = &rewrite.Pass{Name: "fuse1q", Run: rewrite.Fuse1QChanged}
+	PhaseFoldPass = &rewrite.Pass{Name: "phasefold", Run: phasepoly.FoldChangedFor}
+)
 
 // CleanupTransformation wraps the normalization pass as a τ_0. GateSet is
 // the resolved target, so the pass emits natively even for ad-hoc sets
@@ -120,16 +131,10 @@ func (t *CleanupTransformation) Apply(c *circuit.Circuit, _ float64, _ *rand.Ran
 	return out, 0, true
 }
 
-// ApplyEngine implements EngineApplier: a whole-circuit pass adopted via
-// SetCircuit, which splices in the span it changed, only when it changed
-// something.
+// ApplyEngine implements EngineApplier: the pass through Engine.ApplyPass,
+// which splices in the span it changed, only when it changed something.
 func (t *CleanupTransformation) ApplyEngine(e *rewrite.Engine, _ float64, _ *rand.Rand) (float64, bool) {
-	out, changed := rewrite.CleanupChangedFor(e.Circuit(), t.GateSet)
-	if changed == 0 {
-		return 0, false
-	}
-	e.SetCircuit(out)
-	return 0, true
+	return 0, e.ApplyPass(CleanupPass, t.GateSet) > 0
 }
 
 // FuseTransformation wraps single-qubit fusion as a τ_0 (continuous sets).
@@ -151,12 +156,7 @@ func (t *FuseTransformation) Apply(c *circuit.Circuit, _ float64, _ *rand.Rand) 
 
 // ApplyEngine implements EngineApplier.
 func (t *FuseTransformation) ApplyEngine(e *rewrite.Engine, _ float64, _ *rand.Rand) (float64, bool) {
-	out, changed := rewrite.Fuse1QChanged(e.Circuit(), t.GateSet)
-	if changed == 0 {
-		return 0, false
-	}
-	e.SetCircuit(out)
-	return 0, true
+	return 0, e.ApplyPass(Fuse1QPass, t.GateSet) > 0
 }
 
 // PhaseFoldTransformation wraps global phase folding as a τ_0. It is cheap,
@@ -181,12 +181,7 @@ func (t *PhaseFoldTransformation) Apply(c *circuit.Circuit, _ float64, _ *rand.R
 
 // ApplyEngine implements EngineApplier.
 func (t *PhaseFoldTransformation) ApplyEngine(e *rewrite.Engine, _ float64, _ *rand.Rand) (float64, bool) {
-	out, changed := phasepoly.FoldChangedFor(e.Circuit(), t.GateSet)
-	if changed == 0 {
-		return 0, false
-	}
-	e.SetCircuit(out)
-	return 0, true
+	return 0, e.ApplyPass(PhaseFoldPass, t.GateSet) > 0
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import (
 
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gate"
+	"github.com/guoq-dev/guoq/internal/gateset"
 )
 
 // Engine is the stateful, incremental rewrite executor. It owns a mutable
@@ -37,6 +38,16 @@ import (
 // pass's result as one such splice, over the span between the first and
 // the last gate that differ; only Reset reopens every candidate.
 //
+// Versions: the engine numbers its gate sequence. Every forward splice and
+// every Reset takes a fresh number from a counter that only grows, and
+// Rollback(mark) restores the number of the sequence it restores, so one
+// number never names two sequences. A rule pass that found nothing
+// records the version it ran at, and so does a τ₀ pass run through
+// ApplyPass; while that version is current the pass is skipped. "No
+// match" does not depend on the start anchor, which the caller has drawn
+// already, and a τ₀ pass is a deterministic function of the gate sequence
+// and its gate set, so a skipped pass returns what running it would.
+//
 // All mutations are recorded on a transaction log: Mark returns a point to
 // which Rollback restores the exact prior gate sequence (a speculative
 // candidate the caller rejected, or a lookahead branch), and Commit accepts
@@ -51,8 +62,15 @@ type Engine struct {
 	c   *circuit.Circuit
 	dag *circuit.DAG
 
-	caches   map[*Rule]ruleCache
+	caches   map[*Rule]*ruleCache
 	maxDepth int // deepest per-rule halo among cached rules, for the BFS
+
+	// version names the current gate sequence; versions is the last
+	// number drawn. quiet holds, per τ₀ pass and gate set, the version at
+	// which the pass last changed nothing.
+	version  uint64
+	versions uint64
+	quiet    map[passKey]uint64
 
 	// The candidate index, aligned with the gate list and spliced like it.
 	// kind[i] is gate i's interned name; verd[i*words:(i+1)*words] holds
@@ -94,17 +112,27 @@ type Engine struct {
 
 // ruleCache locates one rule's verdict bit in every gate's verdict words:
 // word indexes the word and bit masks the bit. Caches take bits in
-// creation order.
+// creation order. quiet is the version at which the rule's last pass
+// found nothing (0, which no sequence has, if none did).
 type ruleCache struct {
-	word int
-	bit  uint64
+	word  int
+	bit   uint64
+	quiet uint64
+}
+
+// passKey names one τ₀ pass run for one gate set.
+type passKey struct {
+	pass *Pass
+	gs   *gateset.GateSet
 }
 
 // EngineStats counts engine activity since construction, for tests and
 // benchmarks.
 type EngineStats struct {
-	CacheSkips  int // anchors a pass sent neither to the used check nor to the matcher
+	CacheSkips  int // anchors a pass sent neither to the used check nor to the matcher; a skipped pass counts none
 	MatchCalls  int // matchAt invocations (candidates of unknown verdict)
+	RuleSkips   int // rule passes skipped: the rule found nothing at the current version
+	PassSkips   int // τ₀ passes (ApplyPass) skipped: the pass changed nothing at the current version
 	Splices     int // window replacements applied (including rollbacks)
 	Invalidated int // verdict bits reopened by halo invalidation
 	HaloGates   int // gates swept by halo invalidation BFS passes
@@ -125,9 +153,11 @@ type undoWin struct {
 }
 
 // undoRec is one logged mutation: its applied windows, ascending and
-// non-overlapping, in post-splice coordinates.
+// non-overlapping, in post-splice coordinates, and the version of the
+// sequence it replaced.
 type undoRec struct {
-	wins []undoWin
+	wins    []undoWin
+	version uint64
 }
 
 // NewEngine builds an engine over a deep copy of c; the input is never
@@ -135,13 +165,21 @@ type undoRec struct {
 func NewEngine(c *circuit.Circuit) *Engine {
 	e := &Engine{
 		c:       c.Clone(),
-		caches:  map[*Rule]ruleCache{},
+		caches:  map[*Rule]*ruleCache{},
+		quiet:   map[passKey]uint64{},
 		kindIDs: map[gate.Name]int32{},
 		scratch: newMatchScratch(),
 	}
 	e.dag = circuit.BuildDAG(e.c)
 	e.indexAll()
+	e.renumber()
 	return e
+}
+
+// renumber gives the current gate sequence a fresh version.
+func (e *Engine) renumber() {
+	e.versions++
+	e.version = e.versions
 }
 
 // Circuit returns the engine's live circuit. It is mutated in place by
@@ -173,14 +211,15 @@ func (e *Engine) Commit() {
 }
 
 // Rollback reverts every mutation logged after mark, most recent first,
-// restoring the exact prior gate sequence. Each reverted splice is undone
-// by a splice back to the removed gates, whose halo is invalidated like a
-// forward splice's.
+// restoring the exact prior gate sequence and its version. Each reverted
+// splice is undone by a splice back to the removed gates, whose halo is
+// invalidated like a forward splice's.
 func (e *Engine) Rollback(mark int) {
 	if mark >= len(e.log) {
 		return
 	}
 	e.stats.Rollbacks++
+	version := e.log[mark].version
 	for i := len(e.log) - 1; i >= mark; i-- {
 		// Invert in place: each applied window [lo, lo+inserted) goes back
 		// to its removed gates. Post coordinates of the forward splice are
@@ -194,13 +233,14 @@ func (e *Engine) Rollback(mark int) {
 		e.log[i] = undoRec{}
 	}
 	e.log = e.log[:mark]
+	e.version = version
 }
 
 // cacheFor returns (creating if needed) the rule's verdict bit. A new rule
 // takes the next bit, widening every gate's verdict words when the current
 // ones are full, and starts with every gate of its first pattern gate's
 // name as a candidate of unknown verdict.
-func (e *Engine) cacheFor(r *Rule) ruleCache {
+func (e *Engine) cacheFor(r *Rule) *ruleCache {
 	if rc, ok := e.caches[r]; ok {
 		return rc
 	}
@@ -213,7 +253,7 @@ func (e *Engine) cacheFor(r *Rule) ruleCache {
 		e.words++
 	}
 	w := e.words
-	rc := ruleCache{word: idx / 64, bit: 1 << (idx % 64)}
+	rc := &ruleCache{word: idx / 64, bit: 1 << (idx % 64)}
 	e.caches[r] = rc
 	depth := r.HaloDepth()
 	if depth > e.maxDepth {
@@ -256,18 +296,25 @@ func (e *Engine) kindOf(n gate.Name) int32 {
 
 // FullPass applies one full pass of rule r starting at the given anchor,
 // in place, and returns the number of sites replaced — bit-for-bit the
-// same result as the pure FullPass on a copy of the circuit. The scan
-// visits only the rule's candidates of unknown verdict and records each
-// failure; all replacements land in one transaction-logged multi-window
-// splice with a single halo invalidation.
+// same result as the pure FullPass on a copy of the circuit. A rule that
+// found nothing at the current version is not scanned again. Otherwise
+// the scan visits only the rule's candidates of unknown verdict and
+// records each failure; all replacements land in one transaction-logged
+// multi-window splice with a single halo invalidation.
 //
 //guoq:hotpath
 func (e *Engine) FullPass(r *Rule, start int) int {
 	if len(e.c.Gates) == 0 {
 		return 0
 	}
-	ms := e.matchCandidates(r, e.cacheFor(r), start)
+	rc := e.cacheFor(r)
+	if rc.quiet == e.version {
+		e.stats.RuleSkips++
+		return 0
+	}
+	ms := e.matchCandidates(r, rc, start)
 	if len(ms) == 0 {
+		rc.quiet = e.version
 		e.matchBuf = ms[:0]
 		return 0
 	}
@@ -292,12 +339,12 @@ func (e *Engine) FullPass(r *Rule, start int) int {
 			}
 			repl = append(repl, e.c.Gates[i])
 		}
+		// The instantiated gates are fresh: map their qubits in place.
 		for _, g := range m.Rule.ReplacementCircuitAt(m.Binding) {
-			ng := g.Clone()
-			for k, pq := range ng.Qubits {
-				ng.Qubits[k] = m.QubitMap[pq]
+			for k, pq := range g.Qubits {
+				g.Qubits[k] = m.QubitMap[pq]
 			}
-			repl = append(repl, ng)
+			repl = append(repl, g)
 		}
 	}
 	offs = append(offs, len(repl))
@@ -325,7 +372,7 @@ func (e *Engine) FullPass(r *Rule, start int) int {
 // matches).
 //
 //guoq:hotpath
-func (e *Engine) matchCandidates(r *Rule, rc ruleCache, start int) []*Match {
+func (e *Engine) matchCandidates(r *Rule, rc *ruleCache, start int) []*Match {
 	n := len(e.c.Gates)
 	if start < 0 {
 		start = 0
@@ -430,6 +477,34 @@ func (e *Engine) SetCircuit(out *circuit.Circuit) {
 	e.multiSplice(ws, true)
 }
 
+// Pass is a whole-circuit τ₀ pass, such as cleanup, single-qubit fusion
+// or phase folding. Run must be a deterministic function of the circuit
+// and the gate set, whatever scratch it pools, and must return a zero
+// change count exactly when its output equals its input.
+type Pass struct {
+	Name string
+	Run  func(c *circuit.Circuit, gs *gateset.GateSet) (*circuit.Circuit, int)
+}
+
+// ApplyPass runs p for gs on the engine's circuit, adopts its output
+// through SetCircuit when it changed something, and returns its change
+// count. A pass that changed nothing is remembered with the current
+// version and skipped, returning 0, whenever that version is current.
+func (e *Engine) ApplyPass(p *Pass, gs *gateset.GateSet) int {
+	k := passKey{p, gs}
+	if e.quiet[k] == e.version {
+		e.stats.PassSkips++
+		return 0
+	}
+	out, changed := p.Run(e.c, gs)
+	if changed == 0 {
+		e.quiet[k] = e.version
+		return 0
+	}
+	e.SetCircuit(out)
+	return changed
+}
+
 // sameBits reports whether two gates are identical down to the bits of
 // their parameters. gate.Equal is too loose here: it equates −0 and +0,
 // which the QASM writer prints differently.
@@ -446,9 +521,9 @@ func sameBits(a, b gate.Gate) bool {
 }
 
 // Reset adopts a new circuit wholesale — an exchange migration or an async
-// resynthesis result — clearing the transaction log and reopening every
-// candidate. The input is cloned; the engine's Circuit() pointer is stable
-// across Reset.
+// resynthesis result — under a fresh version, clearing the transaction log
+// and reopening every candidate. The input is cloned; the engine's
+// Circuit() pointer is stable across Reset.
 func (e *Engine) Reset(c *circuit.Circuit) {
 	e.c.NumQubits = c.NumQubits
 	e.c.Gates = e.c.Gates[:0]
@@ -462,6 +537,7 @@ func (e *Engine) Reset(c *circuit.Circuit) {
 	e.stats.Resets++
 	e.dag.Rebuild()
 	e.indexAll()
+	e.renumber()
 }
 
 // indexAll rebuilds the candidate index from the current gate list: every
@@ -482,7 +558,8 @@ func (e *Engine) indexAll() {
 // DAG sweep, one splice of the candidate index, and one halo invalidation
 // over all windows. Windows must be ascending and non-overlapping, in
 // current coordinates. When record is set (a forward splice), the inverse
-// is pushed on the undo log; Rollback's undo splices pass false.
+// is pushed on the undo log and the new sequence takes a fresh version;
+// Rollback's undo splices pass false.
 //
 //guoq:hotpath
 func (e *Engine) multiSplice(ws []circuit.SpliceWindow, record bool) {
@@ -535,7 +612,8 @@ func (e *Engine) multiSplice(ws []circuit.SpliceWindow, record bool) {
 	}
 	qOffs = append(qOffs, len(seeds))
 	if record {
-		e.log = append(e.log, undoRec{wins: wins})
+		e.log = append(e.log, undoRec{wins: wins, version: e.version})
+		e.renumber()
 	}
 
 	e.dag.MultiSplice(ws)

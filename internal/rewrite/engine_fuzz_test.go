@@ -1,8 +1,11 @@
 package rewrite
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
@@ -10,12 +13,16 @@ import (
 )
 
 // FuzzEngineMatchesScratch drives an Engine through a byte-chosen sequence
-// of rule passes, region replacements, τ0 passes adopted by SetCircuit,
-// marks, rollbacks, commits and resets, in lockstep with the pure
-// FullPass pipeline on a shadow copy. After every step the two circuits
-// must be equal, and the candidate index must be sound: a rule's bit is
-// set only on gates of its first pattern gate's name, and wherever such a
-// gate's bit is clear the matcher fails there.
+// of rule passes, region replacements, τ0 passes through ApplyPass, marks,
+// rollbacks, commits and resets, in lockstep with the pure FullPass
+// pipeline on a shadow copy. After every step the two circuits must be
+// equal, and the candidate index must be sound: a rule's bit is set only
+// on gates of its first pattern gate's name, and wherever such a gate's
+// bit is clear the matcher fails there. The versions must be sound too: a
+// version that recurs names a bit-identical gate sequence, Rollback(mark)
+// restores the version seen at Mark, forward splices and Reset never
+// reuse a number, and every pass the engine would skip changes nothing
+// when run stateless on the current circuit.
 //
 // Input layout: library, flags, circuit seed, circuit size, then one op
 // per byte with its operands in the bytes after it. Flag bit 0 compiles
@@ -49,13 +56,29 @@ func FuzzEngineMatchesScratch(f *testing.F) {
 		ref := circuit.Random(4, size, gs.Gates, rand.New(rand.NewSource(seed)))
 		eng := NewEngine(ref)
 		ref = ref.Clone()
-		check := func(step int, what string) {
+		seqs := map[uint64]string{eng.version: gateBits(eng.Circuit())}
+		last := eng.version
+		// check runs the checks after a step; restored, when non-zero, is
+		// the version the step must bring back.
+		check := func(step int, what string, restored uint64) {
 			t.Helper()
 			if !circuit.Equal(eng.Circuit(), ref) {
 				t.Fatalf("step %d (%s): engine diverged from the scratch pipeline\nengine: %s\nscratch: %s",
 					step, what, eng.Circuit(), ref)
 			}
 			checkCandidateIndex(t, eng)
+			v, seq := eng.version, gateBits(eng.Circuit())
+			prev, seen := seqs[v]
+			switch {
+			case restored != 0 && v != restored:
+				t.Fatalf("step %d (%s): version %d, want %d from the mark", step, what, v, restored)
+			case restored == 0 && v != last && seen:
+				t.Fatalf("step %d (%s): a forward step reused version %d", step, what, v)
+			case seen && prev != seq:
+				t.Fatalf("step %d (%s): version %d names two gate sequences", step, what, v)
+			}
+			seqs[v], last = seq, v
+			checkSkipsSound(t, eng)
 		}
 		fullPass := func(step int, r *Rule, start int) {
 			t.Helper()
@@ -79,12 +102,13 @@ func FuzzEngineMatchesScratch(f *testing.F) {
 			if got := eng.Stats().RuleCaches; eng.Circuit().Len() > 0 && got != len(rules) {
 				t.Fatalf("%d rule caches after warming %d rules", got, len(rules))
 			}
-			check(-1, "warm")
+			check(-1, "warm", 0)
 		}
 
 		type markRec struct {
-			mark int
-			ref  *circuit.Circuit
+			mark    int
+			version uint64
+			ref     *circuit.Circuit
 		}
 		var marks []markRec
 		for step := 0; step < 48 && len(in) > 0; step++ {
@@ -97,7 +121,7 @@ func FuzzEngineMatchesScratch(f *testing.F) {
 					start %= n
 				}
 				fullPass(step, r, start)
-				check(step, "fullpass:"+r.Name)
+				check(step, "fullpass:"+r.Name, 0)
 			case 3:
 				if n == 0 {
 					continue
@@ -109,18 +133,17 @@ func FuzzEngineMatchesScratch(f *testing.F) {
 				sub := region.Extract(ref)
 				eng.ReplaceRegion(region, sub)
 				ref = region.Replace(ref, sub)
-				check(step, "region")
+				check(step, "region", 0)
 			case 4:
 				pass := tau0Passes[in.next()%len(tau0Passes)]
-				out, changed := pass.run(eng.Circuit(), gs)
-				if changed == 0 {
-					continue
+				refOut, n1 := pass.Run(ref, gs)
+				if n2 := eng.ApplyPass(pass, gs); n1 != n2 {
+					t.Fatalf("step %d: %s changed %d, scratch %d", step, pass.Name, n2, n1)
 				}
-				eng.SetCircuit(out)
-				ref, _ = pass.run(ref, gs)
-				check(step, pass.name)
+				ref = refOut
+				check(step, pass.Name, 0)
 			case 5:
-				marks = append(marks, markRec{eng.Mark(), ref})
+				marks = append(marks, markRec{eng.Mark(), eng.version, ref})
 			case 6:
 				if len(marks) == 0 {
 					continue
@@ -128,8 +151,8 @@ func FuzzEngineMatchesScratch(f *testing.F) {
 				j := in.next() % len(marks)
 				eng.Rollback(marks[j].mark)
 				ref = marks[j].ref
+				check(step, "rollback", marks[j].version)
 				marks = marks[:j]
-				check(step, "rollback")
 			case 7:
 				eng.Commit()
 				marks = marks[:0]
@@ -138,7 +161,7 @@ func FuzzEngineMatchesScratch(f *testing.F) {
 				eng.Reset(adopt)
 				ref = adopt.Clone()
 				marks = marks[:0]
-				check(step, "reset")
+				check(step, "reset", 0)
 			}
 		}
 	})
@@ -187,6 +210,45 @@ func checkCandidateIndex(t *testing.T, e *Engine) {
 					t.Fatalf("rule %s: bit clear at gate %d, where it matches", r.Name, i)
 				}
 			}
+		}
+	}
+}
+
+// gateBits renders a gate sequence exactly: names, qubits and the bits of
+// every parameter.
+func gateBits(c *circuit.Circuit) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d;", c.NumQubits)
+	for _, g := range c.Gates {
+		fmt.Fprintf(&b, "%s%v", g.Name, g.Qubits)
+		for _, p := range g.Params {
+			fmt.Fprintf(&b, ",%x", math.Float64bits(p))
+		}
+		b.WriteByte(';')
+	}
+	return b.String()
+}
+
+// checkSkipsSound checks every pass the engine would skip now, a rule or
+// τ0 pass that found nothing at the current version: run stateless on the
+// current circuit, it must change nothing.
+func checkSkipsSound(t *testing.T, e *Engine) {
+	t.Helper()
+	c := e.Circuit()
+	for r, rc := range e.caches {
+		if rc.quiet != e.version || c.Len() == 0 {
+			continue
+		}
+		if _, n := FullPass(c, r, 0); n != 0 {
+			t.Fatalf("rule %s is skipped at version %d, yet matches %d sites", r.Name, e.version, n)
+		}
+	}
+	for k, v := range e.quiet {
+		if v != e.version {
+			continue
+		}
+		if _, n := k.pass.Run(c, k.gs); n != 0 {
+			t.Fatalf("%s for %s is skipped at version %d, yet changes %d", k.pass.Name, k.gs.Name, e.version, n)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -13,10 +14,11 @@ import (
 // TestEngineMatchesScratchFullPass is the metamorphic contract of the
 // incremental engine: over long random rule sequences on random circuits —
 // every rule library, wrap-around anchors, interleaved region replacements,
-// and whole-circuit cleanup, fusion and phase-folding passes and one-gate
-// deletions spliced in by SetCircuit, with both committed and rolled-back
-// steps — the engine's circuit must stay bit-identical to the one produced
-// by the pure, from-scratch FullPass pipeline on a shadow copy.
+// whole-circuit cleanup, fusion and phase-folding passes through ApplyPass,
+// and one-gate deletions spliced in by SetCircuit, with both committed and
+// rolled-back steps — the engine's circuit must stay bit-identical to the
+// one produced by the pure, from-scratch FullPass pipeline on a shadow
+// copy, and every pass must report the stateless pass's count.
 func TestEngineMatchesScratchFullPass(t *testing.T) {
 	for name, rules := range AllLibraries() {
 		name, rules := name, rules
@@ -81,21 +83,23 @@ func TestEngineMatchesScratchFullPass(t *testing.T) {
 							ref = region.Replace(ref, sub)
 						}
 						check(step, "region")
-					case op < 11: // a whole-circuit τ0 pass spliced in by SetCircuit
+					case op < 11: // a whole-circuit τ0 pass through ApplyPass
 						pass := tau0Passes[op-8]
-						out, changed := pass.run(eng.Circuit(), gs)
-						if changed == 0 {
+						refOut, n1 := pass.Run(ref, gs)
+						mark := eng.Mark()
+						if n2 := eng.ApplyPass(pass, gs); n1 != n2 {
+							t.Fatalf("seed %d step %d: %s changed %d, scratch %d", seed, step, pass.Name, n2, n1)
+						}
+						if n1 == 0 {
 							continue
 						}
-						mark := eng.Mark()
-						eng.SetCircuit(out)
 						if rng.Intn(3) == 0 {
 							eng.Rollback(mark)
 						} else {
 							eng.Commit()
-							ref, _ = pass.run(ref, gs)
+							ref = refOut
 						}
-						check(step, pass.name)
+						check(step, pass.Name)
 					case op < 12: // a one-gate deletion spliced in by SetCircuit
 						if ref.Len() == 0 {
 							continue
@@ -135,15 +139,12 @@ func TestEngineMatchesScratchFullPass(t *testing.T) {
 	}
 }
 
-// tau0Passes are the whole-circuit passes the search loop adopts through
-// SetCircuit.
-var tau0Passes = []struct {
-	name string
-	run  func(*circuit.Circuit, *gateset.GateSet) (*circuit.Circuit, int)
-}{
-	{"cleanup", CleanupChangedFor},
-	{"fuse1q", Fuse1QChanged},
-	{"phasefold", phasepoly.FoldChangedFor},
+// tau0Passes are the whole-circuit passes the search loop runs through
+// ApplyPass, which adopts a changed result by SetCircuit.
+var tau0Passes = []*Pass{
+	{Name: "cleanup", Run: CleanupChangedFor},
+	{Name: "fuse1q", Run: Fuse1QChanged},
+	{Name: "phasefold", Run: phasepoly.FoldChangedFor},
 }
 
 // TestEngineRollbackHeavyMatchesScratch is the adversarial companion of
@@ -213,13 +214,14 @@ func TestEngineRollbackHeavyMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestEngineCacheEngages asserts the negative cache short-circuits rescans
-// in its two production shapes. First, the fixpoint shape (fixed-pass
-// pipelines, warm start): once the reducing rules stop matching, another
-// full round must rematch nothing — every anchor verdict is served from
-// the cache. Second, the reject shape (a GUOQ candidate whose pass found
-// no matches): rescanning an unchanged circuit with the same rule costs
-// zero match attempts.
+// TestEngineCacheEngages asserts the negative caches short-circuit rescans
+// in their production shapes. First, the reject shape (a GUOQ candidate
+// whose pass found no matches, or a fixed-pass pipeline at its fixpoint):
+// once the reducing rules stop matching, another full round over the same
+// gate sequence skips every pass outright, visiting no anchor. Second, a
+// round after a splice that changes no verdict (a region replaced by
+// itself) must run, and must rematch only inside the splice's halo: most
+// anchor verdicts are served from the candidate index.
 func TestEngineCacheEngages(t *testing.T) {
 	rules, err := RulesFor("nam")
 	if err != nil {
@@ -245,24 +247,51 @@ func TestEngineCacheEngages(t *testing.T) {
 			break
 		}
 	}
-	st0 := eng.Stats()
-	// One more full round over the fixpoint: all anchors must come from the
-	// cache.
-	for _, r := range reducing {
-		if n := eng.FullPass(r, rng.Intn(eng.Circuit().Len())); n != 0 {
-			t.Fatalf("rule %s matched past its fixpoint", r.Name)
+	round := func() {
+		t.Helper()
+		for _, r := range reducing {
+			if n := eng.FullPass(r, rng.Intn(eng.Circuit().Len())); n != 0 {
+				t.Fatalf("rule %s matched past its fixpoint", r.Name)
+			}
+			eng.Commit()
 		}
-		eng.Commit()
 	}
+	// The last round found nothing, so a round over the same sequence is
+	// skipped whole.
+	st0 := eng.Stats()
+	round()
 	st1 := eng.Stats()
-	if st1.MatchCalls != st0.MatchCalls {
-		t.Errorf("fixpoint rescan rematched %d anchors, want 0", st1.MatchCalls-st0.MatchCalls)
+	if got := st1.RuleSkips - st0.RuleSkips; got != len(reducing) {
+		t.Errorf("fixpoint rescan skipped %d of %d rule passes", got, len(reducing))
 	}
-	if gotSkips := st1.CacheSkips - st0.CacheSkips; gotSkips < len(reducing)*eng.Circuit().Len()/2 {
-		t.Errorf("fixpoint rescan skipped only %d anchors over %d rules × %d gates",
+	if st1.MatchCalls != st0.MatchCalls || st1.CacheSkips != st0.CacheSkips {
+		t.Errorf("skipped passes visited anchors: %d match calls, %d cache skips",
+			st1.MatchCalls-st0.MatchCalls, st1.CacheSkips-st0.CacheSkips)
+	}
+	// A new version with the same gates: the passes run again, and the
+	// candidate index serves every verdict outside the splice's halo.
+	region := circuit.GrowConvex(eng.Circuit(), eng.Circuit().Len()/2, 2, 0, nil)
+	eng.ReplaceRegion(region, region.Extract(eng.Circuit()))
+	eng.Commit()
+	open := 0
+	for _, w := range eng.verd {
+		open += bits.OnesCount64(w)
+	}
+	st2 := eng.Stats()
+	round()
+	st3 := eng.Stats()
+	if st3.RuleSkips != st2.RuleSkips {
+		t.Errorf("a pass was skipped on a new version")
+	}
+	if calls := st3.MatchCalls - st2.MatchCalls; calls > open {
+		t.Errorf("rescan after a one-region splice rematched %d anchors, more than the %d open verdicts",
+			calls, open)
+	}
+	if gotSkips := st3.CacheSkips - st2.CacheSkips; gotSkips < len(reducing)*eng.Circuit().Len()/2 {
+		t.Errorf("rescan skipped only %d anchors over %d rules × %d gates",
 			gotSkips, len(reducing), eng.Circuit().Len())
 	}
-	t.Logf("stats: %+v", st1)
+	t.Logf("stats: %+v", st3)
 }
 
 // TestEngineRollbackRestoresExactly pins the rollback contract across a

@@ -332,11 +332,10 @@ func Apply(c *circuit.Circuit, matches []*Match) *circuit.Circuit {
 			}
 		}
 		for _, g := range m.Rule.ReplacementCircuitAt(m.Binding) {
-			ng := g.Clone()
-			for k, pq := range ng.Qubits {
-				ng.Qubits[k] = m.QubitMap[pq]
+			for k, pq := range g.Qubits {
+				g.Qubits[k] = m.QubitMap[pq]
 			}
-			out.Gates = append(out.Gates, ng)
+			out.Gates = append(out.Gates, g)
 		}
 		i = m.Hi + 1
 	}

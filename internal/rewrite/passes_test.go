@@ -3,9 +3,11 @@ package rewrite
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"github.com/guoq-dev/guoq/internal/benchmarks"
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gate"
 	"github.com/guoq-dev/guoq/internal/gateset"
@@ -182,4 +184,75 @@ func TestPassesConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestTau0PassesArePure pins what the engine's pass memo rests on: cleanup,
+// fusion and phase folding are functions of the circuit and the gate set
+// alone, whatever their pooled scratch or fusion's memo saw before. Every
+// pass runs on seeded random and suite circuits of every built-in set,
+// then again in two other orders, so calls on other circuits and sets
+// come in between; each repeat must return the same change count and
+// bit-identical gates (−0 and +0 differ).
+func TestTau0PassesArePure(t *testing.T) {
+	type job struct {
+		pass    *Pass
+		gs      *gateset.GateSet
+		in, out *circuit.Circuit
+		changed int
+	}
+	var jobs []*job
+	rng := rand.New(rand.NewSource(23))
+	for _, gs := range gateset.All() {
+		ins := []*circuit.Circuit{}
+		for k := 0; k < 4; k++ {
+			ins = append(ins, randomPassCircuit(2+rng.Intn(5), 20+rng.Intn(120), gs.Gates, rng))
+		}
+		suite, err := benchmarks.SuiteFor(gs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(suite); i += 16 {
+			ins = append(ins, suite[i].Circuit)
+		}
+		for _, p := range tau0Passes {
+			if p.Name == "fuse1q" && !gs.Continuous() {
+				continue
+			}
+			for _, c := range ins {
+				out, changed := p.Run(c, gs)
+				jobs = append(jobs, &job{pass: p, gs: gs, in: c, out: out.Clone(), changed: changed})
+			}
+		}
+	}
+	shuffled := slices.Clone(jobs)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	reversed := slices.Clone(jobs)
+	slices.Reverse(reversed)
+	for _, order := range [][]*job{shuffled, reversed} {
+		for _, j := range order {
+			out, changed := j.pass.Run(j.in, j.gs)
+			if changed != j.changed || !sameGateBits(out, j.out) {
+				t.Fatalf("%s on %s (%d gates): changed %d, first call %d; outputs equal bit for bit: %v",
+					j.pass.Name, j.gs.Name, j.in.Len(), changed, j.changed, sameGateBits(out, j.out))
+			}
+			if changed == 0 && out != j.in {
+				t.Fatalf("%s on %s: a call that changed nothing returned a new circuit", j.pass.Name, j.gs.Name)
+			}
+		}
+	}
+	t.Logf("%d pass calls, each repeated twice", len(jobs))
+}
+
+// sameGateBits reports whether two circuits are equal gate for gate down
+// to the bits of their parameters.
+func sameGateBits(a, b *circuit.Circuit) bool {
+	if a.NumQubits != b.NumQubits || len(a.Gates) != len(b.Gates) {
+		return false
+	}
+	for i := range a.Gates {
+		if !sameBits(a.Gates[i], b.Gates[i]) {
+			return false
+		}
+	}
+	return true
 }

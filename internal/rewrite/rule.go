@@ -11,9 +11,10 @@
 // in-place window splices, caches per-rule no-match verdicts — known
 // failures are skipped without rematching — that survive across calls
 // (invalidated only inside a wire-adjacency halo of the gates a
-// transformation touched), and exposes a transaction log
-// (Mark/Rollback/Commit) so speculative candidates — a rejected GUOQ move,
-// a lookahead branch — are reverted without copying circuits. Engine and
+// transformation touched), skips a pass that already found nothing on the
+// same gate sequence, and exposes a transaction log (Mark/Rollback/Commit)
+// so speculative candidates — a rejected GUOQ move, a lookahead branch —
+// are reverted without copying circuits. Engine and
 // FullPass produce bit-for-bit identical results for identical inputs; the
 // engine's metamorphic test pins that equivalence over long random rule
 // sequences. Iterated callers (the GUOQ loop, fixed-pass pipelines,
@@ -309,11 +310,16 @@ func (r *Rule) PatternCircuitAt(binding []float64) []gate.Gate {
 	return out
 }
 
-// ReplacementCircuitAt instantiates the rule's replacement under a binding.
+// ReplacementCircuitAt instantiates the rule's replacement under a binding
+// as fresh gates, which the caller may keep and modify. Like Gate.Clone,
+// it allocates Params only when the gate has parameters.
 func (r *Rule) ReplacementCircuitAt(binding []float64) []gate.Gate {
 	out := make([]gate.Gate, 0, len(r.Replacement))
 	for _, rg := range r.Replacement {
-		ps := make([]float64, len(rg.Params))
+		var ps []float64
+		if len(rg.Params) > 0 {
+			ps = make([]float64, len(rg.Params))
+		}
 		for i, e := range rg.Params {
 			ps[i] = e.Eval(binding)
 		}

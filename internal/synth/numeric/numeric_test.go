@@ -208,6 +208,56 @@ func TestSynthesizeContextCancelPrompt(t *testing.T) {
 	}
 }
 
+// doneAt is a context that reads as cancelled from the n-th call of its
+// Done method on, and counts every call.
+type doneAt struct {
+	context.Context
+	n, calls     int
+	open, closed chan struct{}
+}
+
+func newDoneAt(n int) *doneAt {
+	c := &doneAt{Context: context.Background(), n: n, open: make(chan struct{}), closed: make(chan struct{})}
+	close(c.closed)
+	return c
+}
+
+func (c *doneAt) Done() <-chan struct{} {
+	c.calls++
+	if c.calls >= c.n {
+		return c.closed
+	}
+	return c.open
+}
+
+func (c *doneAt) Err() error {
+	if c.calls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSynthesizeStopsAtCancel cancels a hard 3-qubit search at each of its
+// first Done polls in turn and checks that the search polls no more after
+// the one that saw the cancel, so it evaluates no further structure. The
+// search polls once per structure evaluation: polls 6–8 fall on the first
+// of two beam parents at depth 2, where leaving only the pair loop would
+// go on to evaluate a child of the second parent in full.
+func TestSynthesizeStopsAtCancel(t *testing.T) {
+	s := New(gateset.IBMQ20)
+	s.MaxTime = 0
+	target := circuit.Random(3, 24, gateset.IBMQ20.Gates, rand.New(rand.NewSource(5))).Unitary()
+	for n := 1; n <= 13; n++ {
+		ctx := newDoneAt(n)
+		if _, err := s.SynthesizeContext(ctx, target, 3, 1e-8); err == nil {
+			t.Fatalf("cancel at poll %d: synthesis reported success on a hard 3q target", n)
+		}
+		if ctx.calls != n {
+			t.Fatalf("cancel at poll %d: the search polled Done %d times", n, ctx.calls)
+		}
+	}
+}
+
 // TestSynthesizeNativeForUnregisteredSet pins the output of a set that is
 // not name-addressable to its basis. Cleaning the output once resolved
 // the set by name, and an unregistered {u1, u2, u3, cx} set then had its

@@ -226,6 +226,9 @@ func (s *Synthesizer) search(ctx context.Context, target linalg.Matrix, n int, t
 	}
 	beam := []cand{best}
 	pairs := pairSets(n)
+	// An expiry leaves the whole depth: Template.Optimize never polls ctx,
+	// so one more child evaluated after it would run in full.
+search:
 	for depth := 1; depth <= maxCX; depth++ {
 		var next []cand
 		for _, b := range beam {
@@ -239,7 +242,7 @@ func (s *Synthesizer) search(ctx context.Context, target linalg.Matrix, n int, t
 				}
 				next = append(next, c)
 				if expired() {
-					break
+					break search
 				}
 			}
 		}

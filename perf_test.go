@@ -43,7 +43,8 @@ import (
 //     loosely (NsFrac) to catch order-of-magnitude slips, and snapshots must
 //     be refreshed on the CI runner class (see BENCH_hotloop.json's note).
 //
-// Cache skips, rollbacks and commits are logged for the record, not gated.
+// Cache skips, skipped rule and τ0 passes, rollbacks and commits are logged
+// for the record, not gated.
 type perfSnapshot struct {
 	Note       string               `json:"note"`
 	Updated    string               `json:"updated"`
@@ -73,6 +74,8 @@ type loopPerf struct {
 	NsPerIter     float64 `json:"ns_per_iter"`
 	MatchCalls    float64 `json:"match_calls"`
 	CacheSkips    float64 `json:"cache_skips"`
+	RuleSkips     float64 `json:"rule_skips"`
+	PassSkips     float64 `json:"pass_skips"`
 	Resets        float64 `json:"resets"`
 	Rollbacks     float64 `json:"rollbacks"`
 	Commits       float64 `json:"commits"`
@@ -129,6 +132,8 @@ func measureRewriteLoop(t *testing.T) loopPerf {
 	snap := reg.Snapshot()
 	lp.MatchCalls = snap["guoq_engine_cache_misses_total"]
 	lp.CacheSkips = snap["guoq_engine_cache_hits_total"]
+	lp.RuleSkips = snap["guoq_engine_rule_skips_total"]
+	lp.PassSkips = snap["guoq_engine_pass_skips_total"]
 	lp.Resets = snap["guoq_engine_resets_total"]
 	lp.Rollbacks = snap["guoq_engine_rollbacks_total"]
 	lp.Commits = snap["guoq_engine_commits_total"]
@@ -143,8 +148,8 @@ func TestPerfTrajectory(t *testing.T) {
 	loop := measureRewriteLoop(t)
 	t.Logf("rewrite loop: %d circuits, %d iters, fingerprint %s, %.1f allocs/iter, %.0f ns/iter",
 		loop.Circuits, loop.Iters, loop.Fingerprint, loop.AllocsPerIter, loop.NsPerIter)
-	t.Logf("rewrite loop engine: %.0f match calls, %.0f cache skips, %.0f resets, %.0f rollbacks, %.0f commits",
-		loop.MatchCalls, loop.CacheSkips, loop.Resets, loop.Rollbacks, loop.Commits)
+	t.Logf("rewrite loop engine: %.0f match calls, %.0f cache skips, %.0f rule and %.0f τ0 passes skipped, %.0f resets, %.0f rollbacks, %.0f commits",
+		loop.MatchCalls, loop.CacheSkips, loop.RuleSkips, loop.PassSkips, loop.Resets, loop.Rollbacks, loop.Commits)
 	r := testing.Benchmark(BenchmarkRuleFullPass)
 	got := map[string]perfEntry{
 		"RuleFullPass": {NsPerOp: float64(r.NsPerOp()), AllocsPerOp: float64(r.AllocsPerOp())},
