@@ -11,15 +11,15 @@ import (
 // to the next gate on each of its wires.
 //
 // The DAG supports two maintenance modes. BuildDAG constructs a fresh view
-// in one O(gates · arity) pass — the throwaway mode used by the pure
-// FindMatches/FullPass API. A long-lived DAG (the rewrite.Engine's) is
-// instead kept current across mutations with Splice/MultiSplice, which
-// replace gate windows in place: the gate list is spliced, and the wire
-// lists and links are recomputed into the existing storage, so
-// steady-state maintenance allocates nothing no matter how many windows a
-// pass rewrites. The links are flat: one next and one prev slot per (gate,
-// qubit position), gate i's slots starting at off[i], so neither mode
-// allocates per gate.
+// in two O(gates · arity) passes, one that sizes its storage and one that
+// fills it — the throwaway mode used by the pure FindMatches/FullPass API.
+// A long-lived DAG (the rewrite.Engine's) is instead kept current across
+// mutations with Splice/MultiSplice, which replace gate windows in place:
+// the gate list is spliced, and the wire lists and links are recomputed
+// into the existing storage, so steady-state maintenance allocates nothing
+// no matter how many windows a pass rewrites. The links are flat: one next
+// and one prev slot per (gate, qubit position), gate i's slots starting at
+// off[i], so neither mode allocates per gate.
 type DAG struct {
 	c *Circuit
 	// wires[q] lists the gate indices acting on qubit q, in circuit order.
@@ -45,16 +45,47 @@ type SpliceWindow struct {
 	Repl   []gate.Gate
 }
 
-// BuildDAG constructs the DAG view for c.
+// BuildDAG constructs the DAG view for c. Its storage is sized by one
+// counting pass first (see layout), so the build allocates a fixed handful
+// of times, however many gates c has.
 func BuildDAG(c *Circuit) *DAG {
 	d := &DAG{c: c}
+	d.layout()
 	d.Rebuild()
 	return d
 }
 
+// layout sizes a fresh DAG's storage exactly from one counting pass over
+// its circuit: the wires are carved out of one backing array, and the link
+// arrays get room for every slot. A carved wire's capacity ends where the
+// next wire starts, so a wire that a later splice grows moves to a fresh
+// array instead of overwriting its neighbour.
+func (d *DAG) layout() {
+	c := d.c
+	count := make([]int, c.NumQubits)
+	slots := 0
+	for _, g := range c.Gates {
+		for _, q := range g.Qubits {
+			count[q]++
+		}
+		slots += len(g.Qubits)
+	}
+	backing := make([]int, slots)
+	d.wires = make([][]int, c.NumQubits)
+	lo := 0
+	for q, k := range count {
+		d.wires[q] = backing[lo : lo : lo+k]
+		lo += k
+	}
+	d.last = count // Rebuild's per-qubit scratch
+	d.off = make([]int, 0, len(c.Gates)+1)
+	d.next = make([]int, 0, slots)
+	d.prev = make([]int, 0, slots)
+}
+
 // Rebuild reconstructs the full DAG from the underlying circuit in place,
-// reusing the wire and link storage of the previous state: the single
-// O(gates · arity) pass of BuildDAG, minus its allocations.
+// reusing the wire and link storage of the previous state: BuildDAG's fill
+// pass, which allocates only where the circuit outgrows that storage.
 func (d *DAG) Rebuild() {
 	c := d.c
 	if cap(d.wires) < c.NumQubits {

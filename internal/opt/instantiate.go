@@ -13,9 +13,10 @@ import (
 
 // InstantiateOptions tunes the construction of a transformation set.
 type InstantiateOptions struct {
-	// EpsilonF is the global error budget; the resynthesis transformation's
-	// declared per-application ε is EpsilonF/100 (admission classes; the
-	// loop accumulates achieved error, which is usually far smaller).
+	// EpsilonF is the global error budget. Resynthesis enters the set three
+	// times, with declared per-application ε of EpsilonF, EpsilonF/4 and
+	// EpsilonF/16 (admission classes; the loop accumulates achieved error,
+	// which is usually far smaller).
 	EpsilonF float64
 	// MaxQubits limits resynthesis subcircuit width (3 in the paper).
 	MaxQubits int

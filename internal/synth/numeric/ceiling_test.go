@@ -95,6 +95,58 @@ func TestSynthesizeBoundedCeilingOracle(t *testing.T) {
 	}
 }
 
+// TestSynthesisPowerFloor holds the search to the synthesis power it had
+// before the site kernel, counted rather than timed: it synthesizes seeded
+// 3-qubit ibm-eagle suite blocks, cut as BenchmarkSynthesizeSuiteBlocks
+// cuts them, each under its own two-qubit count as the ceiling, and
+// requires at least the successes, and at least the results with strictly
+// fewer two-qubit gates, that the rotation-by-rotation kernel found on the
+// same blocks. Both counts were measured on that kernel; the race build
+// checks a prefix of the blocks.
+func TestSynthesisPowerFloor(t *testing.T) {
+	blocks, wantOK, wantFewer := 48, 25, 3
+	if raceEnabled {
+		blocks, wantOK, wantFewer = 12, 6, 1
+	}
+	suite, err := benchmarks.SuiteFor(gateset.IBMEagle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(gateset.IBMEagle)
+	s.MaxTime = 0 // count the search's results, not the host's speed
+	rng := rand.New(rand.NewSource(7))
+	ok, fewer := 0, 0
+	for i := 0; i < blocks; {
+		c := suite[rng.Intn(len(suite))].Circuit
+		r := circuit.RandomRegion(c, 3, 0, rng)
+		if r == nil || len(r.Qubits) != 3 || len(r.Indices) < 2 {
+			continue
+		}
+		i++
+		b := r.Extract(c)
+		target, count := b.Unitary(), b.TwoQubitCount()
+		out, err := s.SynthesizeBounded(context.Background(), target, 3, 1e-8, count)
+		if errors.Is(err, synth.ErrNoSolution) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		if d := linalg.HSDistance(target, out.Unitary()); d > 1e-8 {
+			t.Fatalf("block %d: distance %g > ε", i, d)
+		}
+		ok++
+		if out.TwoQubitCount() < count {
+			fewer++
+		}
+	}
+	t.Logf("%d blocks: %d synthesized, %d with fewer two-qubit gates", blocks, ok, fewer)
+	if ok < wantOK || fewer < wantFewer {
+		t.Fatalf("%d blocks: %d synthesized and %d with fewer two-qubit gates, want at least %d and %d",
+			blocks, ok, fewer, wantOK, wantFewer)
+	}
+}
+
 // TestSynthesizeBoundedIonQNeedsTwoCX: one rxx(θ) is one native two-qubit
 // gate on ionq but needs two CX, so under a ceiling of one the 2-qubit
 // search gives up at once and under two it succeeds.

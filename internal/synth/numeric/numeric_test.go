@@ -27,22 +27,32 @@ func TestTemplateUnitaryMatchesInstantiate(t *testing.T) {
 	}
 }
 
+// TestSweepMonotone: every angle update maximizes the overlap along its
+// coordinate, so no sweep may lower |τ|, on 2 qubits and on 3.
 func TestSweepMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	target := circuit.Random(2, 10, circuit.DefaultTestVocab, rng).Unitary()
-	adj := linalg.Adjoint(target)
-	tpl := NewTemplate(2, [][2]int{{0, 1}, {0, 1}, {0, 1}})
-	params := make([]float64, tpl.NumParams())
-	for i := range params {
-		params[i] = rng.Float64()*2*math.Pi - math.Pi
-	}
-	prev := tpl.overlap(adj, params)
-	for s := 0; s < 10; s++ {
-		tau := tpl.sweep(adj, params)
-		if tau < prev-1e-9 {
-			t.Fatalf("sweep %d decreased overlap: %g -> %g", s, prev, tau)
+	for _, st := range []struct {
+		n, gates int
+		pairs    [][2]int
+	}{
+		{2, 10, [][2]int{{0, 1}, {0, 1}, {0, 1}}},
+		{3, 24, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 1}, {1, 2}, {0, 2}}},
+	} {
+		target := circuit.Random(st.n, st.gates, circuit.DefaultTestVocab, rng).Unitary()
+		adj := linalg.Adjoint(target)
+		tpl := NewTemplate(st.n, st.pairs)
+		params := make([]float64, tpl.NumParams())
+		for i := range params {
+			params[i] = rng.Float64()*2*math.Pi - math.Pi
 		}
-		prev = tau
+		prev := tpl.overlap(adj, params)
+		for s := 0; s < 10; s++ {
+			tau := tpl.sweep(adj, params)
+			if tau < prev-1e-9 {
+				t.Fatalf("%d qubits, sweep %d decreased overlap: %g -> %g", st.n, s, prev, tau)
+			}
+			prev = tau
+		}
 	}
 }
 

@@ -38,13 +38,15 @@ type Synthesizer struct {
 	MaxTime time.Duration
 }
 
-// New returns a synthesizer with the default budgets. With them a 2-qubit
-// call takes under a millisecond and a 3-qubit call 10–100 ms on one core
-// of a 2-vCPU x86 VM; the longest 3-qubit calls are those that try every
-// structure up to the ceiling and fail, so a resynthesis call, whose
-// ceiling is the replaced block's two-qubit count, fails sooner the
-// shallower the block. That is the "slow" timescale of the paper,
-// compressed in proportion to our compressed search budgets.
+// New returns a synthesizer with the default budgets. With them, on one
+// core of a 2-vCPU x86 VM, a random 2-qubit target takes about a
+// millisecond, the Toffoli 45–50 ms, and a 3-qubit block cut from a suite
+// circuit 15–20 ms on average under its own two-qubit count as the
+// ceiling (BenchmarkSynthesize2Q, BenchmarkSynthesize3QToffoli and
+// BenchmarkSynthesizeSuiteBlocks). The longest 3-qubit calls are those
+// that try every structure up to the ceiling and fail, so a resynthesis
+// call fails sooner the shallower the block. That is the "slow" timescale
+// of the paper, compressed in proportion to our compressed search budgets.
 func New(gs *gateset.GateSet) *Synthesizer {
 	return &Synthesizer{
 		GateSet:   gs,

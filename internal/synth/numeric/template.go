@@ -1,11 +1,17 @@
 // Package numeric implements BQSKit-style bottom-up synthesis for
-// continuous gate sets: template circuits made of CX gates and
-// parameterized single-qubit rotations, instantiated by Rotosolve-style
-// exact coordinate ascent on the Hilbert–Schmidt overlap, searched
-// structure-by-structure in increasing two-qubit gate count up to a
-// ceiling. Resynthesis passes the replaced block's two-qubit count as that
-// ceiling (Synthesizer.SynthesizeBounded), so the search never climbs past
-// what the block already costs.
+// continuous gate sets: template circuits made of CX gates and U3 sites,
+// instantiated by Rotosolve-style exact coordinate ascent on the
+// Hilbert–Schmidt overlap, searched structure-by-structure in increasing
+// two-qubit gate count up to a ceiling. Resynthesis passes the replaced
+// block's two-qubit count as that ceiling (Synthesizer.SynthesizeBounded),
+// so the search never climbs past what the block already costs.
+//
+// A U3 site carries three angles, U3 = Rz(φ)·Ry(θ)·Rz(λ), and the ascent
+// updates them one at a time, each by an exact closed form. The kernels
+// treat the site as one SU(2) matrix: the overlap is linear in that 2×2
+// matrix, so one 2×2 environment per site, read once per sweep, yields all
+// three updates (see solve.go), and applying the site to a 2^N × 2^N
+// matrix is one row operation.
 package numeric
 
 import (
@@ -16,41 +22,43 @@ import (
 	"github.com/guoq-dev/guoq/internal/linalg"
 )
 
-// elem is one element of a template: either a fixed CX or a parameterized
-// rotation (rz/ry) on one qubit. U3 sites are expanded to rz·ry·rz so every
-// parameter is a single Pauli-rotation angle, which makes each coordinate of
-// the overlap an exact sinusoid (see solve.go).
-type elem struct {
-	fixed  bool
-	name   gate.Name // cx for fixed; rz or ry for parameterized
-	qubits []int
+// site is one position of a template: a U3 on qubit q[0], or a fixed CX
+// with control q[0] and target q[1].
+type site struct {
+	cx bool
+	q  [2]int
 }
 
-// Template is a parameterized circuit skeleton on n qubits. It owns the
-// scratch space of its instantiation kernel, so one template must not be
-// used from two goroutines at once.
+// Template is a parameterized circuit skeleton on n qubits. Its U3 sites
+// own three consecutive parameter slots each, λ, θ, φ, in site order. It
+// owns the scratch space of its instantiation kernel, so one template must
+// not be used from two goroutines at once.
 type Template struct {
 	N      int
-	Elems  []elem
+	Sites  []site
 	NumCX  int
 	nparam int
 
 	// Kernel scratch, allocated on first use. w holds one d×d block per
-	// element, W_iᵀ (see sweep); r holds the running prefix product, which
-	// is U(θ) when sweep or unitaryScratch returns.
+	// site, W_jᵀ (see sweep); r holds the running prefix product, which
+	// is U(θ) when sweep or unitaryScratch returns; h holds each U3 site's
+	// angles as a sweep starts.
 	w []complex128
 	r []complex128
+	h []halves
 }
 
 // NewTemplate builds the standard bottom-up skeleton: a U3 on every qubit,
 // then for each pair in pairs a CX followed by a U3 on each of its qubits.
+// Appending a pair appends sites and parameter slots, so a parent's
+// parameters are a prefix of its child's.
 func NewTemplate(n int, pairs [][2]int) *Template {
 	t := &Template{N: n}
 	for q := 0; q < n; q++ {
 		t.addU3(q)
 	}
 	for _, p := range pairs {
-		t.Elems = append(t.Elems, elem{fixed: true, name: gate.CX, qubits: []int{p[0], p[1]}})
+		t.Sites = append(t.Sites, site{cx: true, q: p})
 		t.NumCX++
 		t.addU3(p[0])
 		t.addU3(p[1])
@@ -59,12 +67,7 @@ func NewTemplate(n int, pairs [][2]int) *Template {
 }
 
 func (t *Template) addU3(q int) {
-	// U3(θ,φ,λ) ∝ Rz(φ)·Ry(θ)·Rz(λ): execution order rz(λ), ry(θ), rz(φ).
-	t.Elems = append(t.Elems,
-		elem{name: gate.Rz, qubits: []int{q}},
-		elem{name: gate.Ry, qubits: []int{q}},
-		elem{name: gate.Rz, qubits: []int{q}},
-	)
+	t.Sites = append(t.Sites, site{q: [2]int{q}})
 	t.nparam += 3
 }
 
@@ -87,19 +90,21 @@ func (t *Template) unitaryScratch(params []float64) linalg.Matrix {
 	return linalg.Matrix{N: 1 << t.N, Data: t.r}
 }
 
-// product left-multiplies every element, in execution order, onto the
+// product left-multiplies every site, in execution order, onto the
 // 2^N × 2^N row-major matrix m in place.
 //
 //guoq:hotpath
 func (t *Template) product(params []float64, m []complex128) {
+	d := 1 << t.N
 	pi := 0
-	for _, e := range t.Elems {
-		c, s := 1.0, 0.0
-		if !e.fixed {
-			s, c = math.Sincos(params[pi] / 2)
-			pi++
+	for _, s := range t.Sites {
+		if s.cx {
+			t.apply(s, m, m)
+			continue
 		}
-		t.apply(e, c, s, m, m)
+		a, b := halvesOf(params[pi], params[pi+1], params[pi+2]).su2()
+		pi += 3
+		rotate(m, m, d, t.mask(s.q[0]), a, b)
 	}
 }
 
@@ -107,62 +112,83 @@ func (t *Template) product(params []float64, m []complex128) {
 func (t *Template) ensureScratch() {
 	dd := 1 << (2 * t.N)
 	if len(t.r) != dd {
-		t.w = make([]complex128, len(t.Elems)*dd)
+		t.w = make([]complex128, len(t.Sites)*dd)
 		t.r = make([]complex128, dd)
+		t.h = make([]halves, len(t.Sites))
 	}
 }
 
-// apply writes M·src into dst, where M is element e expanded to 2^N
-// qubits and, for a rotation, c and s are the cosine and sine of half its
-// angle. Both matrices are 2^N × 2^N row-major, and dst may be src. M acts
-// on rows only: rz scales them, ry mixes pairs of them and cx swaps them,
-// so one call costs O(d²) where a dense product would cost O(d³).
+// mask returns the row-index bit of qubit q.
+func (t *Template) mask(q int) int { return 1 << linalg.BitPos(t.N, q) }
+
+// apply writes CX·src into dst for the CX site s, expanded to 2^N qubits.
+// Both matrices are 2^N × 2^N row-major, and dst may be src. A CX swaps
+// the rows whose control bit is set, and CXᵀ = CX.
 //
 //guoq:hotpath
-func (t *Template) apply(e elem, c, s float64, dst, src []complex128) {
+func (t *Template) apply(s site, dst, src []complex128) {
 	d := 1 << t.N
-	mask := 1 << linalg.BitPos(t.N, e.qubits[0])
-	switch e.name {
-	case gate.CX:
-		tmask := 1 << linalg.BitPos(t.N, e.qubits[1])
-		for l := 0; l < d; l++ {
-			if l&mask == 0 {
-				copy(dst[l*d:(l+1)*d], src[l*d:(l+1)*d])
-				continue
-			}
-			if l&tmask != 0 {
-				continue
-			}
-			x0, x1 := rowPair(src, d, l, tmask)
-			y0, y1 := rowPair(dst, d, l, tmask)
-			for j, v := range x0 {
-				y0[j], y1[j] = x1[j], v
-			}
+	mask, tmask := t.mask(s.q[0]), t.mask(s.q[1])
+	for l := 0; l < d; l++ {
+		if l&mask == 0 {
+			copy(dst[l*d:(l+1)*d], src[l*d:(l+1)*d])
+			continue
 		}
-	case gate.Rz:
-		p0, p1 := complex(c, -s), complex(c, s)
-		for l := 0; l < d; l++ {
-			if l&mask != 0 {
-				continue
-			}
-			x0, x1 := rowPair(src, d, l, mask)
-			y0, y1 := rowPair(dst, d, l, mask)
-			for j, v := range x0 {
-				y0[j], y1[j] = p0*v, p1*x1[j]
-			}
+		if l&tmask != 0 {
+			continue
 		}
-	case gate.Ry:
-		for l := 0; l < d; l++ {
-			if l&mask != 0 {
-				continue
-			}
-			x0, x1 := rowPair(src, d, l, mask)
-			y0, y1 := rowPair(dst, d, l, mask)
-			for j, v := range x0 {
-				u := x1[j]
-				y0[j] = complex(c*real(v)-s*real(u), c*imag(v)-s*imag(u))
-				y1[j] = complex(s*real(v)+c*real(u), s*imag(v)+c*imag(u))
-			}
+		x0, x1 := rowPair(src, d, l, tmask)
+		y0, y1 := rowPair(dst, d, l, tmask)
+		for j, v := range x0 {
+			y0[j], y1[j] = x1[j], v
+		}
+	}
+}
+
+// halves holds a U3 site's angles as the half-angle factors its matrix is
+// built from: q = e^{−iλ/2}, c = cos(θ/2), s = sin(θ/2) and p = e^{−iφ/2}.
+type halves struct {
+	q    complex128
+	c, s float64
+	p    complex128
+}
+
+func halvesOf(lambda, theta, phi float64) halves {
+	sl, cl := math.Sincos(lambda / 2)
+	st, ct := math.Sincos(theta / 2)
+	sp, cp := math.Sincos(phi / 2)
+	return halves{q: complex(cl, -sl), c: ct, s: st, p: complex(cp, -sp)}
+}
+
+// su2 returns the SU(2) form [[a, −b̄], [b, ā]] of Rz(φ)·Ry(θ)·Rz(λ):
+// a = c·p·q and b = s·p̄·q.
+func (h halves) su2() (a, b complex128) {
+	pq := h.p * h.q
+	pbq := complex(real(h.p), -imag(h.p)) * h.q
+	return complex(h.c*real(pq), h.c*imag(pq)), complex(h.s*real(pbq), h.s*imag(pbq))
+}
+
+// rotate writes (g ⊗ I)·src into dst, where g = [[a, −b̄], [b, ā]] acts on
+// the qubit whose row bit is mask. Both matrices are d×d row-major, and
+// dst may be src. g mixes each pair of rows that differ in that bit, so
+// one call costs O(d²) where a dense product would cost O(d³).
+//
+//guoq:hotpath
+func rotate(dst, src []complex128, d, mask int, a, b complex128) {
+	ar, ai, br, bi := real(a), imag(a), real(b), imag(b)
+	for l := 0; l < d; l++ {
+		if l&mask != 0 {
+			continue
+		}
+		x0, x1 := rowPair(src, d, l, mask)
+		y0, y1 := rowPair(dst, d, l, mask)
+		x1 = x1[:len(x0)]
+		y0, y1 = y0[:len(x0)], y1[:len(x0)]
+		for j, u := range x0 {
+			v := x1[j]
+			ur, ui, vr, vi := real(u), imag(u), real(v), imag(v)
+			y0[j] = complex(ar*ur-ai*ui-br*vr-bi*vi, ar*ui+ai*ur-br*vi+bi*vr)
+			y1[j] = complex(br*ur-bi*ui+ar*vr+ai*vi, br*ui+bi*ur+ar*vi-ai*vr)
 		}
 	}
 }
@@ -181,19 +207,22 @@ func setIdentity(m []complex128, d int) {
 }
 
 // Instantiate renders the template at the given parameters as a circuit of
-// rz/ry/cx gates, dropping (near-)zero rotations.
+// rz/ry/cx gates, each U3 site as rz(λ), ry(θ), rz(φ) in execution order,
+// dropping (near-)zero rotations.
 func (t *Template) Instantiate(params []float64) *circuit.Circuit {
 	c := circuit.New(t.N)
 	pi := 0
-	for _, e := range t.Elems {
-		if e.fixed {
-			c.Append(gate.New(e.name, append([]int{}, e.qubits...), nil))
+	for _, s := range t.Sites {
+		if s.cx {
+			c.Append(gate.NewCX(s.q[0], s.q[1]))
 			continue
 		}
-		th := linalg.NormAngle(params[pi])
-		pi++
-		if math.Abs(th) > 1e-10 {
-			c.Append(gate.New(e.name, append([]int{}, e.qubits...), []float64{th}))
+		for _, name := range [3]gate.Name{gate.Rz, gate.Ry, gate.Rz} {
+			th := linalg.NormAngle(params[pi])
+			pi++
+			if math.Abs(th) > 1e-10 {
+				c.Append(gate.New(name, []int{s.q[0]}, []float64{th}))
+			}
 		}
 	}
 	return c
