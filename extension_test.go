@@ -345,6 +345,70 @@ func TestCustomSynthesizerMetamorphic(t *testing.T) {
 	}
 }
 
+// nanSynth drops a block's two-qubit gates and appends rz(NaN), claiming
+// no error: a proposal whose measured distance is NaN.
+type nanSynth struct{ calls atomic.Int64 }
+
+func (s *nanSynth) Name() string { return "nan-rz" }
+
+func (s *nanSynth) Synthesize(_ context.Context, sub *Circuit, _ float64) (*Circuit, float64, error) {
+	s.calls.Add(1)
+	out := NewCircuit(sub.NumQubits)
+	for _, g := range sub.Gates {
+		if len(g.Qubits) == 1 {
+			out.Gates = append(out.Gates, g.Clone())
+		}
+	}
+	out.Append(Rz(math.NaN(), 0))
+	return out, 0, nil
+}
+
+// TestSynthesizerNaNRejected: NaN fails every comparison, so an ε check
+// written as "reject if error > allowance" passes it. A user synthesizer
+// whose replacement has a NaN angle must still be rejected, and the run
+// must return a finite circuit, equivalent to its input within an error
+// bound that fits Options.Epsilon.
+func TestSynthesizerNaNRejected(t *testing.T) {
+	in, err := Translate(testInput(), "ibm-eagle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eps = 1e-8
+	syn := &nanSynth{}
+	out, res, err := Optimize(in, Options{
+		GateSet:         "ibm-eagle",
+		Epsilon:         eps,
+		Budget:          time.Minute,
+		MaxIters:        2000,
+		Seed:            1,
+		Transformations: []Transformation{UseSynthesizer(syn)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if syn.calls.Load() == 0 {
+		t.Fatal("the NaN synthesizer was never sampled by the search")
+	}
+	for _, r := range res.Rules {
+		if r.Name == "synth:nan-rz" && r.Accepted > 0 {
+			t.Fatalf("%d NaN proposals accepted", r.Accepted)
+		}
+	}
+	for _, g := range out.Gates {
+		for _, p := range g.Params {
+			if math.IsNaN(p) || math.IsInf(p, 0) {
+				t.Fatalf("output gate %v has a non-finite angle", g)
+			}
+		}
+	}
+	if !(res.Error <= eps) {
+		t.Fatalf("Result.Error = %g, want at most ε %g", res.Error, eps)
+	}
+	if d := Distance(in, out); !(d <= res.Error+1e-9) {
+		t.Fatalf("output is %g from the input, bound %g", d, res.Error)
+	}
+}
+
 // TestUseSynthesizerEpsClasses: a user synthesizer enters the search at the
 // classes of built-in resynthesis, ε_f, ε_f/4 and ε_f/16. Alg. 1 admits a
 // τ_ε only while the spent error plus its ε fits ε_f, so with ε_f alone the

@@ -8,7 +8,6 @@
 package baselines
 
 import (
-	"context"
 	"time"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
@@ -24,16 +23,6 @@ type Optimizer interface {
 	// Optimize returns an improved circuit within the wall-clock budget.
 	// Implementations never return a worse circuit than the input.
 	Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit
-}
-
-// ContextOptimizer is an Optimizer whose search honors context
-// cancellation: OptimizeContext returns its best-so-far (never worse than
-// the input) as soon as ctx is done. Every optimizer in this package
-// implements it; the plain Optimize methods are equivalent to calling
-// OptimizeContext with context.Background().
-type ContextOptimizer interface {
-	Optimizer
-	OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit
 }
 
 // keepBetter guards the "never worse" contract.

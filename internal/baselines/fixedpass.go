@@ -118,7 +118,7 @@ func (f *FixedPass) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.C
 	return f.OptimizeContext(context.Background(), c, gs, cost, budget, seed)
 }
 
-// OptimizeContext implements ContextOptimizer: cancellation is observed
+// OptimizeContext is Optimize under ctx: cancellation is observed
 // between rounds (individual passes are fast and always run to completion,
 // so the committed state is a whole-pipeline prefix, never a torn pass).
 func (f *FixedPass) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, _ time.Duration, _ int64) *circuit.Circuit {

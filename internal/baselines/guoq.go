@@ -113,7 +113,8 @@ func (g *GUOQ) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, 
 	return out
 }
 
-// OptimizeContext implements ContextOptimizer.
+// OptimizeContext is Optimize that returns its best-so-far, never worse
+// than the input, as soon as ctx is done.
 func (g *GUOQ) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
 	out, _ := g.OptimizeStatsContext(ctx, c, gs, cost, budget, seed)
 	return out

@@ -57,7 +57,7 @@ func (p *Partition) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.C
 	return p.OptimizeContext(context.Background(), c, gs, cost, budget, seed)
 }
 
-// OptimizeContext implements ContextOptimizer: cancellation is observed
+// OptimizeContext is Optimize under ctx: cancellation is observed
 // between blocks and by the synthesis call itself, so a cancelled pass
 // returns the blocks already improved.
 func (p *Partition) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {

@@ -37,7 +37,7 @@ func (b *BeamSearch) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.
 	return b.OptimizeContext(context.Background(), c, gs, cost, budget, seed)
 }
 
-// OptimizeContext implements ContextOptimizer: the beam loop returns its
+// OptimizeContext is Optimize under ctx: the beam loop returns its
 // best-so-far at the first cancelled dequeue.
 func (b *BeamSearch) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
 	reg := b.Registry
@@ -83,7 +83,7 @@ func (l *Lookahead) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.C
 	return l.OptimizeContext(context.Background(), c, gs, cost, budget, seed)
 }
 
-// OptimizeContext implements ContextOptimizer: cancellation is checked at
+// OptimizeContext is Optimize under ctx: cancellation is checked at
 // every outer greedy step (the committed best is returned mid-rollout).
 func (l *Lookahead) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
 	rules, err := rewrite.RulesFor(gs.Name)
@@ -189,7 +189,7 @@ func (p *PyZX) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, 
 	return p.OptimizeContext(context.Background(), c, gs, cost, budget, seed)
 }
 
-// OptimizeContext implements ContextOptimizer: cancellation is observed
+// OptimizeContext is Optimize under ctx: cancellation is observed
 // between fixpoint rounds.
 func (p *PyZX) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, _ time.Duration, _ int64) *circuit.Circuit {
 	rules, _ := rewrite.RulesFor(gs.Name)

@@ -201,18 +201,6 @@ func Kron(a, b Matrix) Matrix {
 	return out
 }
 
-// KronAll returns the tensor product of the given matrices, left to right.
-func KronAll(ms ...Matrix) Matrix {
-	if len(ms) == 0 {
-		panic("linalg: KronAll of no matrices")
-	}
-	acc := ms[0]
-	for _, m := range ms[1:] {
-		acc = Kron(acc, m)
-	}
-	return acc
-}
-
 // MaxAbsDiff returns the largest elementwise |a_ij − b_ij|.
 func MaxAbsDiff(a, b Matrix) float64 {
 	if a.N != b.N {

@@ -238,9 +238,10 @@ func (t *ResynthTransformation) propose(ctx context.Context, c *circuit.Circuit,
 	if err != nil {
 		return nil, nil, 0, false
 	}
-	// Account the error actually incurred, not the declared class.
+	// Account the error actually incurred, not the declared class. Only a
+	// finite error within the allowance passes: NaN fails every comparison.
 	actual := linalg.HSDistance(target, replacement.Unitary())
-	if actual > eps {
+	if !(actual <= eps) {
 		return nil, nil, 0, false
 	}
 	return region, replacement, actual, true
@@ -355,11 +356,13 @@ func (t *CircuitResynthTransformation) propose(ctx context.Context, c *circuit.C
 	}
 	// Budget admission: the claim must fit the allowance (over-reporting is
 	// rejected, not clamped), and so must the independently measured error.
-	if claimed < 0 || claimed > eps {
+	// Both checks pass only a finite value within the allowance, so a NaN
+	// claim or a replacement with a NaN angle is rejected.
+	if !(claimed >= 0 && claimed <= eps) {
 		return nil, nil, 0, false
 	}
 	actual := linalg.HSDistance(sub.Unitary(), replacement.Unitary())
-	if actual > eps {
+	if !(actual <= eps) {
 		return nil, nil, 0, false
 	}
 	// Charge the worse of measurement and claim: sound under Thm 4.2 either

@@ -39,14 +39,15 @@ type Synthesizer struct {
 }
 
 // New returns a synthesizer with the default budgets. With them, on one
-// core of a 2-vCPU x86 VM, a random 2-qubit target takes about a
-// millisecond, the Toffoli 45–50 ms, and a 3-qubit block cut from a suite
-// circuit 15–20 ms on average under its own two-qubit count as the
-// ceiling (BenchmarkSynthesize2Q, BenchmarkSynthesize3QToffoli and
-// BenchmarkSynthesizeSuiteBlocks). The longest 3-qubit calls are those
-// that try every structure up to the ceiling and fail, so a resynthesis
-// call fails sooner the shallower the block. That is the "slow" timescale
-// of the paper, compressed in proportion to our compressed search budgets.
+// core of a 2-vCPU x86 VM, a random 2-qubit target takes about 0.3 ms,
+// the Toffoli 11–12 ms, and a 3-qubit block cut from a suite circuit
+// 4.5–5.5 ms on average under its own two-qubit count as the ceiling
+// (BenchmarkSynthesize2Q, BenchmarkSynthesize3QToffoli and
+// BenchmarkSynthesizeSuiteBlocks, over 10 runs). The longest 3-qubit
+// calls are those that try every structure up to the ceiling and fail,
+// so a resynthesis call fails sooner the shallower the block. That is the
+// "slow" timescale of the paper, compressed in proportion to our
+// compressed search budgets.
 func New(gs *gateset.GateSet) *Synthesizer {
 	return &Synthesizer{
 		GateSet:   gs,
@@ -103,7 +104,7 @@ func (s *Synthesizer) SynthesizeBounded(ctx context.Context, target linalg.Matri
 		out, err = s.finish(one(target, numQubits))
 	case 2, 3:
 		tpl, params, dist := s.search(ctx, target, numQubits, tol, min(maxTwoQubit, s.MaxBlocks))
-		if tpl == nil || dist > tol {
+		if tpl == nil || !(dist <= tol) {
 			return nil, synth.ErrNoSolution
 		}
 		out, err = s.finish(tpl.Instantiate(params), nil)

@@ -1,21 +1,23 @@
 // Package numeric implements BQSKit-style bottom-up synthesis for
 // continuous gate sets: template circuits made of CX gates and U3 sites,
-// instantiated by Rotosolve-style exact coordinate ascent on the
-// Hilbert–Schmidt overlap, searched structure-by-structure in increasing
-// two-qubit gate count up to a ceiling. Resynthesis passes the replaced
-// block's two-qubit count as that ceiling (Synthesizer.SynthesizeBounded),
-// so the search never climbs past what the block already costs.
+// instantiated by exact site-by-site ascent on the Hilbert–Schmidt
+// overlap, searched structure-by-structure in increasing two-qubit gate
+// count up to a ceiling. Resynthesis passes the replaced block's two-qubit
+// count as that ceiling (Synthesizer.SynthesizeBounded), so the search
+// never climbs past what the block already costs.
 //
-// A U3 site carries three angles, U3 = Rz(φ)·Ry(θ)·Rz(λ), and the ascent
-// updates them one at a time, each by an exact closed form. The kernels
-// treat the site as one SU(2) matrix: the overlap is linear in that 2×2
-// matrix, so one 2×2 environment per site, read once per sweep, yields all
-// three updates (see solve.go), and applying the site to a 2^N × 2^N
-// matrix is one row operation.
+// A U3 site carries three angles, U3 = Rz(φ)·Ry(θ)·Rz(λ), but the kernel
+// treats it as one SU(2) matrix. The overlap is linear in that 2×2 matrix,
+// so one 2×2 environment per site, read once per sweep, fixes the site's
+// optimum: the environment's polar factor, in closed form (see solve.go).
+// Applying the site to a 2^N × 2^N matrix is one row operation. A start
+// ends once three sweeps in a row each gain less than 0.1% in distance;
+// angles are read out only when a start ends.
 package numeric
 
 import (
 	"math"
+	"math/cmplx"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gate"
@@ -40,12 +42,12 @@ type Template struct {
 	nparam int
 
 	// Kernel scratch, allocated on first use. w holds one d×d block per
-	// site, W_jᵀ (see sweep); r holds the running prefix product, which
-	// is U(θ) when sweep or unitaryScratch returns; h holds each U3 site's
-	// angles as a sweep starts.
+	// site, W_jᵀ (see sweepSites), the last of them the target block; r
+	// holds the running prefix product, which is U when sweepSites or
+	// unitaryScratch returns; g holds each U3 site's SU(2) pair.
 	w []complex128
 	r []complex128
-	h []halves
+	g []su2
 }
 
 // NewTemplate builds the standard bottom-up skeleton: a U3 on every qubit,
@@ -102,9 +104,9 @@ func (t *Template) product(params []float64, m []complex128) {
 			t.apply(s, m, m)
 			continue
 		}
-		a, b := halvesOf(params[pi], params[pi+1], params[pi+2]).su2()
+		g := u3(params[pi], params[pi+1], params[pi+2])
 		pi += 3
-		rotate(m, m, d, t.mask(s.q[0]), a, b)
+		rotate(m, m, d, t.mask(s.q[0]), g.a, g.b)
 	}
 }
 
@@ -114,7 +116,7 @@ func (t *Template) ensureScratch() {
 	if len(t.r) != dd {
 		t.w = make([]complex128, len(t.Sites)*dd)
 		t.r = make([]complex128, dd)
-		t.h = make([]halves, len(t.Sites))
+		t.g = make([]su2, len(t.Sites))
 	}
 }
 
@@ -145,27 +147,23 @@ func (t *Template) apply(s site, dst, src []complex128) {
 	}
 }
 
-// halves holds a U3 site's angles as the half-angle factors its matrix is
-// built from: q = e^{−iλ/2}, c = cos(θ/2), s = sin(θ/2) and p = e^{−iφ/2}.
-type halves struct {
-	q    complex128
-	c, s float64
-	p    complex128
+// su2 is a U3 site as the SU(2) matrix [[a, −b̄], [b, ā]].
+type su2 struct{ a, b complex128 }
+
+// u3 returns Rz(φ)·Ry(θ)·Rz(λ) as an SU(2) pair: a = cos(θ/2)·e^{−i(φ+λ)/2}
+// and b = sin(θ/2)·e^{i(φ−λ)/2}.
+func u3(lambda, theta, phi float64) su2 {
+	s, c := math.Sincos(theta / 2)
+	sa, ca := math.Sincos((phi + lambda) / 2)
+	sb, cb := math.Sincos((phi - lambda) / 2)
+	return su2{complex(c*ca, -c*sa), complex(s*cb, s*sb)}
 }
 
-func halvesOf(lambda, theta, phi float64) halves {
-	sl, cl := math.Sincos(lambda / 2)
-	st, ct := math.Sincos(theta / 2)
-	sp, cp := math.Sincos(phi / 2)
-	return halves{q: complex(cl, -sl), c: ct, s: st, p: complex(cp, -sp)}
-}
-
-// su2 returns the SU(2) form [[a, −b̄], [b, ā]] of Rz(φ)·Ry(θ)·Rz(λ):
-// a = c·p·q and b = s·p̄·q.
-func (h halves) su2() (a, b complex128) {
-	pq := h.p * h.q
-	pbq := complex(real(h.p), -imag(h.p)) * h.q
-	return complex(h.c*real(pq), h.c*imag(pq)), complex(h.s*real(pbq), h.s*imag(pbq))
+// angles returns the ZYZ angles λ, θ, φ of g, which u3 maps back to g up
+// to rounding: θ/2 = atan2(|b|, |a|), arg a = −(φ+λ)/2, arg b = (φ−λ)/2.
+func (g su2) angles() (lambda, theta, phi float64) {
+	pa, pb := cmplx.Phase(g.a), cmplx.Phase(g.b)
+	return -pa - pb, 2 * math.Atan2(cmplx.Abs(g.b), cmplx.Abs(g.a)), pb - pa
 }
 
 // rotate writes (g ⊗ I)·src into dst, where g = [[a, −b̄], [b, ā]] acts on
