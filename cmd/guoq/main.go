@@ -160,9 +160,10 @@ func main() {
 			fatal(fmt.Errorf("unknown -wire format %q (want json|gzip)", *wire))
 		}
 		if *session == "" {
-			// Submit first: the coordinator canonicalizes the circuit and
-			// either answers from its result cache — done, no search — or
-			// assigns the session bound to that cache slot.
+			// Submit first: the coordinator keys the circuit's canonical
+			// text (Submit sends WriteQASM output, so a hit needs no parse)
+			// and either answers from its result cache — done, no search —
+			// or assigns the session bound to that cache slot.
 			resp, serr := client.Submit(native, *gateSet, string(obj), *epsilon)
 			switch {
 			case serr == nil && resp.Cached:

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"io"
@@ -71,17 +72,51 @@ func readBody(w http.ResponseWriter, r *http.Request, into any) bool {
 // writeReply encodes v as JSON, gzipped when the client accepts gzip and
 // the body clears the size floor. A nil request always writes plain JSON.
 func writeReply(w http.ResponseWriter, r *http.Request, v any) {
-	payload, err := json.Marshal(v)
+	payload, err := marshalReply(v)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	payload = append(payload, '\n')
-	w.Header().Set("Content-Type", contentTypeJSON)
 	if r != nil && len(payload) >= gzipMinBytes && acceptsGzip(r) {
-		w.Header().Set("Content-Encoding", "gzip")
+		setReplyHeaders(w, true)
 		_ = writeGzip(w, payload) // the client is gone; nothing to report to
 		return
 	}
+	setReplyHeaders(w, false)
 	_, _ = w.Write(payload)
+}
+
+// encodeReply returns the body writeReply sends v as to a client that
+// accepts gzip: the gzipped JSON when it clears the size floor, the JSON
+// itself below it. isGzip tells the two apart.
+func encodeReply(v any) ([]byte, error) {
+	payload, err := marshalReply(v)
+	if err != nil || len(payload) < gzipMinBytes {
+		return payload, err
+	}
+	var buf bytes.Buffer
+	if err := writeGzip(&buf, payload); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// isGzip reports whether an encodeReply body is gzipped: a gzip stream
+// starts with the bytes 1f 8b, a JSON reply with '{'.
+func isGzip(body []byte) bool {
+	return len(body) >= 2 && body[0] == 0x1f && body[1] == 0x8b
+}
+
+// marshalReply is v's JSON reply body, newline-terminated as
+// json.Encoder writes it.
+func marshalReply(v any) ([]byte, error) {
+	payload, err := json.Marshal(v)
+	return append(payload, '\n'), err
+}
+
+func setReplyHeaders(w http.ResponseWriter, gzipped bool) {
+	w.Header().Set("Content-Type", contentTypeJSON)
+	if gzipped {
+		w.Header().Set("Content-Encoding", "gzip")
+	}
 }

@@ -3,10 +3,14 @@ package dist
 import (
 	"bytes"
 	"compress/gzip"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"github.com/guoq-dev/guoq/internal/circuit"
+	"github.com/guoq-dev/guoq/internal/gateset"
 )
 
 // gzipBytes compresses s as one gzip member.
@@ -114,5 +118,44 @@ func FuzzReadBody(f *testing.F) {
 				t.Fatalf("%T: encoding is not a round-trip fixpoint\n first: %s\nsecond: %s", v, first, second)
 			}
 		}
+	})
+}
+
+// FuzzSubmitMatchesCanonical submits arbitrary text under an arbitrary
+// target and objective. Every reply's status, Cached, Session and Best,
+// and its bytes, must equal submitHarness's oracle, which parses and
+// canonicalizes the text before it computes the key. First a result is
+// published under every key the text could reach: that of the request
+// itself, of its canonical text, and, when the text holds a NUL, of the
+// request whose target takes over what follows the first NUL, which has
+// the digest of the text as sent.
+func FuzzSubmitMatchesCanonical(f *testing.F) {
+	canonical := circuit.Random(3, 12, gateset.IBMEagle.Gates, rand.New(rand.NewSource(7))).WriteQASM()
+	f.Add(canonical, "ibm-eagle", "2q")
+	f.Add("// a comment\n"+strings.ReplaceAll(canonical, "\n", "\n\n"), "ibm-eagle", "2q")
+	f.Add(canonical+"\x00ibm", "eagle", "2q")         // the digest of (canonical, "ibm\x00eagle")
+	f.Add("qreg q[1];\nrz(1e-3) q[0];\n", "nam", "t") // not canonical: no header, %g angle
+	f.Add("", "ibm-eagle", "2q")
+	f.Add("qreg q[1];\nh q[0];\n", "", "2q")
+	f.Fuzz(func(t *testing.T, text, target, objective string) {
+		const eps = 1e-8
+		sh := newSubmitHarness(t, ServerOptions{})
+		reqs := []SubmitRequest{{QASM: text, Target: target, Objective: objective, Epsilon: eps}}
+		if c, err := circuit.ParseQASM(text); err == nil {
+			reqs = append(reqs, SubmitRequest{QASM: c.WriteQASM(), Target: target, Objective: objective, Epsilon: eps})
+		}
+		if head, tail, ok := strings.Cut(text, "\x00"); ok {
+			reqs = append(reqs, SubmitRequest{QASM: head, Target: tail + "\x00" + target, Objective: objective, Epsilon: eps})
+		}
+		for i, req := range reqs {
+			if key := sh.submit(req, true); key != "" {
+				sh.publish(key, eps, rzChain(i+1), float64(len(reqs)-i))
+			}
+		}
+		for _, req := range reqs {
+			sh.submit(req, true)
+			sh.submit(req, false)
+		}
+		sh.checkCounters()
 	})
 }

@@ -374,9 +374,16 @@ func (s *Server) ServeContext(ctx context.Context, l net.Listener, grace time.Du
 	return err
 }
 
-// handleSubmit is the cache-aware front door: normalize the circuit, hash
-// the request, answer instantly on a cache hit, open the bound exchange
-// session otherwise.
+// handleSubmit is the cache-aware front door: hash the request, answer
+// instantly on a cache hit, open the bound exchange session otherwise.
+//
+// Keys are made only from canonical text (see store.CacheKey), so the
+// first lookup hashes the QASM as sent: a match proves the text canonical,
+// and canonical text re-emits as itself (FuzzQASMRoundTrip), so the key is
+// the one canonicalizing would give. A client that sends WriteQASM output,
+// as guoq does, is served without a parse. Only on no match is the circuit
+// parsed and re-emitted, and looked up again if that changed the text.
+// Each submit counts as one hit or one miss.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	if !readBody(w, r, &req) {
@@ -386,28 +393,42 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "missing qasm, target, or objective")
 		return
 	}
-	c, err := circuit.ParseQASM(req.QASM)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad circuit: "+err.Error())
-		return
+	var (
+		key   string
+		e     store.CacheEntry
+		reply []byte
+		hit   bool
+	)
+	// NUL separates Digest's fields and never occurs in canonical text, so
+	// text holding one could match a key made from other fields.
+	if s.cache != nil && !strings.Contains(req.QASM, "\x00") {
+		key = store.CacheKey(req.QASM, req.Target, req.Objective, req.Epsilon)
+		e, reply, hit = s.cache.Get(key)
 	}
-	// The QASM round trip is the canonicalizer: whitespace, comments, and
-	// parameter formatting collapse, so textual variants of one circuit
-	// share a cache slot.
-	key := store.CacheKey(c.WriteQASM(), req.Target, req.Objective, req.Epsilon)
+	if !hit {
+		c, err := circuit.ParseQASM(req.QASM)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "bad circuit: "+err.Error())
+			return
+		}
+		// The QASM round trip is the canonicalizer: whitespace, comments,
+		// and parameter formatting collapse, so textual variants of one
+		// circuit share a cache slot.
+		if canonical := c.WriteQASM(); key == "" || canonical != req.QASM {
+			key = store.CacheKey(canonical, req.Target, req.Objective, req.Epsilon)
+			e, reply, hit = s.cache.Get(key)
+		}
+	}
 	sid := key[:16]
-	if e, ok := s.cache.Get(key); ok {
+	if hit {
 		s.sm.cacheHits.Inc()
 		s.logf("submit %s: cache hit (cost %g)", sid, e.Cost)
-		writeReply(w, r, &SubmitResponse{
-			Cached:  true,
-			Session: sid,
-			Best:    Solution{Envelope: circuit.Envelope{QASM: e.QASM, Err: e.Err}, Cost: e.Cost},
-		})
+		s.writeCacheHit(w, r, key, e, reply)
 		return
 	}
 	if s.cache != nil {
 		s.sm.cacheMisses.Inc()
+		s.cache.Miss()
 	}
 	ss := s.sessionWithKey(sid, req.Epsilon, key)
 	// A session created before the cache binding existed (plain exchange
@@ -422,6 +443,38 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.persistSession(sid, ss)
 	}
 	writeReply(w, r, &SubmitResponse{Session: sid})
+}
+
+// writeCacheHit answers a submit from the cache entry e under key with the
+// bytes writeReply would send. The entry's first hit encodes the reply as
+// a gzip client gets it (encodeReply) and records it with the entry; later
+// hits send those bytes as they are. Past the size floor a client that
+// does not accept gzip gets the JSON, marshalled afresh.
+func (s *Server) writeCacheHit(w http.ResponseWriter, r *http.Request, key string, e store.CacheEntry, reply []byte) {
+	if reply == nil {
+		var err error
+		if reply, err = encodeReply(cacheHitReply(key, e)); err != nil {
+			httpError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		s.cache.SetReply(key, e, reply)
+	}
+	gzipped := isGzip(reply)
+	if gzipped && !acceptsGzip(r) {
+		writeReply(w, r, cacheHitReply(key, e))
+		return
+	}
+	setReplyHeaders(w, gzipped)
+	_, _ = w.Write(reply) // the client is gone; nothing to report to
+}
+
+// cacheHitReply is the reply to a submit whose key holds the entry e.
+func cacheHitReply(key string, e store.CacheEntry) *SubmitResponse {
+	return &SubmitResponse{
+		Cached:  true,
+		Session: key[:16],
+		Best:    Solution{Envelope: circuit.Envelope{QASM: e.QASM, Err: e.Err}, Cost: e.Cost},
+	}
 }
 
 func (s *Server) handleExchange(w http.ResponseWriter, r *http.Request) {

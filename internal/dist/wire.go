@@ -24,16 +24,18 @@ type Solution struct {
 }
 
 // SubmitRequest registers an optimization request with the coordinator
-// before any search work is spent on it. The server normalizes the circuit
-// (QASM parse + re-emit), derives the content address of
-// (circuit, target, ε, objective), and answers from the result cache when
-// a prior search already paid for an answer; on a miss it opens an
-// exchange session bound to that cache slot, so the eventual best feeds
-// the cache for the next submitter.
+// before any search work is spent on it. The server derives the content
+// address of (canonical circuit, target, ε, objective) and answers from
+// the result cache when a prior search already paid for an answer; on a
+// miss it opens an exchange session bound to that cache slot, so the
+// eventual best feeds the cache for the next submitter. Canonical text is
+// a QASM parse + re-emit of the circuit (Circuit.WriteQASM): text that
+// already is canonical is hashed as sent, and a cache hit on it needs no
+// parse. Other text is canonicalized first.
 type SubmitRequest struct {
 	// QASM is the input circuit, already translated to the target basis
 	// (as guoq does before optimizing). Formatting differences are
-	// irrelevant: the server canonicalizes before hashing.
+	// irrelevant: the server canonicalizes what is not canonical already.
 	QASM string `json:"qasm"`
 	// Target names the gate set the circuit is optimized for.
 	Target string `json:"target"`

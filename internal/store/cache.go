@@ -17,6 +17,12 @@ import (
 // WriteQASM round trip so formatting differences collapse), the target gate
 // set, the objective, and the ε budget. Requests that agree on all four are
 // interchangeable — any cached solution satisfies both.
+//
+// Keys are made only from canonical text. A lookup may rest on that: a key
+// computed on submitted text that holds no NUL (Digest's separator, which
+// canonical text never contains) matches a stored key only if that text is
+// the canonical text the stored key was made from, barring a SHA-256
+// collision.
 func CacheKey(canonicalQASM, target, objective string, epsilon float64) string {
 	return Digest(epsilon, canonicalQASM, target, objective)
 }
@@ -53,15 +59,16 @@ func (e CacheEntry) size() int64 { return int64(len(e.QASM)) + 64 }
 // CacheStats snapshots a cache's traffic counters.
 type CacheStats struct {
 	Hits     int64 // Get calls served (memory or disk)
-	Misses   int64 // Get calls that found nothing
+	Misses   int64 // lookups that found nothing, counted by Miss
 	DiskHits int64 // subset of Hits served by reloading a spilled entry
 }
 
 // Cache is a content-addressed result cache with LRU eviction bounded by
 // both entry count and total bytes, and an optional disk spill directory:
 // every Put also lands on disk, so entries evicted from memory (or a cache
-// lost to a restart) are transparently reloaded on their next Get. Safe
-// for concurrent use.
+// lost to a restart) are transparently reloaded on their next Get. Each
+// in-memory entry may also hold the reply its caller encoded for it (see
+// SetReply), so that a hot entry is encoded once. Safe for concurrent use.
 type Cache struct {
 	maxEntries int
 	maxBytes   int64
@@ -77,7 +84,10 @@ type Cache struct {
 type cacheItem struct {
 	key   string
 	entry CacheEntry
+	reply []byte // set by SetReply; never spilled
 }
+
+func (it *cacheItem) size() int64 { return it.entry.size() + int64(len(it.reply)) }
 
 // NewCache builds a cache bounded to maxEntries entries and maxBytes total
 // payload bytes (≤0 selects 4096 entries / 256 MB). A non-empty dir
@@ -98,33 +108,75 @@ func NewCache(maxEntries int, maxBytes int64, dir string) *Cache {
 	}
 }
 
-// Get returns the entry cached under key, consulting the disk spill when
-// memory misses. The second result reports whether anything was found.
-func (c *Cache) Get(key string) (CacheEntry, bool) {
+// Get returns the entry cached under key and the reply recorded for it by
+// SetReply (nil until then), consulting the disk spill when memory misses.
+// The last result reports whether anything was found. A find counts as a
+// hit; a miss is counted by Miss, so that a caller that tries a second key
+// for one request counts the request once.
+func (c *Cache) Get(key string) (CacheEntry, []byte, bool) {
 	if c == nil {
-		return CacheEntry{}, false
+		return CacheEntry{}, nil, false
 	}
 	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*cacheItem).entry
-		c.stats.Hits++
+	el, ok := c.items[key]
+	if !ok {
 		c.mu.Unlock()
-		return e, true
-	}
-	c.mu.Unlock()
-	if e, ok := c.loadSpilled(key); ok {
+		e, found := c.loadSpilled(key)
+		if !found {
+			return CacheEntry{}, nil, false
+		}
 		c.mu.Lock()
-		c.stats.Hits++
-		c.stats.DiskHits++
-		c.installLocked(key, e)
-		c.mu.Unlock()
-		return e, true
+		el = c.reloadLocked(key, e)
+	}
+	c.ll.MoveToFront(el)
+	it := el.Value.(*cacheItem)
+	e, reply := it.entry, it.reply
+	c.stats.Hits++
+	c.mu.Unlock()
+	return e, reply, true
+}
+
+// Miss counts one lookup that found nothing.
+func (c *Cache) Miss() {
+	if c == nil {
+		return
 	}
 	c.mu.Lock()
 	c.stats.Misses++
 	c.mu.Unlock()
-	return CacheEntry{}, false
+}
+
+// reloadLocked installs e, read from key's spill file without c.mu held,
+// and returns key's element. If memory gained an entry for key while the
+// file was read (a Put, or another reload), that entry stands: the file
+// may predate it. Caller holds c.mu.
+func (c *Cache) reloadLocked(key string, e CacheEntry) *list.Element {
+	if el, ok := c.items[key]; ok {
+		return el
+	}
+	c.stats.DiskHits++
+	return c.installLocked(key, e)
+}
+
+// SetReply records reply, the caller's encoding of the reply for key's
+// entry e, if e is still the entry memory holds for key; later Gets return
+// it. The bytes count against the byte bound. They are dropped when a Put
+// replaces the entry or the entry is evicted, and never spilled.
+func (c *Cache) SetReply(key string, e CacheEntry, reply []byte) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	if it := el.Value.(*cacheItem); it.entry == e && it.reply == nil {
+		it.reply = reply
+		c.bytes += int64(len(reply))
+		c.evictLocked()
+	}
 }
 
 // Put stores an entry under key. When the key is already present, the
@@ -146,24 +198,34 @@ func (c *Cache) Put(key string, e CacheEntry) {
 	c.spill(key, e)
 }
 
-// installLocked inserts or replaces key's entry at the LRU front and
-// evicts past either bound. Caller holds c.mu.
-func (c *Cache) installLocked(key string, e CacheEntry) {
-	if el, ok := c.items[key]; ok {
+// installLocked inserts or replaces key's entry at the LRU front, dropping
+// any reply recorded for the entry it replaces, evicts past either bound,
+// and returns key's element. Caller holds c.mu.
+func (c *Cache) installLocked(key string, e CacheEntry) *list.Element {
+	el, ok := c.items[key]
+	if ok {
 		it := el.Value.(*cacheItem)
-		c.bytes += e.size() - it.entry.size()
-		it.entry = e
+		c.bytes -= it.size()
+		it.entry, it.reply = e, nil
 		c.ll.MoveToFront(el)
 	} else {
-		c.items[key] = c.ll.PushFront(&cacheItem{key: key, entry: e})
-		c.bytes += e.size()
+		el = c.ll.PushFront(&cacheItem{key: key, entry: e})
+		c.items[key] = el
 	}
+	c.bytes += e.size()
+	c.evictLocked()
+	return el
+}
+
+// evictLocked drops least recently used entries while either bound is
+// exceeded, keeping at least the front one. Caller holds c.mu.
+func (c *Cache) evictLocked() {
 	for (c.ll.Len() > c.maxEntries || c.bytes > c.maxBytes) && c.ll.Len() > 1 {
 		el := c.ll.Back()
 		it := el.Value.(*cacheItem)
 		c.ll.Remove(el)
 		delete(c.items, it.key)
-		c.bytes -= it.entry.size()
+		c.bytes -= it.size()
 	}
 }
 
@@ -216,9 +278,19 @@ func (c *Cache) spill(key string, e CacheEntry) {
 	if err != nil {
 		return
 	}
-	tmp := path + ".tmp"
-	if os.WriteFile(tmp, data, 0o644) == nil {
-		_ = os.Rename(tmp, path)
+	// Each spill writes its own temporary file: two spills of one key may
+	// run at once, and a shared name would let one rename the other's
+	// half-written file into place.
+	f, err := os.CreateTemp(filepath.Dir(path), key+".json.*.tmp")
+	if err != nil {
+		return
+	}
+	_, werr := f.Write(data)
+	if werr == nil {
+		werr = f.Chmod(0o644) // CreateTemp makes 0600; the store writes 0644
+	}
+	if cerr := f.Close(); werr != nil || cerr != nil || os.Rename(f.Name(), path) != nil {
+		_ = os.Remove(f.Name())
 	}
 }
 
