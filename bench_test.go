@@ -210,6 +210,14 @@ func BenchmarkTable3(b *testing.B) {
 
 // --- Ablation benchmarks (design choices called out in DESIGN.md) ----------
 
+// timeout returns a context that ends after d: the wall-clock bound of a
+// timed run. It is cancelled when the test or benchmark ends.
+func timeout(tb testing.TB, d time.Duration) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	tb.Cleanup(cancel)
+	return ctx
+}
+
 // ablationRun measures GUOQ's mean 2q reduction over a small subset under a
 // modified option set.
 func ablationRun(b *testing.B, tune func(*opt.Options)) float64 {
@@ -234,10 +242,10 @@ func ablationRun(b *testing.B, tune func(*opt.Options)) float64 {
 		}
 		opts := opt.DefaultOptions()
 		opts.Cost = opt.TwoQubitCost()
-		opts.TimeBudget = 250 * time.Millisecond
 		opts.Seed = 1
 		opts.Async = true
 		tune(&opts)
+		opts.Context = timeout(b, 250*time.Millisecond)
 		res := opt.GUOQ(bench.Circuit, ts, opts)
 		orig := bench.Circuit.TwoQubitCount()
 		if orig > 0 {
@@ -304,9 +312,9 @@ func BenchmarkAblationQubitLimit(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := opt.DefaultOptions()
 				opts.Cost = opt.TwoQubitCost()
-				opts.TimeBudget = 250 * time.Millisecond
 				opts.Async = true
 				opts.Seed = 1
+				opts.Context = timeout(b, 250*time.Millisecond)
 				res := opt.GUOQ(bench.Circuit, ts, opts)
 				red = 1 - float64(res.Best.TwoQubitCount())/float64(bench.Circuit.TwoQubitCount())
 			}
@@ -368,7 +376,6 @@ func TestPortfolioNoWorseThanSingleWorker(t *testing.T) {
 		for seed := int64(1); seed <= 2; seed++ {
 			opts := opt.DefaultOptions()
 			opts.Cost = opt.TwoQubitCost()
-			opts.TimeBudget = 0
 			opts.MaxIters = 500 // per worker — the equal-wall-clock unit
 			opts.Seed = seed
 			opts.Async = false
@@ -422,7 +429,6 @@ func guardrailCount(t *testing.T, ts []opt.Transformation, c *circuit.Circuit) i
 	t.Helper()
 	opts := opt.DefaultOptions()
 	opts.Cost = opt.TwoQubitCost()
-	opts.TimeBudget = 0
 	opts.MaxIters = 400
 	opts.Seed = 1
 	opts.Async = false

@@ -5,12 +5,10 @@
 //
 // Usage:
 //
-//	guoqd -listen :7077 [-token secret] [-grace 5s] [-quiet]
+//	guoqd [-addr :7077] [-token secret] [-grace 5s] [-quiet]
 //	      [-pprof-addr :6060] [-data-dir /var/lib/guoqd] [-sync 25ms]
 //	      [-checkpoint 1m] [-cache-entries 4096] [-cache-size 256]
 //	      [-quota rate[:burst]]
-//
-// -addr is an alias for -listen and overrides it when set.
 //
 // With -data-dir the coordinator is durable: exchange sessions are logged
 // to a write-ahead log and periodically snapshotted under that directory
@@ -65,8 +63,7 @@ import (
 
 func main() {
 	var (
-		listen       = flag.String("listen", ":7077", "address to serve on")
-		addr         = flag.String("addr", "", "alias for -listen; overrides it when set")
+		addr         = flag.String("addr", ":7077", "address to serve on")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 		grace        = flag.Duration("grace", 5*time.Second, "drain deadline for in-flight requests on shutdown")
 		quiet        = flag.Bool("quiet", false, "suppress per-request logging")
@@ -84,10 +81,6 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	if *addr != "" {
-		*listen = *addr
-	}
-
 	logger := log.New(os.Stderr, "guoqd: ", log.LstdFlags)
 	opts := dist.ServerOptions{
 		Token:           *token,
@@ -142,7 +135,7 @@ func main() {
 		logger.Printf("pprof on http://%s/debug/pprof/", *pprofAddr)
 	}
 
-	l, err := net.Listen("tcp", *listen)
+	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		logger.Fatal(err)
 	}

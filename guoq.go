@@ -45,7 +45,7 @@ import (
 // MetricsRegistry is a set of named metric series — counters, gauges, and
 // latency histograms — that an optimization run reports into: iterations,
 // per-transformation accept/reject attribution, rewrite-engine cache
-// statistics, resynthesis queue depth, proposal and synthesis latency.
+// statistics, proposal and synthesis latency.
 // Registries are safe for concurrent use and cheap to scrape; one registry
 // may be shared by many runs (series accumulate) or created per run.
 // WritePrometheus emits the standard text exposition format, so the same

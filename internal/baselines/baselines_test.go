@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"github.com/guoq-dev/guoq/internal/gateset"
 	"github.com/guoq-dev/guoq/internal/linalg"
 	"github.com/guoq-dev/guoq/internal/opt"
+	"github.com/guoq-dev/guoq/internal/synth"
 )
 
 // smallBench translates a small benchmark into a gate set for baseline
@@ -122,5 +124,41 @@ func TestByNameRegistry(t *testing.T) {
 	}
 	if _, err := ByName("nope", 1e-8); err == nil {
 		t.Error("unknown tool should fail")
+	}
+}
+
+// blockingSynth is a synthesizer with no time cap of its own: it finds
+// nothing, and returns when its context ends or after 3 s.
+type blockingSynth struct{}
+
+func (blockingSynth) Name() string { return "blocking" }
+func (blockingSynth) Synthesize(ctx context.Context, _ *circuit.Circuit, _ float64) (*circuit.Circuit, float64, error) {
+	wait := time.NewTimer(3 * time.Second)
+	defer wait.Stop()
+	select {
+	case <-ctx.Done():
+	case <-wait.C:
+	}
+	return nil, 0, synth.ErrNoSolution
+}
+
+// A budget ends a synthesis call in flight, not only the loop between
+// calls: a blocking synthesizer must not hold a 100 ms run for its 3 s,
+// in the annealing loop or in the beam.
+func TestBudgetBoundsInFlightSynthesis(t *testing.T) {
+	c := smallBench(t, gateset.Nam)
+	for _, mode := range []GUOQMode{ModeResynth, ModeBeam} {
+		g := NewGUOQVariant("blocking", mode, 1e-8)
+		g.Registry = opt.NewRegistry(opt.Static(&opt.CircuitResynthTransformation{
+			Synth: blockingSynth{}, MaxQubits: 3, DeclaredEps: 1e-8,
+		}))
+		start := time.Now()
+		out := g.Optimize(c, gateset.Nam, opt.TwoQubitCost(), 100*time.Millisecond, 1)
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Fatalf("mode %d: a 100ms budget ran %v", mode, elapsed)
+		}
+		if !circuit.Equal(out, c) {
+			t.Fatalf("mode %d: a synthesizer that found nothing changed the circuit", mode)
+		}
 	}
 }

@@ -49,7 +49,7 @@ type GUOQ struct {
 	OnEvent func(opt.Event)
 	// Metrics, when set, mirrors the search's counters into an obs
 	// registry (iterations, per-rule accept/reject attribution, engine
-	// cache statistics, resynthesis pool depth); nil keeps the hot loop
+	// cache statistics, synthesis latency); nil keeps the hot loop
 	// instrumentation-free. Build one with opt.NewMetrics.
 	Metrics *opt.Metrics
 }
@@ -113,13 +113,6 @@ func (g *GUOQ) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, 
 	return out
 }
 
-// OptimizeContext is Optimize that returns its best-so-far, never worse
-// than the input, as soon as ctx is done.
-func (g *GUOQ) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
-	out, _ := g.OptimizeStatsContext(ctx, c, gs, cost, budget, seed)
-	return out
-}
-
 // OptimizeStats is Optimize plus the search statistics: the returned
 // Result carries the accumulated ε bound, iteration/acceptance counts and
 // exchange migrations for the circuit actually returned (BestError is 0
@@ -134,9 +127,11 @@ func (g *GUOQ) OptimizeStats(c *circuit.Circuit, gs *gateset.GateSet, cost opt.C
 // whichever of ctx cancellation or the budget fires first, and the
 // statistics are accurate either way (the anytime contract — a cancelled
 // run's Result carries real before/after counts and the accumulated ε of
-// the circuit actually returned). budget ≤ 0 removes the wall-clock bound
-// entirely: the run ends only on cancellation (or MaxIters), with synthesis
-// calls individually capped at their 500 ms default.
+// the circuit actually returned). A positive budget becomes a deadline on
+// ctx, which also stops a synthesis call in flight. budget ≤ 0 removes the
+// wall-clock bound entirely: the run ends only on cancellation (or
+// MaxIters), with synthesis calls individually capped at their 500 ms
+// default.
 func (g *GUOQ) OptimizeStatsContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) (*circuit.Circuit, *opt.Result) {
 	synthTime := 500 * time.Millisecond
 	if budget > 0 {
@@ -161,10 +156,17 @@ func (g *GUOQ) OptimizeStatsContext(ctx context.Context, c *circuit.Circuit, gs 
 	if err != nil {
 		return c, &opt.Result{Best: c}
 	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, budget)
+		defer cancel()
+	}
 	opts := opt.DefaultOptions()
 	opts.Epsilon = g.Epsilon
 	opts.Cost = cost
-	opts.TimeBudget = budget
 	opts.Seed = seed
 	opts.Async = g.Async
 	opts.WarmStart = true
@@ -172,9 +174,7 @@ func (g *GUOQ) OptimizeStatsContext(ctx context.Context, c *circuit.Circuit, gs 
 	opts.MaxIters = g.MaxIters
 	opts.OnEvent = g.OnEvent
 	opts.Metrics = g.Metrics
-	if ctx != nil {
-		opts.Context = ctx
-	}
+	opts.Context = ctx
 
 	var res *opt.Result
 	switch g.Mode {

@@ -38,7 +38,8 @@ func (b *BeamSearch) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.
 }
 
 // OptimizeContext is Optimize under ctx: the beam loop returns its
-// best-so-far at the first cancelled dequeue.
+// best-so-far once ctx is done. A positive budget becomes a deadline on
+// ctx.
 func (b *BeamSearch) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
 	reg := b.Registry
 	if reg == nil {
@@ -48,9 +49,13 @@ func (b *BeamSearch) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs
 	if err != nil {
 		return c
 	}
+	if budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, budget)
+		defer cancel()
+	}
 	opts := opt.DefaultOptions()
 	opts.Cost = cost
-	opts.TimeBudget = budget
 	opts.Seed = seed
 	opts.Context = ctx
 	res := opt.Beam(c, opt.FilterFast(ts), opts, b.Width)

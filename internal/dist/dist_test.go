@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -203,7 +204,9 @@ func TestLoopbackDistributedPortfolio(t *testing.T) {
 			opts := opt.DefaultOptions()
 			opts.Cost = cost
 			opts.Seed = int64(100 + i)
-			opts.TimeBudget = 200 * time.Millisecond
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			opts.Context = ctx
 			opts.ExchangeEvery = 8
 			opts.Exchanger = client(t, hs, session, "machine", eps)
 			results[i] = opt.Portfolio(c, ts, opts, 2)

@@ -279,10 +279,10 @@ func TestSubmitAllocs(t *testing.T) {
 		max    float64
 	}{
 		// Measured: 1,279 per publish, most of them in the parse that
-		// checks the circuit, 33 per gzip hit and 34 per plain hit.
+		// checks the circuit, 30 per gzip hit and 31 per plain hit.
 		{"publish", publishes, false, "/v1/exchange", 1340},
-		{"gzip hit", hits, true, "/v1/submit", 40},
-		{"plain hit", hits, false, "/v1/submit", 40},
+		{"gzip hit", hits, true, "/v1/submit", 37},
+		{"plain hit", hits, false, "/v1/submit", 37},
 	} {
 		got := perRequest(tc.bodies, tc.gzip, tc.path)
 		t.Logf("%s: %.0f allocs", tc.name, got)

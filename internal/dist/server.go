@@ -422,7 +422,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	sid := key[:16]
 	if hit {
 		s.sm.cacheHits.Inc()
-		s.logf("submit %s: cache hit (cost %g)", sid, e.Cost)
+		// Guarded here, not only in logf: boxing the arguments allocates
+		// on every hit even when no logger is set.
+		if s.opts.Logf != nil {
+			s.logf("submit %s: cache hit (cost %g)", sid, e.Cost)
+		}
 		s.writeCacheHit(w, r, key, e, reply)
 		return
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -124,13 +125,18 @@ func Fig7(cfg Config) ([]Fig7Series, error) {
 			opts := opt.DefaultOptions()
 			opts.Epsilon = cfg.Epsilon
 			opts.Cost = opt.TwoQubitCost()
-			opts.TimeBudget = cfg.Budget * 4 // the long-horizon experiment
 			opts.Seed = cfg.Seed
-			opts.OnImprove = func(elapsed time.Duration, best *circuit.Circuit) {
-				series.Times = append(series.Times, elapsed)
-				series.Counts = append(series.Counts, best.TwoQubitCount())
+			opts.OnEvent = func(e opt.Event) {
+				if e.Best != nil {
+					series.Times = append(series.Times, e.Elapsed)
+					series.Counts = append(series.Counts, e.Best.TwoQubitCount())
+				}
 			}
+			// The long-horizon experiment.
+			ctx, cancel := context.WithTimeout(context.Background(), cfg.Budget*4)
+			opts.Context = ctx
 			opt.GUOQ(b.Circuit, set, opts)
+			cancel()
 			out = append(out, series)
 			fmt.Fprintf(cfg.Out, "== Fig7 %s / %s ==\n", benchName, approach.name)
 			fmt.Fprintf(cfg.Out, "start: %d 2q gates\n", b.Circuit.TwoQubitCount())

@@ -24,16 +24,14 @@ type Options struct {
 	// ResynthProb is the probability of choosing a slow transformation
 	// (0.015 in §5.3).
 	ResynthProb float64
-	// TimeBudget bounds the wall-clock search time (the paper uses 1 h; the
-	// compressed experiments use 100 ms – 2 s).
-	TimeBudget time.Duration
 	// MaxIters bounds iterations (0 = unlimited); used by tests.
 	MaxIters int
 	// Seed drives all randomness; runs with equal seeds are reproducible
 	// (in synchronous mode).
 	Seed int64
-	// Async applies resynthesis asynchronously (§5.3): rewrite moves keep
-	// running while a synthesis call is in flight, and an accepted result
+	// Async applies resynthesis asynchronously (§5.3): each search runs one
+	// synthesis call at a time on a background goroutine of its own, rewrite
+	// moves keep running while it is in flight, and an accepted result
 	// discards the interim rewrites. Synchronous mode is deterministic.
 	Async bool
 	// WarmStart applies every fast transformation once, deterministically,
@@ -42,9 +40,6 @@ type Options struct {
 	// front removes compressed-budget noise without changing the
 	// algorithm's limit behaviour.
 	WarmStart bool
-	// OnImprove, when set, is invoked every time the best solution
-	// improves — the hook behind the Fig. 7 time series.
-	OnImprove func(elapsed time.Duration, best *circuit.Circuit)
 	// Exchanger, when set, is polled every ExchangeEvery iterations with the
 	// worker's best solution and its accumulated error bound. It may return
 	// a replacement solution (with its own error bound) to adopt as the
@@ -62,10 +57,12 @@ type Options struct {
 	ExchangeEvery int
 	// Context, when non-nil, cancels the search: the loop returns its
 	// best-so-far (a valid, ε-bounded, never-worse solution) as soon as it
-	// observes ctx.Done(). Cancellation composes with TimeBudget/MaxIters —
-	// whichever fires first ends the run. Checking the context consumes no
-	// randomness, so a run that is never cancelled is bit-identical to one
-	// with a nil Context.
+	// observes ctx.Done(). A context deadline is the search's only
+	// wall-clock bound (the paper uses 1 h; the compressed experiments use
+	// 100 ms – 2 s), and it also stops a synthesis call in flight.
+	// Cancellation composes with MaxIters — whichever fires first ends the
+	// run. Checking the context consumes no randomness, so a run that is
+	// never cancelled is bit-identical to one with a nil Context.
 	Context context.Context
 	// OnEvent, when set, receives progress events: one on every improvement
 	// (Event.Best non-nil), a heartbeat every 256 iterations, and a final
@@ -73,15 +70,6 @@ type Options struct {
 	// it concurrently from several workers; implementations must be safe
 	// for concurrent use and fast (the hook runs on the search's hot path).
 	OnEvent func(Event)
-	// Pool, when set together with Async, runs this search's slow
-	// transformations on a shared resynthesis pool. Many concurrent
-	// searches (portfolio members, partition windows) then share one bounded
-	// set of synthesis workers — work-stealing across searches — instead of
-	// each holding its own. Each search still has at most one resynthesis
-	// in flight; the pool bounds how many of those run simultaneously. With
-	// Pool nil an Async search creates a size-1 pool of its own for the
-	// run.
-	Pool *ResynthPool
 	// Metrics, when set, receives live instrumentation: iteration and
 	// accept/reject counters attributed per transformation, proposal- and
 	// synthesis-latency histograms, ε spend and best cost, and the
@@ -98,8 +86,9 @@ type Options struct {
 // worker; an aggregating consumer (the public Session) sums the latest
 // event of each Worker.
 type Event struct {
-	// Worker identifies the emitting search: the portfolio worker index or
-	// partition window index (0 for a single-worker run).
+	// Worker identifies the emitting search: Portfolio tags each event with
+	// its member's index and PartitionParallel with its window's; a lone
+	// search reports 0.
 	Worker int
 	// Elapsed is the time since this worker's search started.
 	Elapsed time.Duration
@@ -115,29 +104,40 @@ type Event struct {
 	BestCost float64
 	BestErr  float64
 	// Best is set only on improvement events: a snapshot of the new best
-	// circuit, safe to retain (never mutated afterwards). Heartbeat and
-	// final events leave it nil. Partition windows also leave it nil —
-	// a window-local circuit is not a whole-circuit solution.
+	// circuit, safe to retain (never mutated afterwards). With Elapsed it is
+	// the search's one improvement hook (the Fig. 7 time series is read
+	// from it). Heartbeat and final events leave it nil. Partition windows
+	// also leave it nil — a window-local circuit is not a whole-circuit
+	// solution.
 	Best *circuit.Circuit
 }
 
-// searchDone returns the context's done channel, or nil (blocks forever in
-// a select) when no context is configured.
-func (o *Options) searchDone() <-chan struct{} {
-	if o.Context == nil {
-		return nil
+// cancelled returns the search's check of its context. The done channel
+// is read once, up front; without a context it stays nil, which never
+// receives, so the check is always false.
+func (o *Options) cancelled() func() bool {
+	var done <-chan struct{}
+	if o.Context != nil {
+		done = o.Context.Done()
 	}
-	return o.Context.Done()
+	return func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
 }
 
 // DefaultOptions mirrors the paper's instantiation: ε_f = 10⁻⁸, t = 10,
-// 1.5% resynthesis.
+// 1.5% resynthesis. It sets no bound: a run ends at its Context's deadline
+// or after MaxIters.
 func DefaultOptions() Options {
 	return Options{
 		Epsilon:     1e-8,
 		Temperature: 10,
 		ResynthProb: 0.015,
-		TimeBudget:  time.Second,
 	}
 }
 
@@ -177,19 +177,20 @@ const eventEvery = 256
 // subcircuit, apply, and accept probabilistically based on cost, tracking
 // the accumulated error against the ε_f budget.
 //
-// GUOQ is an anytime algorithm: Options.Context cancellation, the
-// TimeBudget deadline, and MaxIters all end the run the same way — the
-// strictly-improving best-so-far is returned with its accumulated bound
-// and full statistics, so a cancelled run's Result is as trustworthy as a
-// completed one's. (An in-flight asynchronous resynthesis call is drained
-// before returning, bounded by the synthesizer's own time limit.)
+// GUOQ is an anytime algorithm: Options.Context (its cancellation or its
+// deadline) and MaxIters end the run the same way — the strictly-improving
+// best-so-far is returned with its accumulated bound and full statistics,
+// so a cancelled run's Result is as trustworthy as a completed one's. (An
+// in-flight asynchronous resynthesis call is drained before returning;
+// a cancellation-aware synthesizer stops at once, any other at its own
+// time limit.)
 //
 // The loop threads one rewrite.Engine through its iterations: the current
 // search point lives inside the engine, transformations that implement
 // EngineApplier mutate it in place (reusing the engine's incremental DAG
 // and per-rule match caches), and the acceptance decision becomes a commit
 // or rollback of the engine's transaction log. Published circuits — the
-// tracked best, exchange payloads, OnImprove arguments — are always
+// tracked best, exchange payloads, improvement events — are always
 // snapshots, never the live engine circuit.
 func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 	if opts.Cost == nil {
@@ -197,7 +198,6 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	start := time.Now()
-	deadline := start.Add(opts.TimeBudget)
 
 	// Metrics handles are resolved once up front; nil handles are no-ops,
 	// so the loop below instruments unconditionally without branching on
@@ -231,31 +231,13 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 	bestCost := currCost
 
 	res := &Result{}
-	var worker *poolClient
+	var worker *asyncWorker
 	if opts.Async && len(slow) > 0 && len(fast) > 0 {
-		pool := opts.Pool
-		if pool == nil {
-			// A lone search: one pool worker is the single background
-			// synthesis call of §5.3. It reports no pool metrics, which
-			// describe pools shared across searches.
-			pool = NewResynthPool(1)
-			defer pool.Close()
-		}
-		worker = pool.newClient()
+		worker = newAsyncWorker()
 		defer worker.stop()
 	}
 
-	// Cancellation: a nil done channel blocks forever in the select, so a
-	// run without a Context never observes it.
-	done := opts.searchDone()
-	cancelled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
+	cancelled := opts.cancelled()
 
 	// emit publishes a progress event; best is non-nil only on improvement.
 	emit := func(bc *circuit.Circuit) {
@@ -281,9 +263,6 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 		if currCost < bestCost {
 			best, bestErr, bestCost = eng.Snapshot(), currErr, currCost
 			bestG.Set(bestCost)
-			if opts.OnImprove != nil {
-				opts.OnImprove(time.Since(start), best)
-			}
 			emit(best)
 		}
 	}
@@ -304,19 +283,6 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 		}
 	}
 
-	// applyFlat is the whole-circuit application path, preferring the
-	// cancellation-aware variant when the run has a context so slow calls
-	// abort promptly on cancellation (the ctx checks consume no randomness,
-	// keeping uncancelled runs bit-identical).
-	applyFlat := func(t Transformation, c *circuit.Circuit, allowed float64, r *rand.Rand) (*circuit.Circuit, float64, bool) {
-		if opts.Context != nil {
-			if ca, ok := t.(ContextApplier); ok {
-				return ca.ApplyContext(opts.Context, c, allowed, r)
-			}
-		}
-		return t.Apply(c, allowed, r)
-	}
-
 	// applyAny applies t against the engine — in place when the
 	// transformation supports it, as a whole-circuit transaction otherwise.
 	// On ok the engine holds the candidate and the caller must Commit or
@@ -330,7 +296,7 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 		if ea, ok := t.(EngineApplier); ok {
 			return ea.ApplyEngine(eng, allowed, r)
 		}
-		out, eps, ok := applyFlat(t, curr, allowed, r)
+		out, eps, ok := applyFlat(opts.Context, t, curr, allowed, r)
 		if !ok {
 			return 0, false
 		}
@@ -367,9 +333,6 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 					e.reject()
 				}
 			}
-			if opts.TimeBudget > 0 && time.Now().After(deadline) {
-				break
-			}
 			if cancelled() {
 				break
 			}
@@ -397,9 +360,6 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 	}
 	for it := 0; ; it++ {
 		if opts.MaxIters > 0 && it >= opts.MaxIters {
-			break
-		}
-		if opts.TimeBudget > 0 && time.Now().After(deadline) {
 			break
 		}
 		if cancelled() {

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,6 +30,14 @@ func redundantCircuit() *circuit.Circuit {
 	return c
 }
 
+// timeout returns a context that ends after d: the wall-clock bound of a
+// timed test run. It is cancelled when the test ends.
+func timeout(tb testing.TB, d time.Duration) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	tb.Cleanup(cancel)
+	return ctx
+}
+
 func namTransformations(t *testing.T) []Transformation {
 	t.Helper()
 	ts, err := Instantiate(gateset.Nam, InstantiateOptions{
@@ -47,7 +56,6 @@ func TestGUOQReducesRedundancy(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Cost = TwoQubitCost()
 	opts.MaxIters = 3000
-	opts.TimeBudget = 5 * time.Second
 	opts.Seed = 7
 	res := GUOQ(c, FilterFast(namTransformations(t)), opts)
 	if res.Best.TwoQubitCount() >= c.TwoQubitCount() {
@@ -75,7 +83,6 @@ func TestGUOQCorrectnessTheorem53(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Epsilon = 1e-8
 		opts.MaxIters = 120
-		opts.TimeBudget = 10 * time.Second
 		opts.ResynthProb = 0.2 // exercise resynthesis heavily
 		opts.Seed = int64(trial)
 		res := GUOQ(c, ts, opts)
@@ -109,7 +116,6 @@ func TestGUOQDeterministicWithSeed(t *testing.T) {
 	ts := FilterFast(namTransformations(t))
 	opts := DefaultOptions()
 	opts.MaxIters = 500
-	opts.TimeBudget = 10 * time.Second
 	opts.Seed = 99
 	a := GUOQ(c, ts, opts)
 	b := GUOQ(c, ts, opts)
@@ -125,7 +131,7 @@ func TestGUOQAsyncSemantics(t *testing.T) {
 	orig := c.Unitary()
 	opts := DefaultOptions()
 	opts.Async = true
-	opts.TimeBudget = 250 * time.Millisecond
+	opts.Context = timeout(t, 250*time.Millisecond)
 	opts.ResynthProb = 0.3
 	opts.Seed = 5
 	res := GUOQ(c, ts, opts)
@@ -143,7 +149,6 @@ func TestGUOQZeroEpsilonBlocksResynthOnly(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Epsilon = 0
 	opts.MaxIters = 800
-	opts.TimeBudget = 10 * time.Second
 	opts.Seed = 3
 	res := GUOQ(c, ts, opts)
 	if res.BestError != 0 {
@@ -158,7 +163,7 @@ func TestGUOQTimeBudgetHonored(t *testing.T) {
 	c := redundantCircuit()
 	ts := namTransformations(t)
 	opts := DefaultOptions()
-	opts.TimeBudget = 50 * time.Millisecond
+	opts.Context = timeout(t, 50*time.Millisecond)
 	start := time.Now()
 	GUOQ(c, ts, opts)
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -171,21 +176,27 @@ func TestGUOQOnImproveMonotone(t *testing.T) {
 	ts := FilterFast(namTransformations(t))
 	opts := DefaultOptions()
 	opts.MaxIters = 1000
-	opts.TimeBudget = 10 * time.Second
 	opts.Seed = 1
 	var costs []float64
-	opts.OnImprove = func(_ time.Duration, best *circuit.Circuit) {
-		costs = append(costs, opts.Cost(best))
+	var elapsed []time.Duration
+	opts.OnEvent = func(e Event) {
+		if e.Best != nil {
+			costs = append(costs, opts.Cost(e.Best))
+			elapsed = append(elapsed, e.Elapsed)
+		}
 	}
 	opts.Cost = TwoQubitCost()
 	GUOQ(c, ts, opts)
 	for i := 1; i < len(costs); i++ {
 		if costs[i] >= costs[i-1] {
-			t.Fatalf("OnImprove not strictly improving: %v", costs)
+			t.Fatalf("improvement events not strictly improving: %v", costs)
+		}
+		if elapsed[i] < elapsed[i-1] {
+			t.Fatalf("improvement events out of time order: %v", elapsed)
 		}
 	}
 	if len(costs) == 0 {
-		t.Fatal("OnImprove never fired on a redundant circuit")
+		t.Fatal("no improvement event on a redundant circuit")
 	}
 }
 
@@ -213,7 +224,7 @@ func TestSeqVariants(t *testing.T) {
 	ts := namTransformations(t)
 	for _, rewriteFirst := range []bool{true, false} {
 		opts := DefaultOptions()
-		opts.TimeBudget = 200 * time.Millisecond
+		opts.Context = timeout(t, 200*time.Millisecond)
 		opts.Seed = 2
 		res := GUOQSeq(c, ts, opts, rewriteFirst)
 		if d := linalg.HSDistance(res.Best.Unitary(), orig); d > 1e-8+1e-9 {
@@ -225,12 +236,64 @@ func TestSeqVariants(t *testing.T) {
 	}
 }
 
+// clockProbe is an inert transformation that records when the search
+// first and last called it.
+type clockProbe struct {
+	slow        bool
+	first, last time.Time
+}
+
+func (p *clockProbe) Name() string     { return "probe" }
+func (p *clockProbe) Slow() bool       { return p.slow }
+func (p *clockProbe) Epsilon() float64 { return 0 }
+func (p *clockProbe) Apply(c *circuit.Circuit, _ float64, _ *rand.Rand) (*circuit.Circuit, float64, bool) {
+	now := time.Now()
+	if p.first.IsZero() {
+		p.first = now
+	}
+	p.last = now
+	return c, 0, false
+}
+
+// GUOQSeq gives its first phase half of the time to the context's deadline
+// and its second phase the rest; without a deadline, MaxIters bounds each
+// phase on its own.
+func TestSeqSplitsDeadline(t *testing.T) {
+	const budget = 400 * time.Millisecond
+	fast, slow := &clockProbe{}, &clockProbe{slow: true}
+	opts := DefaultOptions()
+	start := time.Now()
+	opts.Context = timeout(t, budget)
+	GUOQSeq(redundantCircuit(), []Transformation{fast, slow}, opts, true)
+	end := time.Now()
+	if fast.last.IsZero() || slow.first.IsZero() {
+		t.Fatal("a phase never ran")
+	}
+	// The first phase's deadline is at least budget/2 after start; it must
+	// end there, not run on toward the whole budget.
+	if first := slow.first.Sub(start); first < budget/2 || first >= 7*budget/8 {
+		t.Fatalf("second phase started %v after the start, want about %v", first, budget/2)
+	}
+	if fast.last.After(slow.first) {
+		t.Fatal("the phases overlap")
+	}
+	if total := end.Sub(start); total < budget || total >= 2*budget {
+		t.Fatalf("run took %v, want about %v", total, budget)
+	}
+
+	opts = DefaultOptions()
+	opts.MaxIters = 50
+	if got := GUOQSeq(redundantCircuit(), []Transformation{&clockProbe{}, &clockProbe{slow: true}}, opts, true).Iters; got != 100 {
+		t.Fatalf("without a deadline the phases ran %d iterations, want 2×50", got)
+	}
+}
+
 func TestBeamVariant(t *testing.T) {
 	c := redundantCircuit()
 	orig := c.Unitary()
 	ts := FilterFast(namTransformations(t))
 	opts := DefaultOptions()
-	opts.TimeBudget = 300 * time.Millisecond
+	opts.Context = timeout(t, 300*time.Millisecond)
 	opts.Seed = 4
 	res := Beam(c, ts, opts, 16)
 	if !linalg.EqualUpToPhase(res.Best.Unitary(), orig, 1e-8) {

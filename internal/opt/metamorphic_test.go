@@ -59,7 +59,7 @@ func TestMetamorphicEquivalence(t *testing.T) {
 					opts := DefaultOptions()
 					opts.Epsilon = eps
 					opts.Cost = TwoQubitCost()
-					opts.TimeBudget = 120 * time.Millisecond
+					opts.Context = timeout(t, 120*time.Millisecond)
 					opts.Seed = seed
 					res := mode.run(c, ts, opts)
 
@@ -99,10 +99,10 @@ func TestMetamorphicAcrossParallelism(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Epsilon = eps
 	opts.Cost = TwoQubitCost()
-	opts.TimeBudget = 100 * time.Millisecond
 	opts.Seed = 7
 	var outs []*circuit.Circuit
 	for _, workers := range []int{1, 2, 4} {
+		opts.Context = timeout(t, 100*time.Millisecond)
 		res := Portfolio(c, ts, opts, workers)
 		if err := verify.MustBeEquivalent(c, res.Best, 1e-6, 7); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

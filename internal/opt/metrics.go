@@ -14,7 +14,9 @@ import (
 //
 // One Metrics may back any number of concurrent searches (portfolio
 // members, partition windows): counters sum and gauges show the latest
-// writer, which is the fleet-level view a scrape wants.
+// writer, which is the fleet-level view a scrape wants. Resynthesis is
+// timed by SynthSeconds wherever it runs, in the loop or on a search's
+// background goroutine.
 type Metrics struct {
 	// Search loop.
 	Iterations      *obs.Counter
@@ -40,12 +42,6 @@ type Metrics struct {
 	EngineCommits     *obs.Counter
 	EngineRollbacks   *obs.Counter
 	EngineResets      *obs.Counter
-
-	// Shared resynthesis pool (wired through NewResynthPoolMetrics).
-	PoolQueueDepth  *obs.Gauge
-	PoolTasks       *obs.Counter
-	PoolSteals      *obs.Counter
-	PoolTaskSeconds *obs.Histogram
 }
 
 // NewMetrics registers the optimizer's metric families on reg and returns
@@ -76,11 +72,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		EngineCommits:     reg.Counter("guoq_engine_commits_total", "Accepted transactions."),
 		EngineRollbacks:   reg.Counter("guoq_engine_rollbacks_total", "Rejected (reverted) transactions."),
 		EngineResets:      reg.Counter("guoq_engine_resets_total", "Full cache invalidations (Reset: an adopted exchange or async result)."),
-
-		PoolQueueDepth:  reg.Gauge("guoq_resynth_queue_depth", "Resynthesis jobs waiting for a pool worker."),
-		PoolTasks:       reg.Counter("guoq_resynth_tasks_total", "Resynthesis jobs executed by the shared pool."),
-		PoolSteals:      reg.Counter("guoq_resynth_steals_total", "Jobs queued while every pool worker was busy (picked up by whichever frees first)."),
-		PoolTaskSeconds: reg.Histogram("guoq_resynth_task_seconds", "Resynthesis job execution latency on the shared pool.", nil),
 	}
 }
 

@@ -41,7 +41,8 @@ const (
 // never mutated afterwards: each worker's search point lives inside its own
 // rewrite.Engine, and everything a worker publishes is a snapshot (while
 // adopted circuits are cloned back into the engine), so sharing pointers
-// across workers is safe.
+// across workers is safe. The coordinator reports nothing itself: each
+// worker's improvement events already carry its new bests.
 //
 // When an upstream Exchanger is set (the networked guoqd coordinator of
 // internal/dist), the coordinator forms a two-level hierarchy: workers
@@ -59,27 +60,17 @@ type coordinator struct {
 	lastSync time.Time     // guarded by mu
 	syncBase time.Duration // configured idle-poll period
 	syncWait time.Duration // current period, grown by unproductive syncs; guarded by mu
-
-	start     time.Time
-	onImprove func(elapsed time.Duration, best *circuit.Circuit)
-	// cbMu serializes onImprove callbacks. The callback runs outside mu so
-	// a slow consumer (a terminal write, a network relay) never stalls the
-	// workers' exchange path; consecutive improvements may therefore be
-	// observed slightly out of order under heavy contention.
-	cbMu sync.Mutex
 }
 
-func newCoordinator(c *circuit.Circuit, cost Cost, onImprove func(time.Duration, *circuit.Circuit), upstream Exchanger, syncEvery time.Duration) *coordinator {
+func newCoordinator(c *circuit.Circuit, cost Cost, upstream Exchanger, syncEvery time.Duration) *coordinator {
 	return &coordinator{
-		cost:      cost,
-		best:      c,
-		bestErr:   0,
-		bestVal:   cost(c),
-		upstream:  upstream,
-		syncBase:  syncEvery,
-		syncWait:  syncEvery,
-		start:     time.Now(),
-		onImprove: onImprove,
+		cost:     cost,
+		best:     c,
+		bestErr:  0,
+		bestVal:  cost(c),
+		upstream: upstream,
+		syncBase: syncEvery,
+		syncWait: syncEvery,
 	}
 }
 
@@ -100,9 +91,6 @@ func (co *coordinator) Exchange(best *circuit.Circuit, bestErr, bestCost float64
 	locBest, locErr, locVal := co.best, co.bestErr, co.bestVal
 	co.mu.Unlock()
 
-	if improved {
-		co.notify(locBest)
-	}
 	if sync {
 		// A sync is productive when it moves information either way: we
 		// pushed a fresh local improvement, or we adopted a remote one.
@@ -118,7 +106,6 @@ func (co *coordinator) Exchange(best *circuit.Circuit, bestErr, bestCost float64
 				}
 				locBest, locErr, locVal = co.best, co.bestErr, co.bestVal
 				co.mu.Unlock()
-				co.notify(locBest)
 				productive = true
 			}
 		}
@@ -138,16 +125,6 @@ func (co *coordinator) Exchange(best *circuit.Circuit, bestErr, bestCost float64
 		return locBest, locErr, true
 	}
 	return nil, 0, false
-}
-
-// notify delivers an onImprove callback outside the exchange lock.
-func (co *coordinator) notify(best *circuit.Circuit) {
-	if co.onImprove == nil {
-		return
-	}
-	co.cbMu.Lock()
-	defer co.cbMu.Unlock()
-	co.onImprove(time.Since(co.start), best)
 }
 
 // Portfolio runs `workers` concurrent GUOQ searches over the same circuit
@@ -174,16 +151,7 @@ func Portfolio(c *circuit.Circuit, ts []Transformation, opts Options, workers in
 		opts.Cost = TwoQubitCost()
 	}
 	start := time.Now()
-	// One resynthesis pool shared by every member: each still holds one
-	// call in flight (§5.3), but the pool bounds how many run at once and
-	// steals work across members, instead of each member creating a
-	// one-worker pool of its own. A caller-supplied pool is reused as-is.
-	if opts.Async && opts.Pool == nil && len(FilterSlow(ts)) > 0 && len(FilterFast(ts)) > 0 {
-		pool := NewResynthPoolMetrics(workers, opts.Metrics)
-		defer pool.Close()
-		opts.Pool = pool
-	}
-	co := newCoordinator(c, opts.Cost, opts.OnImprove, opts.Exchanger, upstreamSyncDefault)
+	co := newCoordinator(c, opts.Cost, opts.Exchanger, upstreamSyncDefault)
 
 	results := make([]*Result, workers)
 	var wg sync.WaitGroup
@@ -195,7 +163,6 @@ func Portfolio(c *circuit.Circuit, ts []Transformation, opts Options, workers in
 		if opts.ExchangeEvery >= 0 {
 			wOpts.Exchanger = co
 		}
-		wOpts.OnImprove = nil // routed through the coordinator
 		if opts.OnEvent != nil {
 			// Tag every event with its worker index; the consumer aggregates
 			// the latest event per worker. Improvement events keep their Best
@@ -229,8 +196,8 @@ func Portfolio(c *circuit.Circuit, ts []Transformation, opts Options, workers in
 	}
 	// Workers only publish at exchange points, so improvements found after
 	// a worker's last poll reach the merged result but not the coordinator
-	// (or its upstream); publish the final best so the OnImprove series and
-	// the remote session both end at Result.Best.
+	// (or its upstream); publish the final best so the remote session ends
+	// at Result.Best.
 	if adopt, adoptErr, ok := co.Exchange(merged.Best, merged.BestError, bestCost); ok {
 		// A remote peer may still be ahead of everything this portfolio
 		// found; returning its solution keeps the multi-machine contract
@@ -286,12 +253,6 @@ func PartitionParallel(c *circuit.Circuit, ts []Transformation, opts Options, wo
 		return Portfolio(c, ts, opts, workers)
 	}
 	start := time.Now()
-	// Window workers share one resynthesis pool, exactly as in Portfolio.
-	if opts.Async && opts.Pool == nil && len(FilterSlow(ts)) > 0 && len(FilterFast(ts)) > 0 {
-		pool := NewResynthPoolMetrics(workers, opts.Metrics)
-		defer pool.Close()
-		opts.Pool = pool
-	}
 	epsPer := opts.Epsilon / float64(len(windows))
 
 	type windowResult struct {
@@ -306,7 +267,6 @@ func PartitionParallel(c *circuit.Circuit, ts []Transformation, opts Options, wo
 		wOpts.Epsilon = epsPer
 		wOpts.Seed = opts.Seed + int64(i)*0x9E3779B9
 		wOpts.Exchanger = nil
-		wOpts.OnImprove = nil // per-window improvements are not global ones
 		if opts.OnEvent != nil {
 			// Window workers report their counters for liveness, but a
 			// window-local circuit is not a whole-circuit solution: strip

@@ -61,7 +61,6 @@ func TestSynchronousDeterminism(t *testing.T) {
 		opts.Cost = TwoQubitCost()
 		opts.Seed = 99
 		opts.Async = false
-		opts.TimeBudget = 0
 		opts.MaxIters = 600
 		return GUOQ(c, ts, opts).Best.WriteQASM()
 	}
@@ -80,7 +79,6 @@ func TestPortfolioSingleWorkerIsGUOQ(t *testing.T) {
 	opts.Cost = TwoQubitCost()
 	opts.Seed = 5
 	opts.Async = false
-	opts.TimeBudget = 0
 	opts.MaxIters = 300
 	direct := GUOQ(c, ts, opts).Best.WriteQASM()
 	viaPortfolio := Portfolio(c, ts, opts, 1).Best.WriteQASM()
@@ -95,7 +93,7 @@ func TestCoordinatorExchange(t *testing.T) {
 	cost := TwoQubitCost()
 	base := circuit.Random(4, 30, gateset.IBMEagle.Gates, rand.New(rand.NewSource(8)))
 	better := circuit.New(4) // empty circuit: cost 0, unbeatable
-	co := newCoordinator(base, cost, nil, nil, 0)
+	co := newCoordinator(base, cost, nil, 0)
 
 	if _, _, ok := co.Exchange(base, 0, cost(base)); ok {
 		t.Fatal("exchange offered a solution no better than the caller's")
@@ -129,7 +127,7 @@ func TestCoordinatorUpstreamBackoff(t *testing.T) {
 	cost := TwoQubitCost()
 	base := circuit.Random(4, 30, gateset.IBMEagle.Gates, rand.New(rand.NewSource(8)))
 	up := &countingExchanger{}
-	co := newCoordinator(base, cost, nil, up, time.Hour)
+	co := newCoordinator(base, cost, up, time.Hour)
 	if co.syncWait != time.Hour {
 		t.Fatalf("syncWait starts at %v, want the configured base", co.syncWait)
 	}
@@ -169,7 +167,7 @@ func TestPortfolioConcurrentWithAsync(t *testing.T) {
 	opts.Cost = TwoQubitCost()
 	opts.Seed = 2
 	opts.Async = true
-	opts.TimeBudget = 150 * time.Millisecond
+	opts.Context = timeout(t, 150*time.Millisecond)
 	opts.ExchangeEvery = 8 // high migration pressure
 	res := Portfolio(c, ts, opts, 4)
 	if res.Best == nil || res.Iters == 0 {
@@ -198,7 +196,7 @@ func TestSharedTransformationsAcrossPortfolios(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Cost = TwoQubitCost()
 			opts.Seed = seed
-			opts.TimeBudget = 80 * time.Millisecond
+			opts.Context = timeout(t, 80*time.Millisecond)
 			Portfolio(c, ts, opts, 2)
 		}(int64(i))
 	}
@@ -212,7 +210,7 @@ func TestPartitionParallelComposition(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Cost = TwoQubitCost()
 	opts.Seed = 13
-	opts.TimeBudget = 150 * time.Millisecond
+	opts.Context = timeout(t, 150*time.Millisecond)
 	res := PartitionParallel(c, ts, opts, 4)
 	if res.Best.NumQubits != c.NumQubits {
 		t.Fatalf("qubit count changed: %d -> %d", c.NumQubits, res.Best.NumQubits)
@@ -225,42 +223,6 @@ func TestPartitionParallelComposition(t *testing.T) {
 	}
 	if err := verify.MustBeEquivalent(c, res.Best, 1e-6, 17); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// stubSlow is a controllable slow transformation for accounting tests.
-type stubSlow struct{ eps float64 }
-
-func (s stubSlow) Name() string     { return "stub-slow" }
-func (s stubSlow) Epsilon() float64 { return s.eps }
-func (s stubSlow) Slow() bool       { return true }
-func (s stubSlow) Apply(c *circuit.Circuit, _ float64, _ *rand.Rand) (*circuit.Circuit, float64, bool) {
-	return c.Clone(), s.eps, true
-}
-
-// A pool client must report results against the error base the job was
-// launched with: an exchange adoption can replace the loop's accumulated
-// error while a job is in flight, and charging the job's eps against the
-// adopted (smaller) base would understate the true bound and let the loop
-// overspend the hard ε budget.
-func TestPoolClientCarriesErrorBase(t *testing.T) {
-	pool := NewResynthPool(1)
-	defer pool.Close()
-	w := pool.newClient()
-	defer w.stop()
-	w.launch(context.Background(), stubSlow{eps: 0.125}, circuit.New(1), 0.25, 0.5, 1)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if r, ready := w.poll(); ready {
-			if !r.ok || r.baseErr != 0.25 || r.eps != 0.125 {
-				t.Fatalf("result = {ok:%v baseErr:%g eps:%g}, want {true 0.25 0.125}", r.ok, r.baseErr, r.eps)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("async result never arrived")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -297,7 +259,6 @@ func TestPortfolioUpstreamExchanger(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Cost = TwoQubitCost()
 	opts.Seed = 21
-	opts.TimeBudget = 0
 	opts.MaxIters = 200
 	opts.Async = false
 	opts.Exchanger = up
@@ -328,7 +289,7 @@ func TestPartitionParallelUpstreamExchanger(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Cost = TwoQubitCost()
 	opts.Seed = 5
-	opts.TimeBudget = 80 * time.Millisecond
+	opts.Context = timeout(t, 80*time.Millisecond)
 	opts.Exchanger = up
 	res := PartitionParallel(c, ts, opts, 4)
 
@@ -349,7 +310,7 @@ func TestPartitionParallelSmallCircuitFallback(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Cost = TwoQubitCost()
 	opts.Seed = 1
-	opts.TimeBudget = 60 * time.Millisecond
+	opts.Context = timeout(t, 60*time.Millisecond)
 	res := PartitionParallel(c, ts, opts, 4)
 	if err := verify.MustBeEquivalent(c, res.Best, 1e-6, 19); err != nil {
 		t.Fatal(err)
@@ -358,7 +319,7 @@ func TestPartitionParallelSmallCircuitFallback(t *testing.T) {
 
 // Cancelling a windowed run mid-search must end every window search
 // promptly, return a never-worse stitch, and leak no window searchers or
-// resynthesis pool workers — with the shared pool (async) and without it.
+// background synthesis goroutines — async and sync.
 func TestPartitionParallelCancelNoGoroutineLeak(t *testing.T) {
 	for _, async := range []bool{true, false} {
 		name := "sync"
@@ -374,7 +335,6 @@ func TestPartitionParallelCancelNoGoroutineLeak(t *testing.T) {
 				opts.Cost = TwoQubitCost()
 				opts.Seed = int64(trial)
 				opts.Async = async
-				opts.TimeBudget = 0 // run until cancelled
 				opts.Context = ctx
 				done := make(chan *Result, 1)
 				go func() { done <- PartitionParallel(c, ts, opts, 4) }()
@@ -411,11 +371,11 @@ func TestPartitionParallelCancelNoGoroutineLeak(t *testing.T) {
 }
 
 // Window searches run concurrently against one shared wall clock: a
-// windowed run may overrun its budget only by one synthesis call (the
-// deadline is checked between iterations), the pool's drain of in-flight
-// jobs, and scheduling slack.
+// windowed run may overrun its budget only by one synthesis call, the
+// drain of each window's in-flight job, and scheduling slack.
 func TestPartitionParallelHonorsTimeBudget(t *testing.T) {
 	const synthTime = 25 * time.Millisecond // eagleSetup's synthesis deadline
+	const budget = 200 * time.Millisecond
 	for _, async := range []bool{true, false} {
 		name := "sync"
 		if async {
@@ -427,12 +387,12 @@ func TestPartitionParallelHonorsTimeBudget(t *testing.T) {
 			opts.Cost = TwoQubitCost()
 			opts.Seed = 4
 			opts.Async = async
-			opts.TimeBudget = 200 * time.Millisecond
+			opts.Context = timeout(t, budget)
 			start := time.Now()
 			res := PartitionParallel(c, ts, opts, 2)
 			elapsed := time.Since(start)
-			if limit := opts.TimeBudget + synthTime + 500*time.Millisecond; elapsed > limit {
-				t.Fatalf("partition-parallel with a %v budget ran %v (limit %v)", opts.TimeBudget, elapsed, limit)
+			if limit := budget + synthTime + 500*time.Millisecond; elapsed > limit {
+				t.Fatalf("partition-parallel with a %v budget ran %v (limit %v)", budget, elapsed, limit)
 			}
 			if got, in := opts.Cost(res.Best), opts.Cost(c); got > in {
 				t.Fatalf("cost went up %g -> %g", in, got)

@@ -54,7 +54,6 @@ func TestRegistryDefaultBitIdentical(t *testing.T) {
 	run := func(ts []Transformation) *circuit.Circuit {
 		opts := DefaultOptions()
 		opts.Cost = TwoQubitCost()
-		opts.TimeBudget = 10 * time.Second // generous: MaxIters ends the run
 		opts.MaxIters = 400
 		opts.Seed = 11
 		opts.WarmStart = true
@@ -165,7 +164,6 @@ func TestCircuitSynthesizerDebitsBudget(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Epsilon = epsF
 	opts.Cost = TwoQubitCost()
-	opts.TimeBudget = 10 * time.Second
 	opts.MaxIters = 300
 	opts.Seed = 5
 	res := GUOQ(c, ts, opts)
@@ -206,7 +204,6 @@ func TestOverReportingSynthesizerRejected(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Epsilon = epsF
 	opts.Cost = TwoQubitCost()
-	opts.TimeBudget = 10 * time.Second
 	opts.MaxIters = 200
 	opts.Seed = 5
 	res := GUOQ(c, ts, opts)
@@ -247,7 +244,6 @@ func TestCircuitSynthesizerNonNativeRejected(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Epsilon = 1e-2
 	opts.Cost = TwoQubitCost()
-	opts.TimeBudget = 10 * time.Second
 	opts.MaxIters = 50
 	opts.Seed = 7
 	res := GUOQ(c, ts, opts)

@@ -67,6 +67,16 @@ type EngineContextApplier interface {
 	ApplyEngineContext(ctx context.Context, e *rewrite.Engine, allowedEps float64, rng *rand.Rand) (eps float64, ok bool)
 }
 
+// applyFlat is the whole-circuit application path of every search. It
+// prefers ApplyContext when there is a context, so a slow call stops when
+// the search's context ends; a nil ctx applies t uncancellably.
+func applyFlat(ctx context.Context, t Transformation, c *circuit.Circuit, allowed float64, rng *rand.Rand) (*circuit.Circuit, float64, bool) {
+	if ca, ok := t.(ContextApplier); ok && ctx != nil {
+		return ca.ApplyContext(ctx, c, allowed, rng)
+	}
+	return t.Apply(c, allowed, rng)
+}
+
 // ---------------------------------------------------------------------------
 
 // RuleTransformation wraps one rewrite rule as a τ_0: a full pass replacing

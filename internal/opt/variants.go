@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"time"
@@ -12,19 +13,24 @@ import (
 // and cost functions as GUOQ so the comparisons isolate the search strategy.
 
 // GUOQSeq runs the coarse interleaving of Q3: the first half of the time
-// budget with one transformation class only, then the second half with the
-// other, starting from the first phase's best.
+// to the context's deadline with one transformation class only, then the
+// rest with the other, starting from the first phase's best. Without a
+// deadline each phase runs until MaxIters or cancellation.
 func GUOQSeq(c *circuit.Circuit, ts []Transformation, opts Options, rewriteFirst bool) *Result {
 	first, second := FilterFast(ts), FilterSlow(ts)
 	if !rewriteFirst {
 		first, second = second, first
 	}
-	half := opts.TimeBudget / 2
 	o1 := opts
-	o1.TimeBudget = half
+	if opts.Context != nil {
+		if dl, ok := opts.Context.Deadline(); ok {
+			ctx, cancel := context.WithDeadline(opts.Context, time.Now().Add(time.Until(dl)/2))
+			defer cancel()
+			o1.Context = ctx
+		}
+	}
 	r1 := GUOQ(c, first, o1)
 	o2 := opts
-	o2.TimeBudget = half
 	o2.Seed = opts.Seed + 1
 	// The second phase inherits the first phase's accumulated error.
 	o2.Epsilon = opts.Epsilon - r1.BestError
@@ -50,7 +56,6 @@ func Beam(c *circuit.Circuit, ts []Transformation, opts Options, width int) *Res
 		width = 32
 	}
 	start := time.Now()
-	deadline := start.Add(opts.TimeBudget)
 
 	type cand struct {
 		c    *circuit.Circuit
@@ -64,22 +69,14 @@ func Beam(c *circuit.Circuit, ts []Transformation, opts Options, width int) *Res
 	queue := []cand{root}
 	best := root
 
-	done := opts.searchDone()
+	cancelled := opts.cancelled()
 	rngSeed := opts.Seed
 	for len(queue) > 0 {
-		if opts.TimeBudget > 0 && time.Now().After(deadline) {
-			break
-		}
 		if opts.MaxIters > 0 && res.Iters >= opts.MaxIters {
 			break
 		}
-		select {
-		case <-done:
-			res.Best = best.c
-			res.BestError = best.err
-			res.Elapsed = time.Since(start)
-			return res
-		default:
+		if cancelled() {
+			break
 		}
 		cur := queue[0]
 		queue = queue[1:]
@@ -89,7 +86,7 @@ func Beam(c *circuit.Circuit, ts []Transformation, opts Options, width int) *Res
 				continue
 			}
 			rngSeed++
-			out, eps, ok := t.Apply(cur.c, opts.Epsilon-cur.err, newRng(rngSeed))
+			out, eps, ok := applyFlat(opts.Context, t, cur.c, opts.Epsilon-cur.err, newRng(rngSeed))
 			if !ok {
 				continue
 			}
@@ -102,12 +99,9 @@ func Beam(c *circuit.Circuit, ts []Transformation, opts Options, width int) *Res
 			res.Accepted++
 			if nc.cost < best.cost {
 				best = nc
-				if opts.OnImprove != nil {
-					opts.OnImprove(time.Since(start), best.c)
-				}
 			}
 			queue = append(queue, nc)
-			if opts.TimeBudget > 0 && time.Now().After(deadline) {
+			if cancelled() {
 				break
 			}
 		}

@@ -51,8 +51,8 @@ func TestProgressEventDroppedAccounting(t *testing.T) {
 	}
 }
 
-// ProgressEvent.ResynthInFlight is the resynthesis queue depth across
-// workers: the sum of each worker's latest report, so a worker whose job
+// ProgressEvent.ResynthInFlight counts the resynthesis calls in flight
+// across workers: the sum of each worker's latest report, so a worker whose job
 // finished stops counting and the other workers' jobs still do. White-box,
 // like the drop accounting above.
 func TestProgressEventResynthInFlight(t *testing.T) {

@@ -40,7 +40,7 @@ type ProgressEvent struct {
 	// Migrations counts solutions adopted from Options.Exchanger.
 	Migrations int
 	// ResynthInFlight is the number of asynchronous resynthesis calls
-	// currently running across workers (the resynthesis queue depth).
+	// currently running across workers (at most one per worker).
 	ResynthInFlight int
 	// Improved marks events emitted because a new global best was found;
 	// heartbeat events leave it false.
