@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -160,5 +161,23 @@ func TestBudgetBoundsInFlightSynthesis(t *testing.T) {
 		if !circuit.Equal(out, c) {
 			t.Fatalf("mode %d: a synthesizer that found nothing changed the circuit", mode)
 		}
+	}
+}
+
+// A budget of 0 sets no wall-clock bound of its own, as for the other
+// optimizers, so under a context deadline the Quarl proxy searches past
+// its initial cleanup, which is all that a budget too short for one greedy
+// step returns.
+func TestQuarlBudgetZeroSearches(t *testing.T) {
+	// The search on this circuit ends on its own after about 6 ms, at cost
+	// 15.037 against the cleanup's 15.046.
+	c := circuit.Random(4, 60, gateset.Nam.Gates, rand.New(rand.NewSource(3)))
+	cost := opt.TwoQubitCost()
+	q := NewQuarl()
+	cleaned := cost(q.Optimize(c, gateset.Nam, cost, time.Nanosecond, 1))
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if got := cost(q.OptimizeContext(ctx, c, gateset.Nam, cost, 0, 1)); got >= cleaned {
+		t.Fatalf("budget 0 under a 200 ms context: cost %.3f, no better than the initial cleanup's %.3f", got, cleaned)
 	}
 }

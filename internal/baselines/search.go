@@ -89,14 +89,19 @@ func (l *Lookahead) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.C
 }
 
 // OptimizeContext is Optimize under ctx: cancellation is checked at
-// every outer greedy step (the committed best is returned mid-rollout).
+// every outer greedy step and after every rollout (the committed best is
+// returned mid-rollout). A positive budget becomes a deadline on ctx.
 func (l *Lookahead) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
 	rules, err := rewrite.RulesFor(gs.Name)
 	if err != nil {
 		return c
 	}
+	if budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, budget)
+		defer cancel()
+	}
 	rng := rand.New(rand.NewSource(seed))
-	deadline := time.Now().Add(budget)
 	eng := rewrite.NewEngine(c)
 
 	// apply runs rule r full-pass plus cleanup on the engine, reporting
@@ -114,10 +119,7 @@ func (l *Lookahead) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs 
 	best := eng.Snapshot()
 	bestCost := cost(best)
 
-	for time.Now().Before(deadline) {
-		if ctx.Err() != nil {
-			break
-		}
+	for ctx.Err() == nil {
 		curCost := cost(eng.Circuit())
 		bestRule := -1
 		bestScore := curCost
@@ -139,7 +141,7 @@ func (l *Lookahead) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs 
 						}
 					}
 					eng.Rollback(m2)
-					if time.Now().After(deadline) {
+					if ctx.Err() != nil {
 						break
 					}
 				}
@@ -149,7 +151,7 @@ func (l *Lookahead) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs 
 				improved = v < curCost
 			}
 			eng.Rollback(m1)
-			if time.Now().After(deadline) {
+			if ctx.Err() != nil {
 				break
 			}
 		}

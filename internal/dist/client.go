@@ -256,7 +256,9 @@ func (c *Client) encodeRequest(req any) (body []byte, contentEncoding string, er
 
 // decodeResponse reads a 200 body, inflating it when the server gzipped it
 // in answer to this client's own Accept-Encoding (the transport inflates
-// the replies to the header it adds itself).
+// the replies to the header it adds itself). The body goes through
+// decodeBody, so a SubmitResponse or ExchangeResponse as the server
+// writes it takes the one-pass reader.
 func (c *Client) decodeResponse(resp *http.Response, into any) error {
 	body := io.Reader(resp.Body)
 	if strings.Contains(resp.Header.Get("Content-Encoding"), "gzip") {
@@ -269,7 +271,7 @@ func (c *Client) decodeResponse(resp *http.Response, into any) error {
 		defer zr.Close()
 		body = zr
 	}
-	return json.NewDecoder(body).Decode(into)
+	return decodeBody(body, into)
 }
 
 // httpStatusError is a non-200 reply; it keeps the code (and any

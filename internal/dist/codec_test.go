@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
@@ -133,7 +137,8 @@ func TestWriteReplyGzipPooled(t *testing.T) {
 		}
 		write := func() { writeReply(httptest.NewRecorder(), r, reply) }
 		write() // fills the pool
-		return bytesPerRun(20, write)
+		_, nbytes := memPerRun(20, write)
+		return nbytes
 	}
 	plain, gzipped := perCall(false), perCall(true)
 	if gzipped > plain+16<<10 {
@@ -142,9 +147,9 @@ func TestWriteReplyGzipPooled(t *testing.T) {
 	}
 }
 
-// bytesPerRun is testing.AllocsPerRun for bytes: the heap allocated per
-// call of f, averaged over runs calls.
-func bytesPerRun(runs int, f func()) uint64 {
+// memPerRun is testing.AllocsPerRun that also counts bytes: the heap
+// objects and bytes allocated per call of f, averaged over runs calls.
+func memPerRun(runs int, f func()) (allocs, nbytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -152,7 +157,48 @@ func bytesPerRun(runs int, f func()) uint64 {
 		f()
 	}
 	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// json.Marshal output of each wire type, as a client sends it or, with
+// marshalReply's newline, as the server replies, takes the one-pass
+// reader and decodes to the value marshalled: no body a dist.Client or
+// the server writes falls back to encoding/json.
+func TestStrictDecoderReadsMarshalOutput(t *testing.T) {
+	qasm := circuit.Random(8, 1000, gateset.IBMEagle.Gates, rand.New(rand.NewSource(3))).WriteQASM()
+	best := Solution{Envelope: circuit.Envelope{QASM: qasm, Err: 3e-9}, Cost: 42.5}
+	// Every byte json.Marshal writes as itself or with a short escape.
+	var text []byte
+	for c := 0; c < 0x80; c++ {
+		if (c >= 0x20 && c != '<' && c != '>' && c != '&') || c == '\t' || c == '\n' || c == '\r' || c == '\b' || c == '\f' {
+			text = append(text, byte(c))
+		}
+	}
+	odd := Solution{Envelope: circuit.Envelope{QASM: string(text), Err: math.SmallestNonzeroFloat64}, Cost: -math.MaxFloat64}
+	for _, v := range []any{
+		&SubmitRequest{QASM: qasm, Target: "ibm-eagle", Objective: "2q", Epsilon: 1e-8, Worker: "w"},
+		&SubmitRequest{QASM: string(text), Target: "nam", Objective: "t", Epsilon: math.Copysign(0, -1)},
+		&SubmitResponse{Cached: true, Session: "0123456789abcdef", Best: best},
+		&SubmitResponse{Session: "0123456789abcdef"},
+		&ExchangeRequest{Session: "s", Worker: "w", Epsilon: 1e-8, Best: best},
+		&ExchangeRequest{Session: "s", Epsilon: 1e21, Best: odd},
+		&ExchangeResponse{Adopt: true, Best: best},
+		&ExchangeResponse{Best: odd},
+	} {
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, body := range [][]byte{body, append(body, '\n')} {
+			got := reflect.New(reflect.TypeOf(v).Elem()).Interface()
+			if !new(strictDecoder).decode(body, got) {
+				t.Fatalf("%T: the one-pass reader refused json.Marshal output %.120q", v, body)
+			}
+			if g, w := fmt.Sprintf("%#v", got), fmt.Sprintf("%#v", v); g != w {
+				t.Fatalf("one-pass reader decoded\n%.300s\nwant\n%.300s", g, w)
+			}
+		}
+	}
 }
 
 // binaryFrame builds a body in the retired binary envelope framing: magic
@@ -323,5 +369,79 @@ func TestQuotaRejectsWith429(t *testing.T) {
 	}
 	if !strings.Contains(string(text), "guoqd_quota_rejections_total 1") {
 		t.Fatal("quota rejection not counted")
+	}
+}
+
+// Values decoded from pooled buffers stay intact while later bodies reuse
+// the buffers, from several goroutines at once; odd bodies hold non-ASCII
+// text, which goes to encoding/json.
+func TestDecodeBodyConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var want []SubmitRequest
+	var bodies [][]byte
+	for i := 0; i < 8; i++ {
+		req := SubmitRequest{QASM: circuit.Random(4, 20+100*i, gateset.IBMEagle.Gates, rng).WriteQASM(), Target: "nam", Objective: "2q", Epsilon: float64(i)}
+		if i%2 == 1 {
+			req.Worker = "caf\u00e9"
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, bodies = append(want, req), append(bodies, body)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got := make([]SubmitRequest, len(bodies))
+			for round := 0; round < 20; round++ {
+				for i := range bodies {
+					j := (i + g + round) % len(bodies)
+					got[j] = SubmitRequest{}
+					if err := decodeBody(bytes.NewReader(bodies[j]), &got[j]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Errorf("body %d changed after later decodes: %.60q, want %.60q", i, got[i].QASM, want[i].QASM)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// BenchmarkDecodeBody decodes the body a client sends to submit a
+// 1,000-gate circuit with decodeBody and, for comparison, with
+// encoding/json's decoder, which it replaced.
+func BenchmarkDecodeBody(b *testing.B) {
+	qasm := circuit.Random(8, 1000, gateset.IBMEagle.Gates, rand.New(rand.NewSource(3))).WriteQASM()
+	body, err := json.Marshal(SubmitRequest{QASM: qasm, Target: "ibm-eagle", Objective: "2q", Epsilon: 1e-8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name   string
+		decode func(r io.Reader, v any) error
+	}{
+		{"one-pass", decodeBody},
+		{"encoding-json", func(r io.Reader, v any) error { return json.NewDecoder(r).Decode(v) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var req SubmitRequest
+				if err := bc.decode(bytes.NewReader(body), &req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,9 @@ package dist
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -43,6 +46,12 @@ func postBody(body []byte, encoding string) *http.Request {
 // with a 4xx and write nothing on acceptance. An accepted value must come
 // back unchanged through writeReply (gzipped past the compression floor)
 // and readBody again: its plain JSON encoding is a fixpoint of the pair.
+//
+// Both body readers, readBody and Client.decodeResponse, must also agree
+// with their encoding/json references (reference_test.go) on every input
+// and each of the four wire types: the same acceptance, the same status
+// and error text, and the same value, whether or not the one-pass reader
+// took the body.
 func FuzzReadBody(f *testing.F) {
 	const (
 		exchange = `{"session":"s1","worker":"w1","epsilon":1e-8,"best":{"qasm":"qreg q[1];\nh q[0];\n","err":1e-9,"cost":3}}`
@@ -83,6 +92,59 @@ func FuzzReadBody(f *testing.F) {
 	// The retired binary envelope framing.
 	f.Add(binaryFrame("s", "w", 1e-8, "qreg q[1];", 0.0, 1.0), "")
 	f.Add(binaryFrame("qreg q[1];", "nam", "2q", 1e-8, "w"), "")
+	// What a dist.Client and the server send: json.Marshal output of each
+	// wire type around a 1,000-gate circuit, replies newline-terminated.
+	qasm := circuit.Random(8, 1000, gateset.IBMEagle.Gates, rand.New(rand.NewSource(3))).WriteQASM()
+	best := Solution{Envelope: circuit.Envelope{QASM: qasm, Err: 3e-9}, Cost: 42}
+	for _, v := range []any{
+		SubmitRequest{QASM: qasm, Target: "ibm-eagle", Objective: "2q", Epsilon: 1e-8, Worker: "w"},
+		ExchangeRequest{Session: "0123456789abcdef", Worker: "w", Epsilon: 1e-8, Best: best},
+	} {
+		body, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body, "")
+		f.Add(gzipBytes(f, string(body)), "gzip")
+	}
+	for _, v := range []any{
+		SubmitResponse{Cached: true, Session: "0123456789abcdef", Best: best},
+		ExchangeResponse{Adopt: true, Best: best},
+	} {
+		body, err := marshalReply(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body, "")
+		f.Add(gzipBytes(f, string(body)), "gzip")
+	}
+	// One body per class the one-pass reader hands to encoding/json: a key
+	// in another case, an unknown key, null, \u escapes, raw and invalid
+	// UTF-8, repeated keys (encoding/json merges two "best" objects), a
+	// leading zero, a number out of range, negative zero (which it reads),
+	// whitespace around every token, trailing bytes and a cut string.
+	for _, body := range []string{
+		`{"QASM":"qreg q[1];\n","target":"nam","objective":"2q","epsilon":1e-8}`,
+		`{"session":"s","best":{"qasm":"","Err":1,"cost":2}}`,
+		`{"adopt":true,"best":{"qasm":"h q[0];\n","err":0,"cost":1},"extra":[1,{"a":null}]}`,
+		`{"cached":null,"session":"s","best":null}`,
+		`{"session":"\u0041","worker":"w\u2028","best":{"qasm":"\ud83d\ude00"}}`,
+		"{\"session\":\"caf\xc3\xa9\",\"worker\":\"\xe2\x80\xa8\",\"best\":{\"qasm\":\"\xff\xfe\"}}",
+		`{"session":"a","worker":"w","session":"b","epsilon":1,"epsilon":2}`,
+		`{"cached":true,"best":{"qasm":"a","err":1},"session":"s","best":{"cost":2},"cached":false}`,
+		`{"adopt":true,"best":{"qasm":"a","err":1},"best":{"cost":2}}`,
+		`{"epsilon":01}`,
+		`{"best":{"err":1e999}}`,
+		`{"epsilon":-0,"best":{"qasm":"","err":-0.0,"cost":-0e5}}`,
+		` { "cached" : true , "session" : "s" , "best" : { "qasm" : "q" , "err" : 0 , "cost" : 1 } } `,
+		"{\"adopt\":false,\"best\":{\"qasm\":\"\",\"err\":0,\"cost\":0}}\n{}",
+		`{"session":"s","best":{"qasm":"qreg q[1];\nh q`,
+		`{"cached":tru}`,
+		`{"adopt":1,"best":{"cost":-}}`,
+		`{"qasm":"a\tb\"c\\d\/e\bf\fg\rh","target":"t","objective":"o","epsilon":2.5E+3}`,
+	} {
+		f.Add([]byte(body), "")
+	}
 
 	gzipReq := httptest.NewRequest(http.MethodPost, "/", nil)
 	gzipReq.Header.Set("Accept-Encoding", "gzip")
@@ -92,6 +154,7 @@ func FuzzReadBody(f *testing.F) {
 		return rec.Body.Bytes()
 	}
 	f.Fuzz(func(t *testing.T, body []byte, encoding string) {
+		matchesReference(t, body, encoding)
 		for _, mk := range []func() any{
 			func() any { return &ExchangeRequest{} },
 			func() any { return &SubmitRequest{} },
@@ -158,4 +221,47 @@ func FuzzSubmitMatchesCanonical(f *testing.F) {
 		}
 		sh.checkCounters()
 	})
+}
+
+// matchesReference decodes body into a fresh value of each wire type with
+// readBody and with Client.decodeResponse, and beside each with its
+// reference, and fails t unless every pair agrees: in acceptance, in the
+// status and error text, and in the value, even a partly decoded one.
+// Values are compared by their %#v text, which prints each float in the
+// shortest form that parses back to its bits (so -0 differs from 0) and
+// each string with its invalid UTF-8 bytes escaped.
+func matchesReference(t *testing.T, body []byte, encoding string) {
+	t.Helper()
+	response := func() *http.Response {
+		h := http.Header{}
+		if encoding != "" {
+			h.Set("Content-Encoding", encoding)
+		}
+		return &http.Response{StatusCode: http.StatusOK, Header: h, Body: io.NopCloser(bytes.NewReader(body))}
+	}
+	for _, mk := range []func() any{
+		func() any { return &SubmitRequest{} },
+		func() any { return &SubmitResponse{} },
+		func() any { return &ExchangeRequest{} },
+		func() any { return &ExchangeResponse{} },
+	} {
+		got, want := mk(), mk()
+		rec, ref := httptest.NewRecorder(), httptest.NewRecorder()
+		ok, refOK := readBody(rec, postBody(body, encoding), got), refReadBody(ref, postBody(body, encoding), want)
+		if ok != refOK || rec.Code != ref.Code || !bytes.Equal(rec.Body.Bytes(), ref.Body.Bytes()) {
+			t.Fatalf("%T: readBody: accepted %v, %d %q; reference: accepted %v, %d %q",
+				got, ok, rec.Code, rec.Body.Bytes(), refOK, ref.Code, ref.Body.Bytes())
+		}
+		if g, w := fmt.Sprintf("%#v", got), fmt.Sprintf("%#v", want); g != w {
+			t.Fatalf("readBody decoded\n%.300s\nreference:\n%.300s", g, w)
+		}
+		got, want = mk(), mk()
+		err, refErr := new(Client).decodeResponse(response(), got), refDecodeResponse(response(), want)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("%T: decodeResponse: error %v; reference: %v", got, err, refErr)
+		}
+		if g, w := fmt.Sprintf("%#v", got), fmt.Sprintf("%#v", want); g != w {
+			t.Fatalf("decodeResponse decoded\n%.300s\nreference:\n%.300s", g, w)
+		}
+	}
 }

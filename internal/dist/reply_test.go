@@ -6,8 +6,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gate"
@@ -219,11 +222,13 @@ func TestSubmitSendsRecordedReply(t *testing.T) {
 	}
 }
 
-// Server-side allocations per cache-hit submit of a 1,000-gate circuit and
-// per publish, through the handler. The hit path hashes the text as sent
-// and writes the reply recorded for the entry: parsing the circuit would
-// cost over a thousand allocations more, and encoding the reply again
-// about eight.
+// Server-side allocations and bytes per cache-hit submit of a 1,000-gate
+// circuit and per publish, through the handler, and the WAL bytes a
+// publish appends. The hit path reads the body into a pooled buffer with
+// the one-pass reader, hashes the text as sent and writes the reply
+// recorded for the entry: parsing the circuit would cost over a thousand
+// allocations more, encoding the reply again about eight, and decoding the
+// body with encoding/json about 80 KB.
 func TestSubmitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random, which changes allocation counts")
@@ -241,8 +246,8 @@ func TestSubmitAllocs(t *testing.T) {
 		return b
 	}
 	// perRequest serves one prepared request per call, so that only the
-	// server's allocations are counted.
-	perRequest := func(bodies [][]byte, acceptGzip bool, path string) float64 {
+	// server's allocations are counted. The first call warms the pools.
+	perRequest := func(h http.Handler, bodies [][]byte, acceptGzip bool, path string) (allocs, nbytes uint64) {
 		reqs := make([]*http.Request, len(bodies))
 		recs := make([]*httptest.ResponseRecorder, len(bodies))
 		for i, b := range bodies {
@@ -253,18 +258,23 @@ func TestSubmitAllocs(t *testing.T) {
 			recs[i] = httptest.NewRecorder()
 		}
 		i := 0
-		return testing.AllocsPerRun(runs, func() {
-			sh.h.ServeHTTP(recs[i], reqs[i])
+		serve := func() {
+			h.ServeHTTP(recs[i], reqs[i])
 			if recs[i].Code != http.StatusOK {
 				t.Fatalf("%s: status %d: %s", path, recs[i].Code, recs[i].Body.Bytes())
 			}
 			i++
-		})
+		}
+		serve()
+		return memPerRun(len(bodies)-1, serve)
 	}
 	env := circuit.Seal(in, 0)
-	publishes := make([][]byte, runs+1) // AllocsPerRun makes one warm-up call
-	for i := range publishes {
-		publishes[i] = body(ExchangeRequest{Session: key[:16], Epsilon: eps, Best: Solution{Envelope: env, Cost: float64(1e6 - i)}})
+	publishes := func(key string) [][]byte {
+		bodies := make([][]byte, runs+1)
+		for i := range bodies {
+			bodies[i] = body(ExchangeRequest{Session: key[:16], Epsilon: eps, Best: Solution{Envelope: env, Cost: float64(1e6 - i)}})
+		}
+		return bodies
 	}
 	hit := body(SubmitRequest{QASM: in.WriteQASM(), Target: "ibm-eagle", Objective: "2q", Epsilon: eps})
 	hits := make([][]byte, runs+1)
@@ -272,22 +282,55 @@ func TestSubmitAllocs(t *testing.T) {
 		hits[i] = hit
 	}
 	for _, tc := range []struct {
-		name   string
-		bodies [][]byte
-		gzip   bool
-		path   string
-		max    float64
+		name      string
+		bodies    [][]byte
+		gzip      bool
+		path      string
+		maxAllocs uint64
+		maxBytes  uint64
 	}{
-		// Measured: 1,279 per publish, most of them in the parse that
-		// checks the circuit, 30 per gzip hit and 31 per plain hit.
-		{"publish", publishes, false, "/v1/exchange", 1340},
-		{"gzip hit", hits, true, "/v1/submit", 37},
-		{"plain hit", hits, false, "/v1/submit", 37},
+		// Measured: 1,264 allocations and 97.9 KB per publish, most of them
+		// in the parse that checks the circuit; 19 allocations and 22.5 KB
+		// per gzip hit; 20 and 50.4 KB per plain hit, which also marshals the
+		// reply. Decoding with encoding/json gave 1,279 and 175.7 KB, 30 and
+		// 102.7 KB, and 31 and 130.6 KB.
+		{"publish", publishes(key), false, "/v1/exchange", 1325, 120 << 10},
+		{"gzip hit", hits, true, "/v1/submit", 26, 28 << 10},
+		{"plain hit", hits, false, "/v1/submit", 27, 62 << 10},
 	} {
-		got := perRequest(tc.bodies, tc.gzip, tc.path)
-		t.Logf("%s: %.0f allocs", tc.name, got)
-		if got > tc.max {
-			t.Errorf("%s of a 1,000-gate circuit: %.0f allocs, want at most %.0f", tc.name, got, tc.max)
+		allocs, nbytes := perRequest(sh.h, tc.bodies, tc.gzip, tc.path)
+		t.Logf("%s: %d allocs, %d bytes", tc.name, allocs, nbytes)
+		if allocs > tc.maxAllocs {
+			t.Errorf("%s of a 1,000-gate circuit: %d allocs, want at most %d", tc.name, allocs, tc.maxAllocs)
 		}
+		if nbytes > tc.maxBytes {
+			t.Errorf("%s of a 1,000-gate circuit: %d bytes allocated, want at most %d", tc.name, nbytes, tc.maxBytes)
+		}
+	}
+
+	// A publish appends one session record, whose bulk is the circuit.
+	dir := t.TempDir()
+	ds, err := OpenServer(ServerOptions{DataDir: dir, CheckpointEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	dsh := &submitHarness{tb: t, s: ds, h: ds.Handler(), published: map[string]store.CacheEntry{}}
+	dkey := dsh.submit(SubmitRequest{QASM: in.WriteQASM(), Target: "ibm-eagle", Objective: "2q", Epsilon: eps}, true)
+	walSize := func() int64 {
+		fi, err := os.Stat(filepath.Join(dir, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	wal0 := walSize()
+	perRequest(dsh.h, publishes(dkey), false, "/v1/exchange")
+	// Measured: 16,277 bytes for 14,981 bytes of QASM, which JSON escapes
+	// to 15,986.
+	perPublish := (walSize() - wal0) / (runs + 1)
+	t.Logf("WAL: %d bytes per publish", perPublish)
+	if max := int64(16600); perPublish > max {
+		t.Errorf("a publish of a 1,000-gate circuit appends %d WAL bytes, want at most %d", perPublish, max)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -236,6 +237,10 @@ func (l *Log) Append(typ string, data any) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
+	typJSON, err := json.Marshal(typ)
+	if err != nil {
+		return 0, fmt.Errorf("store: %w", err)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -245,14 +250,22 @@ func (l *Log) Append(typ string, data any) (uint64, error) {
 		return 0, l.err
 	}
 	l.lsn++
-	payload, err := json.Marshal(Record{LSN: l.lsn, Type: typ, Data: raw})
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	l.frame = binary.LittleEndian.AppendUint32(l.frame[:0], uint32(len(payload)))
-	l.frame = binary.LittleEndian.AppendUint32(l.frame, crc32.ChecksumIEEE(payload))
-	l.frame = append(l.frame, payload...)
-	if _, err := l.f.Write(l.frame); err != nil {
+	// The payload is json.Marshal(Record{l.lsn, typ, raw}), written out.
+	// Marshal would pass raw through its compactor again, which changes
+	// nothing: raw is Marshal output, already compact and HTML-escaped.
+	frame := append(l.frame[:0], make([]byte, frameHeader)...)
+	frame = append(frame, `{"lsn":`...)
+	frame = strconv.AppendUint(frame, l.lsn, 10)
+	frame = append(frame, `,"type":`...)
+	frame = append(frame, typJSON...)
+	frame = append(frame, `,"data":`...)
+	frame = append(frame, raw...)
+	frame = append(frame, '}')
+	payload := frame[frameHeader:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
+	l.frame = frame
+	if _, err := l.f.Write(frame); err != nil {
 		l.err = err
 		return 0, err
 	}
@@ -322,10 +335,13 @@ func (l *Log) Compact(state any) error {
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
-	env, err := json.Marshal(snapshotEnvelope{LSN: l.lsn, State: raw})
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
+	// json.Marshal(snapshotEnvelope{l.lsn, raw}), written out as Append
+	// writes its records.
+	env := append(make([]byte, 0, len(raw)+48), `{"lsn":`...)
+	env = strconv.AppendUint(env, l.lsn, 10)
+	env = append(env, `,"state":`...)
+	env = append(env, raw...)
+	env = append(env, '}')
 	tmp := filepath.Join(l.dir, snapshotFile+".tmp")
 	if err := writeFileSync(tmp, env); err != nil {
 		return fmt.Errorf("store: %w", err)

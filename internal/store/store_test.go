@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -228,5 +231,69 @@ func TestLogStaleWALFilteredByLSN(t *testing.T) {
 	// The LSN counter resumes past everything seen.
 	if lsn, err := l.Append("n", testRec{N: 4}); err != nil || lsn != 4 {
 		t.Fatalf("Append = (%d, %v), want (4, nil)", lsn, err)
+	}
+}
+
+// Append writes each record as json.Marshal(Record{…}) writes it, and
+// Compact the snapshot as json.Marshal(snapshotEnvelope{…}), on payloads
+// and type tags that Marshal escapes or compacts: HTML characters, U+2028
+// and U+2029, invalid UTF-8, and a raw message with whitespace.
+func TestFramesMatchMarshal(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir)
+	defer l.Close()
+	payloads := []any{
+		map[string]string{"html": `<a href="x">&amp;</a>`, "sep": "a\u2028b\u2029c", "bad": "\xff\xfe\xc3\x28"},
+		json.RawMessage(" { \"k\" : [ 1 , \"<\\u2028>\" ] } "),
+		nil,
+		"< > & \u2028 \xff",
+		[]byte("<>"),
+		testRec{N: -7},
+	}
+	types := []string{"session", "<t&t>", "t\u2029\xff"}
+	var want []byte
+	for i, p := range payloads {
+		typ := types[i%len(types)]
+		if _, err := l.Append(typ, p); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := json.Marshal(Record{LSN: uint64(i + 1), Type: typ, Data: raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(payload)))
+		want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(payload))
+		want = append(want, payload...)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("WAL differs from json.Marshal's records\n got: %q\nwant: %q", got, want)
+	}
+
+	state := payloads[0]
+	if err := l.Compact(state); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSnap, err := json.Marshal(snapshotEnvelope{LSN: uint64(len(payloads)), State: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSnap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotSnap, wantSnap) {
+		t.Fatalf("snapshot differs from json.Marshal's\n got: %q\nwant: %q", gotSnap, wantSnap)
 	}
 }
