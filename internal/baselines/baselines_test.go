@@ -168,6 +168,29 @@ func TestBudgetBoundsInFlightSynthesis(t *testing.T) {
 // optimizers, so under a context deadline the Quarl proxy searches past
 // its initial cleanup, which is all that a budget too short for one greedy
 // step returns.
+// With budget 0 and no deadline on its context, the Quarl proxy must still
+// return: it stops at its first plateau, and when two steps in a row find
+// no new best, instead of walking plateau moves or undoing its own steps.
+// Before, 8 of these 12 seeds ran until a 2 s context ended.
+func TestQuarlNoDeadlineReturns(t *testing.T) {
+	cost := opt.TwoQubitCost()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for seed := int64(1); seed <= 12; seed++ {
+			c := circuit.Random(4, 60, gateset.Nam.Gates, rand.New(rand.NewSource(seed)))
+			if out := NewQuarl().OptimizeContext(context.Background(), c, gateset.Nam, cost, 0, 1); cost(out) > cost(c) {
+				t.Errorf("seed %d: cost %.3f, worse than the input's %.3f", seed, cost(out), cost(c))
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("budget 0 without a deadline did not return within 20 s")
+	}
+}
+
 func TestQuarlBudgetZeroSearches(t *testing.T) {
 	// The search on this circuit ends on its own after about 6 ms, at cost
 	// 15.037 against the cleanup's 15.046.

@@ -91,6 +91,11 @@ func (l *Lookahead) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.C
 // OptimizeContext is Optimize under ctx: cancellation is checked at
 // every outer greedy step and after every rollout (the committed best is
 // returned mid-rollout). A positive budget becomes a deadline on ctx.
+//
+// Without a deadline the search stops at its first plateau, and when two
+// steps in a row find no new best: a random plateau move can be followed
+// by another forever, and a step whose lookahead promised a gain that the
+// next step does not deliver can be undone by that step, again and again.
 func (l *Lookahead) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
 	rules, err := rewrite.RulesFor(gs.Name)
 	if err != nil {
@@ -101,6 +106,7 @@ func (l *Lookahead) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs 
 		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
 	}
+	_, bounded := ctx.Deadline()
 	rng := rand.New(rand.NewSource(seed))
 	eng := rewrite.NewEngine(c)
 
@@ -119,7 +125,7 @@ func (l *Lookahead) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs 
 	best := eng.Snapshot()
 	bestCost := cost(best)
 
-	for ctx.Err() == nil {
+	for stalls := 0; ctx.Err() == nil; {
 		curCost := cost(eng.Circuit())
 		bestRule := -1
 		bestScore := curCost
@@ -162,10 +168,16 @@ func (l *Lookahead) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs 
 		eng.Commit()
 		if cv := cost(eng.Circuit()); cv < bestCost {
 			best, bestCost = eng.Snapshot(), cv
+			stalls = 0
+		} else if stalls++; stalls == 2 && !bounded {
+			break
 		}
 		if !improved {
 			// Plateau: take a random neutral move to diversify, like the
 			// policy's exploration, then continue.
+			if !bounded {
+				break
+			}
 			r := rules[rng.Intn(len(rules))]
 			if apply(r) {
 				eng.Commit()

@@ -298,6 +298,32 @@ func TestQASMRoundTrip(t *testing.T) {
 	}
 }
 
+// A parse's gates own their arguments: the next parse, which reuses the
+// parser's scratch, leaves them alone, an append to one gate's slice cannot
+// reach the next gate's, and a gate without parameters has none.
+func TestParseQASMGatesOwnTheirArguments(t *testing.T) {
+	c, err := ParseQASM("qreg q[3];\nu3(1,2,3) q[0];\ncx q[1],q[2];\nh q[0];\nrz(4) q[2];\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := c.WriteQASM()
+	if _, err := ParseQASM("qreg q[3];\nu3(5,6,7) q[2];\ncx q[2],q[0];\nh q[1];\nrz(8) q[1];\n"); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.WriteQASM(); got != want {
+		t.Fatalf("gates changed after a second parse:\n%s\nwant:\n%s", got, want)
+	}
+	for i, g := range c.Gates {
+		if cap(g.Qubits) != len(g.Qubits) || cap(g.Params) != len(g.Params) {
+			t.Fatalf("gate %d: qubits %d/%d, params %d/%d (len/cap): an append would reach the next gate",
+				i, len(g.Qubits), cap(g.Qubits), len(g.Params), cap(g.Params))
+		}
+	}
+	if c.Gates[2].Params != nil {
+		t.Fatalf("h has parameters %v, want nil", c.Gates[2].Params)
+	}
+}
+
 func TestQASMParseDialect(t *testing.T) {
 	src := `
 OPENQASM 2.0;

@@ -70,6 +70,57 @@ func TestWriteQASMMatchesReference(t *testing.T) {
 	check("0 qubits", circuit.New(0))
 }
 
+// FuzzWriteQASMMatchesReference requires the writer's bytes to equal the
+// reference's on circuits over the whole vocabulary whose angles are any
+// float64 bits: the fuzzer's three, the edges of float64 (NaN, ±Inf, −0,
+// subnormals), fresh random bits, repeats of earlier angles, and angles
+// built to share a slot of the writer's angle table with an earlier one.
+func FuzzWriteQASMMatchesReference(f *testing.F) {
+	f.Add(uint64(0x7ff8000000000001), math.Float64bits(math.Copysign(0, -1)), uint64(1), int64(1), uint16(300))
+	f.Add(math.Float64bits(math.Pi/2), math.Float64bits(-math.Pi/2), math.Float64bits(math.Pi/4), int64(2), uint16(60))
+	f.Add(math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)), math.Float64bits(0.1+0.2), int64(3), uint16(1000))
+	vocab := gate.Names()
+	sort.Slice(vocab, func(i, j int) bool { return vocab[i] < vocab[j] })
+	f.Fuzz(func(t *testing.T, a, b, c uint64, seed int64, gates uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		pool := []float64{
+			math.Float64frombits(a), math.Float64frombits(b), math.Float64frombits(c),
+			math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+			math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072009e-308,
+			math.MaxFloat64, -math.MaxFloat64, 1e21, 1e-5, math.Pi,
+		}
+		// collide returns new bits in the table slot of old.
+		collide := func(old uint64) float64 {
+			for {
+				if o := rng.Uint64(); o != old && circuit.AngleSlot(o) == circuit.AngleSlot(old) {
+					return math.Float64frombits(o)
+				}
+			}
+		}
+		circ := circuit.New(3 + rng.Intn(30))
+		for i := 0; i < int(gates)%1500; i++ {
+			n := vocab[rng.Intn(len(vocab))]
+			spec, _ := gate.SpecOf(n)
+			ps := make([]float64, spec.Params)
+			for j := range ps {
+				switch rng.Intn(4) {
+				case 0:
+					ps[j] = pool[rng.Intn(len(pool))]
+				case 1:
+					ps[j] = math.Float64frombits(rng.Uint64())
+				default:
+					ps[j] = collide(math.Float64bits(pool[rng.Intn(len(pool))]))
+				}
+				pool = append(pool, ps[j])
+			}
+			circ.Gates = append(circ.Gates, gate.Gate{Name: n, Qubits: rng.Perm(circ.NumQubits)[:spec.Qubits], Params: ps})
+		}
+		if got, want := circ.WriteQASM(), refWriteQASM(circ); got != want {
+			t.Fatalf("WriteQASM differs from the reference\ngot:\n%s\nwant:\n%s", got, want)
+		}
+	})
+}
+
 // FuzzParseQASMMatchesReference runs the parser and the reference side by
 // side on any text. They accept and reject the same programs, and read
 // the same qubit count, gate names, qubits and parameter bits, with two
@@ -95,9 +146,32 @@ func FuzzParseQASMMatchesReference(f *testing.F) {
 		"qreg q[1];\nh q[0]junk;\n",
 		"qreg q[1];\n\u0130d q[0];\n\u0130nclude \"x\";\nbarr\u0130er q[0];\n",
 		"qreg a[9223372036854775807];\nqreg b[1];\n",
+		// The scanner's edges: case, control and Unicode spaces, comments
+		// inside parameter lists, number forms, bracket contents, and
+		// registers whose names start like keywords.
+		"OpenQasm 2.0;\nInClUdE \"qelib1.inc\";\nQReg q[2];\nCReg c[2];\nrZ(pi/2) Q[0];\nCx q[0],q[1];\nU3(PI,0,0) q[1];\n",
+		"qreg q[2];\nBarrier q[0];\nMEASURE q[0] -> c[0];\nReSeT q[1];\nToffoli q[0],q[1];\nCNOT q[0],q[1];\nSxDg q[1];\n",
+		"qreg q[2];\r\nh\tq[0];\r\ncx\tq[0],\tq[1];\r\nrz(1)\rq[1];\rx q[0];\n",
+		"qreg\u00a0q[2];\n\u0085h\u2028q[0]\u00a0;\ncx\u00a0q[0]\u0085,\u2028q[1];\nrz(\u00a01\u2028)\u0085q[0];\n",
+		"qreg q[1];\nrz(1 // one\n+ 2) q[0];\nu3(// a\n1,2 // b\n,3) q[0];\nrz(//\n) q[0];\nrz(1//\n) q[0];\n",
+		"qreg q[1];\nrz(+1) q[0];\nrz(.5) q[0];\nrz(1.) q[0];\nrz(1E+5) q[0];\nrz(-1e-5) q[0];\nrz( -0 ) q[0];\n",
+		"qreg q[1];\nrz(2pi) q[0];\n",
+		"qreg q[1];\nrz(1e+-5) q[0];\n",
+		"qreg q[2];\nh q[01];\ncx q[ 0 ],q[\t1\t];\nh q[+1];\nh q[0//c\n];\n",
+		"qreg a[1];\nqreg qregs[2];\nqreg b[3];\ncx qregs[1],b[2];\nh a[0];\nccx b[0],qregs[0],a[0];\n",
+		"qreg a(,)b[2];\nqreg [1];\nrz(1) a(,)b[0];\nx [0];\ncp(1) a(,)b[1],[0];\n",
+		"qreg a(b[2];\nh a(b[0];\n",
 	} {
 		f.Add(s)
 	}
+	// More distinct numbers, each read twice, than the scanner's memo of
+	// numbers has slots.
+	var many strings.Builder
+	many.WriteString("qreg q[2];\n")
+	for i := 0; i < 160; i++ {
+		fmt.Fprintf(&many, "rz(%d.%d) q[%d];\n", i%80, i%80*7, i%2)
+	}
+	f.Add(many.String())
 	f.Fuzz(func(t *testing.T, src string) {
 		var trailing bool
 		want, wantErr := refParseQASMRecover(src, &trailing)

@@ -289,12 +289,13 @@ func TestSubmitAllocs(t *testing.T) {
 		maxAllocs uint64
 		maxBytes  uint64
 	}{
-		// Measured: 1,264 allocations and 97.9 KB per publish, most of them
-		// in the parse that checks the circuit; 19 allocations and 22.5 KB
-		// per gzip hit; 20 and 50.4 KB per plain hit, which also marshals the
-		// reply. Decoding with encoding/json gave 1,279 and 175.7 KB, 30 and
-		// 102.7 KB, and 31 and 130.6 KB.
-		{"publish", publishes(key), false, "/v1/exchange", 1325, 120 << 10},
+		// Measured: 23 allocations and 95.8 KB per publish, most of the
+		// bytes in the parse that checks the circuit; 19 allocations and
+		// 22.5 KB per gzip hit; 20 and 50.4 KB per plain hit, which also
+		// marshals the reply. The statement-splitting parser gave 1,264 and
+		// 97.9 KB per publish. Decoding with encoding/json gave 1,279 and
+		// 175.7 KB, 30 and 102.7 KB, and 31 and 130.6 KB.
+		{"publish", publishes(key), false, "/v1/exchange", 40, 120 << 10},
 		{"gzip hit", hits, true, "/v1/submit", 26, 28 << 10},
 		{"plain hit", hits, false, "/v1/submit", 27, 62 << 10},
 	} {

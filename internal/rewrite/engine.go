@@ -35,8 +35,8 @@ import (
 // rule's own halo depth — can change verdicts; exactly those candidates are
 // reopened, right after the splice, and every inserted gate starts as a
 // candidate of each rule of its name. SetCircuit adopts a whole-circuit
-// pass's result as one such splice, over the span between the first and
-// the last gate that differ; only Reset reopens every candidate.
+// pass's result as one such splice, with a window per stretch of gates
+// that differ; only Reset reopens every candidate.
 //
 // Versions: the engine numbers its gate sequence. Every forward splice and
 // every Reset takes a fresh number from a counter that only grows, and
@@ -449,11 +449,14 @@ func (e *Engine) ReplaceRegion(r *circuit.Region, replacement *circuit.Circuit) 
 }
 
 // SetCircuit adopts out's gate list — the result of a whole-circuit pass
-// (cleanup, fusion, phase folding) — as one logged splice: the span
-// between the first and the last gate that differ bit for bit is replaced,
-// and its halo invalidated like a rule's, so match caches outside it
-// survive. The engine keeps the gates it splices in (not out's slice); the
-// qubit count must be unchanged.
+// (cleanup, fusion, phase folding) — as one logged splice with a window per
+// changed stretch, each halo-invalidated like a rule's, so match caches
+// outside the windows survive, between them too. After the common prefix
+// and suffix are trimmed, the two lists are walked together; at each
+// difference they resync at the nearest point, within resyncReach gates in
+// each, where two consecutive gates agree bit for bit, and failing one the
+// rest is a single window. The engine keeps the gates it splices in (not
+// out's slice); the qubit count must be unchanged.
 func (e *Engine) SetCircuit(out *circuit.Circuit) {
 	if out.NumQubits != e.c.NumQubits {
 		panic(fmt.Sprintf("rewrite: SetCircuit: qubit count %d != engine's %d",
@@ -472,9 +475,44 @@ func (e *Engine) SetCircuit(out *circuit.Circuit) {
 	if lo == hiOld && lo == hiNew {
 		return
 	}
-	ws := append(e.winBuf[:0], circuit.SpliceWindow{Lo: lo, Hi: hiOld - 1, Repl: repl[lo:hiNew]})
+	old, repl = old[:hiOld], repl[:hiNew]
+	ws := e.winBuf[:0]
+	for i, j := lo, lo; i < hiOld || j < hiNew; {
+		// old[i] and repl[j] differ, or one list has run out.
+		a, b, ok := resync(old, repl, i, j)
+		if !ok {
+			ws = append(ws, circuit.SpliceWindow{Lo: i, Hi: hiOld - 1, Repl: repl[j:]})
+			break
+		}
+		ws = append(ws, circuit.SpliceWindow{Lo: i, Hi: a - 1, Repl: repl[j:b]})
+		i, j = a+2, b+2
+		for i < hiOld && j < hiNew && sameBits(old[i], repl[j]) {
+			i++
+			j++
+		}
+	}
 	e.winBuf = ws
 	e.multiSplice(ws, true)
+}
+
+// resyncReach bounds how far past a difference SetCircuit looks, in each
+// gate list, for the lists to agree again.
+const resyncReach = 8
+
+// resync finds where old and repl agree again from old[i] and repl[j]: the
+// nearest a >= i and b >= j, by (a-i)+(b-j) and then by a, such that
+// old[a:a+2] and repl[b:b+2] are the same bits, within resyncReach of i and
+// j.
+func resync(old, repl []gate.Gate, i, j int) (a, b int, ok bool) {
+	for d := 0; d <= 2*resyncReach; d++ {
+		for da := max(0, d-resyncReach); da <= min(d, resyncReach); da++ {
+			a, b = i+da, j+d-da
+			if a+1 < len(old) && b+1 < len(repl) && sameBits(old[a], repl[b]) && sameBits(old[a+1], repl[b+1]) {
+				return a, b, true
+			}
+		}
+	}
+	return 0, 0, false
 }
 
 // Pass is a whole-circuit τ₀ pass, such as cleanup, single-qubit fusion

@@ -3,6 +3,7 @@ package rewrite
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
@@ -292,6 +293,66 @@ func TestEngineCacheEngages(t *testing.T) {
 			gotSkips, len(reducing), eng.Circuit().Len())
 	}
 	t.Logf("stats: %+v", st3)
+}
+
+// TestSetCircuitSplicesEachStretch adopts a τ₀-style result that differs in
+// two stretches far apart, one gate deleted near each end: SetCircuit must
+// splice two windows, not one spanning both, so the verdicts recorded on
+// the gates between them survive.
+func TestSetCircuitSplicesEachStretch(t *testing.T) {
+	all, err := RulesFor("nam")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reducing []*Rule
+	for _, r := range all {
+		if r.Delta() < 0 {
+			reducing = append(reducing, r)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	eng := NewEngine(circuit.Random(6, 600, gateset.Nam.Gates, rng))
+	// Drive the reducing rules to their fixpoint, so that each of their
+	// verdicts is a recorded failure and no bit is set.
+	for round := 0; round < 50; round++ {
+		sites := 0
+		for _, r := range reducing {
+			sites += eng.FullPass(r, 0)
+			eng.Commit()
+		}
+		if sites == 0 {
+			break
+		}
+	}
+	for i, w := range eng.verd {
+		if w != 0 {
+			t.Fatalf("verdict word %d is open at the fixpoint", i)
+		}
+	}
+	n := eng.Circuit().Len()
+	out := eng.Circuit().Clone()
+	out.Gates = slices.Delete(out.Gates, n-10, n-9)
+	out.Gates = slices.Delete(out.Gates, 10, 11)
+
+	before := eng.Stats().Splices
+	eng.SetCircuit(out)
+	if got := eng.Stats().Splices - before; got != 2 {
+		t.Fatalf("SetCircuit spliced %d windows, want one per changed stretch (2)", got)
+	}
+	for i, g := range eng.Circuit().Gates {
+		if !sameBits(g, out.Gates[i]) {
+			t.Fatalf("gate %d is %v, out's is %v", i, g, out.Gates[i])
+		}
+	}
+	// The middle third is hundreds of gates from either window, far past
+	// any rule's halo.
+	mid := eng.verd[n/3*eng.words : 2*n/3*eng.words]
+	for i, w := range mid {
+		if w != 0 {
+			t.Fatalf("verdict word %d between the windows was reopened", n/3*eng.words+i)
+		}
+	}
+	checkCandidateIndex(t, eng)
 }
 
 // TestEngineRollbackRestoresExactly pins the rollback contract across a
