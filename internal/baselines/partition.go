@@ -6,7 +6,6 @@ import (
 
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gateset"
-	"github.com/guoq-dev/guoq/internal/linalg"
 	"github.com/guoq-dev/guoq/internal/opt"
 	"github.com/guoq-dev/guoq/internal/partition"
 	"github.com/guoq-dev/guoq/internal/synth"
@@ -51,15 +50,17 @@ func (p *Partition) Blocks(c *circuit.Circuit) []*circuit.Region {
 }
 
 // Optimize implements Optimizer: one partition pass, resynthesizing each
-// block with its two-qubit count as the ceiling (synth.SynthesizeBounded)
-// and keeping the replacement only when it improves the cost.
+// block with its two-qubit count as the ceiling (opt.UnitarySynth) and
+// keeping the replacement only when it improves the cost.
 func (p *Partition) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
 	return p.OptimizeContext(context.Background(), c, gs, cost, budget, seed)
 }
 
 // OptimizeContext is Optimize under ctx: cancellation is observed
 // between blocks and by the synthesis call itself, so a cancelled pass
-// returns the blocks already improved.
+// returns the blocks already improved. A positive budget becomes a
+// deadline on ctx. Each block goes through opt.Resynthesize, the check
+// every resynthesis passes.
 func (p *Partition) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
 	var syn synth.Synthesizer
 	if p.UseFinite || !gs.Continuous() {
@@ -69,7 +70,11 @@ func (p *Partition) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs 
 	} else {
 		syn = numeric.New(gs)
 	}
-	deadline := time.Now().Add(budget)
+	if budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, budget)
+		defer cancel()
+	}
 
 	blocks := p.Blocks(c)
 	if len(blocks) == 0 {
@@ -79,9 +84,6 @@ func (p *Partition) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs 
 	out := c
 	// Blocks are replaced back-to-front so earlier indices stay valid.
 	for bi := len(blocks) - 1; bi >= 0; bi-- {
-		if budget > 0 && time.Now().After(deadline) {
-			break
-		}
 		if ctx.Err() != nil {
 			break
 		}
@@ -90,12 +92,8 @@ func (p *Partition) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs 
 		if sub.Len() < 2 {
 			continue
 		}
-		target := sub.Unitary()
-		repl, err := synth.SynthesizeBounded(ctx, syn, target, sub.NumQubits, epsPerBlock, sub.TwoQubitCount())
-		if err != nil {
-			continue
-		}
-		if linalg.HSDistance(target, repl.Unitary()) > epsPerBlock {
+		repl, _, ok := opt.Resynthesize(ctx, opt.UnitarySynth(syn), sub, epsPerBlock, nil)
+		if !ok {
 			continue
 		}
 		cand := region.Replace(out, repl)

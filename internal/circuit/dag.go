@@ -12,7 +12,8 @@ import (
 //
 // The DAG supports two maintenance modes. BuildDAG constructs a fresh view
 // in two O(gates · arity) passes, one that sizes its storage and one that
-// fills it — the throwaway mode used by the pure FindMatches/FullPass API.
+// fills it — the mode of a new rewrite.Engine and of the stateless
+// FindMatches/FullPass reference.
 // A long-lived DAG (the rewrite.Engine's) is instead kept current across
 // mutations with Splice/MultiSplice, which replace gate windows in place:
 // the gate list is spliced, and the wire lists and links are recomputed

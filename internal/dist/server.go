@@ -326,21 +326,6 @@ func (s *Server) withQuota(next http.Handler) http.Handler {
 	})
 }
 
-// ListenAndServe runs the coordinator on addr until the listener fails.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
-// Serve runs the coordinator on an existing listener.
-func (s *Server) Serve(l net.Listener) error {
-	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	return srv.Serve(l)
-}
-
 // ServeContext runs the coordinator on l until ctx is cancelled, then
 // drains gracefully: the listener stops accepting, in-flight requests get
 // up to grace (default 5 s) to finish via http.Server.Shutdown, and

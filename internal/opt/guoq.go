@@ -283,29 +283,6 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 		}
 	}
 
-	// applyAny applies t against the engine — in place when the
-	// transformation supports it, as a whole-circuit transaction otherwise.
-	// On ok the engine holds the candidate and the caller must Commit or
-	// Rollback(0).
-	applyAny := func(t Transformation, allowed float64, r *rand.Rand) (float64, bool) {
-		if opts.Context != nil {
-			if ea, ok := t.(EngineContextApplier); ok {
-				return ea.ApplyEngineContext(opts.Context, eng, allowed, r)
-			}
-		}
-		if ea, ok := t.(EngineApplier); ok {
-			return ea.ApplyEngine(eng, allowed, r)
-		}
-		out, eps, ok := applyFlat(opts.Context, t, curr, allowed, r)
-		if !ok {
-			return 0, false
-		}
-		// Clone defensively: SetCircuit keeps the gates it splices in, and
-		// a caller-supplied transformation may hand back shared state.
-		eng.SetCircuit(out.Clone())
-		return eps, true
-	}
-
 	if opts.WarmStart {
 		// Deterministic rounds of every fast transformation with the usual
 		// acceptance rule, to a cost fixpoint (bounded rounds). The
@@ -318,7 +295,7 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 			for _, t := range fast {
 				e := tally[t]
 				e.attempt()
-				eps, ok := applyAny(t, 0, warmRng)
+				eps, ok := applyEngine(opts.Context, eng, t, 0, warmRng)
 				if !ok {
 					continue
 				}
@@ -472,7 +449,7 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 			}
 			t0 = time.Now()
 		}
-		eps, ok := applyAny(t, allowed, rng)
+		eps, ok := applyEngine(opts.Context, eng, t, allowed, rng)
 		if latH != nil {
 			latH.ObserveSince(t0)
 		}

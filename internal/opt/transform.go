@@ -37,15 +37,17 @@ type Transformation interface {
 	Apply(c *circuit.Circuit, allowedEps float64, rng *rand.Rand) (out *circuit.Circuit, eps float64, ok bool)
 }
 
-// EngineApplier is the incremental fast path of a Transformation: an
+// EngineApplier is the incremental path of a Transformation: an
 // application against a persistent rewrite.Engine, mutating its circuit in
-// place instead of producing a fresh copy. The GUOQ loop threads one
-// Engine per worker through its iterations and uses this path whenever a
-// transformation supports it — committing on acceptance, rolling back on
-// rejection. Implementations must leave the engine untouched when they
-// report ok = false, must route every mutation through the engine (so its
-// DAG and rule-match caches stay sound), and must consume exactly the same
-// rng stream as Apply so engine-backed runs stay bit-for-bit reproducible.
+// place instead of producing a fresh copy. Every search threads one Engine
+// through its iterations and uses this path whenever a transformation
+// supports it: GUOQ commits on acceptance and rolls back on rejection, and
+// Beam snapshots each application and rolls it back. Implementations must
+// leave the engine untouched when they report ok = false and must route
+// every mutation through the engine (so its DAG and rule-match caches stay
+// sound). Apply must return what ApplyEngine leaves in the engine, from
+// the same rng draws; the built-in fast transformations guarantee this by
+// running ApplyEngine on a fresh engine as their Apply.
 type EngineApplier interface {
 	ApplyEngine(e *rewrite.Engine, allowedEps float64, rng *rand.Rand) (eps float64, ok bool)
 }
@@ -67,14 +69,50 @@ type EngineContextApplier interface {
 	ApplyEngineContext(ctx context.Context, e *rewrite.Engine, allowedEps float64, rng *rand.Rand) (eps float64, ok bool)
 }
 
-// applyFlat is the whole-circuit application path of every search. It
-// prefers ApplyContext when there is a context, so a slow call stops when
-// the search's context ends; a nil ctx applies t uncancellably.
+// applyFlat is the whole-circuit application path: the async worker's,
+// on its snapshot, and applyEngine's for a transformation without an
+// engine method. It prefers ApplyContext when there is a context, so a
+// slow call stops when the search's context ends; a nil ctx applies t
+// uncancellably.
 func applyFlat(ctx context.Context, t Transformation, c *circuit.Circuit, allowed float64, rng *rand.Rand) (*circuit.Circuit, float64, bool) {
 	if ca, ok := t.(ContextApplier); ok && ctx != nil {
 		return ca.ApplyContext(ctx, c, allowed, rng)
 	}
 	return t.Apply(c, allowed, rng)
+}
+
+// applyEngine is the synchronous application path of every search: t
+// applied to the engine's circuit, in place when t supports it and as a
+// whole-circuit transaction otherwise, through the context-aware method
+// when there is a context. On ok the engine holds the candidate, and the
+// caller must Commit or Rollback.
+func applyEngine(ctx context.Context, eng *rewrite.Engine, t Transformation, allowed float64, rng *rand.Rand) (float64, bool) {
+	if ea, ok := t.(EngineContextApplier); ok && ctx != nil {
+		return ea.ApplyEngineContext(ctx, eng, allowed, rng)
+	}
+	if ea, ok := t.(EngineApplier); ok {
+		return ea.ApplyEngine(eng, allowed, rng)
+	}
+	out, eps, ok := applyFlat(ctx, t, eng.Circuit(), allowed, rng)
+	if !ok {
+		return 0, false
+	}
+	// Clone defensively: SetCircuit keeps the gates it splices in, and
+	// a caller-supplied transformation may hand back shared state.
+	eng.SetCircuit(out.Clone())
+	return eps, true
+}
+
+// applyFresh is the whole-circuit Apply of a transformation implemented
+// on the engine: ea applied to a fresh engine over c. The engine is
+// dropped, so its circuit is the fresh output Apply promises.
+func applyFresh(ea EngineApplier, c *circuit.Circuit, allowed float64, rng *rand.Rand) (*circuit.Circuit, float64, bool) {
+	e := rewrite.NewEngine(c)
+	eps, ok := ea.ApplyEngine(e, allowed, rng)
+	if !ok {
+		return c, 0, false
+	}
+	return e.Circuit(), eps, true
 }
 
 // ---------------------------------------------------------------------------
@@ -89,21 +127,14 @@ func (t *RuleTransformation) Name() string     { return "rule:" + t.Rule.Name }
 func (t *RuleTransformation) Epsilon() float64 { return 0 }
 func (t *RuleTransformation) Slow() bool       { return false }
 
-func (t *RuleTransformation) Apply(c *circuit.Circuit, _ float64, rng *rand.Rand) (*circuit.Circuit, float64, bool) {
-	if c.Len() == 0 {
-		return c, 0, false
-	}
-	out, n := rewrite.FullPass(c, t.Rule, rng.Intn(c.Len()))
-	if n == 0 {
-		return c, 0, false
-	}
-	return out, 0, true
+func (t *RuleTransformation) Apply(c *circuit.Circuit, allowedEps float64, rng *rand.Rand) (*circuit.Circuit, float64, bool) {
+	return applyFresh(t, c, allowedEps, rng)
 }
 
-// ApplyEngine implements EngineApplier: the same full pass, but matched
-// through the engine's per-rule cache and applied as in-place splices. The
-// start anchor is drawn before the engine may skip the pass, so a skip
-// leaves the rng stream as a scan would.
+// ApplyEngine implements EngineApplier: one full pass of the rule from a
+// random anchor, matched through the engine's candidate index and applied
+// as in-place splices. The start anchor is drawn before the engine may
+// skip the pass, so a skip leaves the rng stream as a scan would.
 func (t *RuleTransformation) ApplyEngine(e *rewrite.Engine, _ float64, rng *rand.Rand) (float64, bool) {
 	c := e.Circuit()
 	if c.Len() == 0 {
@@ -133,12 +164,8 @@ func (t *CleanupTransformation) Name() string     { return "cleanup" }
 func (t *CleanupTransformation) Epsilon() float64 { return 0 }
 func (t *CleanupTransformation) Slow() bool       { return false }
 
-func (t *CleanupTransformation) Apply(c *circuit.Circuit, _ float64, _ *rand.Rand) (*circuit.Circuit, float64, bool) {
-	out, changed := rewrite.CleanupChangedFor(c, t.GateSet)
-	if changed == 0 {
-		return c, 0, false
-	}
-	return out, 0, true
+func (t *CleanupTransformation) Apply(c *circuit.Circuit, allowedEps float64, rng *rand.Rand) (*circuit.Circuit, float64, bool) {
+	return applyFresh(t, c, allowedEps, rng)
 }
 
 // ApplyEngine implements EngineApplier: the pass through Engine.ApplyPass,
@@ -156,12 +183,8 @@ func (t *FuseTransformation) Name() string     { return "fuse1q" }
 func (t *FuseTransformation) Epsilon() float64 { return 0 }
 func (t *FuseTransformation) Slow() bool       { return false }
 
-func (t *FuseTransformation) Apply(c *circuit.Circuit, _ float64, _ *rand.Rand) (*circuit.Circuit, float64, bool) {
-	out, changed := rewrite.Fuse1QChanged(c, t.GateSet)
-	if changed == 0 {
-		return c, 0, false
-	}
-	return out, 0, true
+func (t *FuseTransformation) Apply(c *circuit.Circuit, allowedEps float64, rng *rand.Rand) (*circuit.Circuit, float64, bool) {
+	return applyFresh(t, c, allowedEps, rng)
 }
 
 // ApplyEngine implements EngineApplier.
@@ -181,12 +204,8 @@ func (t *PhaseFoldTransformation) Name() string     { return "phasefold" }
 func (t *PhaseFoldTransformation) Epsilon() float64 { return 0 }
 func (t *PhaseFoldTransformation) Slow() bool       { return false }
 
-func (t *PhaseFoldTransformation) Apply(c *circuit.Circuit, _ float64, _ *rand.Rand) (*circuit.Circuit, float64, bool) {
-	out, changed := phasepoly.FoldChangedFor(c, t.GateSet)
-	if changed == 0 {
-		return c, 0, false
-	}
-	return out, 0, true
+func (t *PhaseFoldTransformation) Apply(c *circuit.Circuit, allowedEps float64, rng *rand.Rand) (*circuit.Circuit, float64, bool) {
+	return applyFresh(t, c, allowedEps, rng)
 }
 
 // ApplyEngine implements EngineApplier.
@@ -196,15 +215,11 @@ func (t *PhaseFoldTransformation) ApplyEngine(e *rewrite.Engine, _ float64, _ *r
 
 // ---------------------------------------------------------------------------
 
-// ResynthTransformation is the τ_ε for resynthesis (§4.1): grow a random
-// convex subcircuit up to MaxQubits qubits (§5.3), compute its unitary, and
-// invoke unitary synthesis with the allowed tolerance and the subcircuit's
-// two-qubit count as the ceiling (synth.SynthesizeBounded). A synthesizer
-// that takes the ceiling, like the numeric one, never proposes more
-// two-qubit gates than the block holds, a move the loop would all but
-// never accept, and gives up as soon as no structure under it fits.
-// Results with as many two-qubit gates stay in: the loop accepts them
-// when they are shorter. Other synthesizers are called as before.
+// ResynthTransformation is the τ_ε for resynthesis (§4.1) with a unitary
+// synthesizer, the built-in kind. It runs as a CircuitResynthTransformation
+// over UnitarySynth(Synth): it grows a random convex subcircuit of up to
+// MaxQubits qubits (§5.3) and synthesizes its unitary within the allowed
+// tolerance.
 type ResynthTransformation struct {
 	Synth synth.Synthesizer
 	// MaxQubits limits subcircuit width (3 in the paper's instantiation).
@@ -218,84 +233,41 @@ func (t *ResynthTransformation) Name() string     { return "resynth:" + t.Synth.
 func (t *ResynthTransformation) Epsilon() float64 { return t.DeclaredEps }
 func (t *ResynthTransformation) Slow() bool       { return true }
 
-// propose runs the whole resynthesis pipeline short of the final splice:
-// sample a region, synthesize its unitary, and verify the achieved error.
-// ctx cancels the synthesis call itself (for synthesizers that support it),
-// so a cancelled search stops mid-call instead of draining the deadline.
-func (t *ResynthTransformation) propose(ctx context.Context, c *circuit.Circuit, allowedEps float64, rng *rand.Rand) (*circuit.Region, *circuit.Circuit, float64, bool) {
-	// Sample the region width: 2-qubit regions synthesize in milliseconds
-	// (0..3 CX by the KAK bound), 3-qubit ones are the slow deep calls, so
-	// the mix keeps resynthesis throughput high at compressed budgets while
-	// preserving the paper's ≤3-qubit limit.
-	width := t.MaxQubits
-	if width >= 3 && rng.Intn(2) == 0 {
-		width = 2
-	}
-	region := circuit.RandomRegion(c, width, 0, rng)
-	if region == nil || len(region.Indices) < 2 {
-		return nil, nil, 0, false
-	}
-	sub := region.Extract(c)
-	eps := t.DeclaredEps
-	if allowedEps < eps {
-		eps = allowedEps
-	}
-	if eps < 0 {
-		return nil, nil, 0, false
-	}
-	target := sub.Unitary()
-	replacement, err := synth.SynthesizeBounded(ctx, t.Synth, target, sub.NumQubits, eps, sub.TwoQubitCount())
-	if err != nil {
-		return nil, nil, 0, false
-	}
-	// Account the error actually incurred, not the declared class. Only a
-	// finite error within the allowance passes: NaN fails every comparison.
-	actual := linalg.HSDistance(target, replacement.Unitary())
-	if !(actual <= eps) {
-		return nil, nil, 0, false
-	}
-	return region, replacement, actual, true
+// circuitResynth is t as the transformation it runs as, built on each call
+// from t.Synth, which a caller may replace on a copy of t.
+func (t *ResynthTransformation) circuitResynth() *CircuitResynthTransformation {
+	return &CircuitResynthTransformation{Synth: UnitarySynth(t.Synth), MaxQubits: t.MaxQubits, DeclaredEps: t.DeclaredEps}
 }
 
 func (t *ResynthTransformation) Apply(c *circuit.Circuit, allowedEps float64, rng *rand.Rand) (*circuit.Circuit, float64, bool) {
-	return t.ApplyContext(context.Background(), c, allowedEps, rng)
+	return t.circuitResynth().Apply(c, allowedEps, rng)
 }
 
 // ApplyContext implements ContextApplier: cancelling ctx aborts the
 // in-flight synthesis call.
 func (t *ResynthTransformation) ApplyContext(ctx context.Context, c *circuit.Circuit, allowedEps float64, rng *rand.Rand) (*circuit.Circuit, float64, bool) {
-	region, replacement, actual, ok := t.propose(ctx, c, allowedEps, rng)
-	if !ok {
-		return c, 0, false
-	}
-	return region.Replace(c, replacement), actual, true
+	return t.circuitResynth().ApplyContext(ctx, c, allowedEps, rng)
 }
 
-// ApplyEngine implements EngineApplier: the region replacement goes through
-// the engine, so the splice is transaction-logged and its halo invalidated
-// like any rewrite — resynthesis moves keep the match caches sound.
+// ApplyEngine implements EngineApplier.
 func (t *ResynthTransformation) ApplyEngine(e *rewrite.Engine, allowedEps float64, rng *rand.Rand) (float64, bool) {
-	return t.ApplyEngineContext(context.Background(), e, allowedEps, rng)
+	return t.circuitResynth().ApplyEngine(e, allowedEps, rng)
 }
 
 // ApplyEngineContext implements EngineContextApplier.
 func (t *ResynthTransformation) ApplyEngineContext(ctx context.Context, e *rewrite.Engine, allowedEps float64, rng *rand.Rand) (float64, bool) {
-	region, replacement, actual, ok := t.propose(ctx, e.Circuit(), allowedEps, rng)
-	if !ok {
-		return 0, false
-	}
-	e.ReplaceRegion(region, replacement)
-	return actual, true
+	return t.circuitResynth().ApplyEngineContext(ctx, e, allowedEps, rng)
 }
 
 // ---------------------------------------------------------------------------
 
 // CircuitSynthesizer is the circuit-level slow extension point behind the
-// public API's Synthesizer interface: given an extracted subcircuit and an
-// error allowance, propose a replacement and report the ε it consumed. The
-// framework treats the report as a claim, not a fact — see
-// CircuitResynthTransformation for the verification that makes a
-// user-supplied synthesizer unable to corrupt the Thm 4.2 accounting.
+// public API's Synthesizer interface, and the one every resynthesis runs
+// through: given an extracted subcircuit and an error allowance, propose a
+// replacement and report the ε it consumed. The framework treats the
+// report as a claim, not a fact — see Resynthesize for the check that
+// makes a user-supplied synthesizer unable to corrupt the Thm 4.2
+// accounting.
 type CircuitSynthesizer interface {
 	// Name identifies the synthesizer in logs.
 	Name() string
@@ -305,18 +277,56 @@ type CircuitSynthesizer interface {
 	Synthesize(ctx context.Context, sub *circuit.Circuit, eps float64) (replacement *circuit.Circuit, consumed float64, err error)
 }
 
-// CircuitResynthTransformation wraps a CircuitSynthesizer as a τ_ε exactly
-// like built-in resynthesis: sample a random convex region, hand the
-// extracted subcircuit to the synthesizer, splice the replacement back.
-//
-// The budget accounting never trusts the synthesizer: the achieved error is
-// re-measured as the Hilbert–Schmidt distance between the region's unitary
-// and the replacement's, and the transformation is rejected outright when
-// either the measured error or the synthesizer's own claim exceeds the
-// allowance (an over-reporting synthesizer cannot be admitted, and an
-// under-reporting one cannot smuggle error past the budget — the charge is
-// the maximum of measurement and claim). Replacements must also preserve
-// qubit count and, when GateSet is set, stay native to it.
+// UnitarySynth adapts a unitary synthesizer to a CircuitSynthesizer: it
+// synthesizes the subcircuit's unitary with the subcircuit's two-qubit
+// count as the ceiling (synth.SynthesizeBounded) and claims no error, so
+// Resynthesize charges the measured distance. A synthesizer that takes the
+// ceiling, like the numeric one, never proposes more two-qubit gates than
+// the block holds, a move the loop would all but never accept, and gives
+// up as soon as no structure under it fits. Results with as many two-qubit
+// gates stay in: the loop accepts them when they are shorter. Other
+// synthesizers are called without the ceiling.
+func UnitarySynth(s synth.Synthesizer) CircuitSynthesizer { return unitarySynth{s} }
+
+type unitarySynth struct{ s synth.Synthesizer }
+
+func (u unitarySynth) Name() string { return u.s.Name() }
+
+func (u unitarySynth) Synthesize(ctx context.Context, sub *circuit.Circuit, eps float64) (*circuit.Circuit, float64, error) {
+	out, err := synth.SynthesizeBounded(ctx, u.s, sub.Unitary(), sub.NumQubits, eps, sub.TwoQubitCount())
+	return out, 0, err
+}
+
+// Resynthesize is the one check of every resynthesis: it asks syn for a
+// replacement of sub within eps and returns it with the error to charge.
+// The budget accounting never trusts the synthesizer. The replacement must
+// keep sub's qubit count and, when gs is set, be native to it; the
+// synthesizer's claim and the Hilbert–Schmidt distance between the two
+// unitaries, measured here, must both be within eps (an over-reporting
+// synthesizer is rejected, not clamped, and a NaN fails both). The charge
+// is the larger of the two, so an under-reporting synthesizer cannot
+// smuggle error past the budget.
+func Resynthesize(ctx context.Context, syn CircuitSynthesizer, sub *circuit.Circuit, eps float64, gs *gateset.GateSet) (*circuit.Circuit, float64, bool) {
+	replacement, claimed, err := syn.Synthesize(ctx, sub, eps)
+	if err != nil || replacement == nil || replacement.NumQubits != sub.NumQubits {
+		return nil, 0, false
+	}
+	if gs != nil && !gs.IsNative(replacement) {
+		return nil, 0, false
+	}
+	if !(claimed >= 0 && claimed <= eps) {
+		return nil, 0, false
+	}
+	actual := linalg.HSDistance(sub.Unitary(), replacement.Unitary())
+	if !(actual <= eps) {
+		return nil, 0, false
+	}
+	return replacement, max(actual, claimed), true
+}
+
+// CircuitResynthTransformation wraps a CircuitSynthesizer as a τ_ε: sample
+// a random convex region, hand the extracted subcircuit to the synthesizer
+// through Resynthesize, and splice the replacement back.
 type CircuitResynthTransformation struct {
 	Synth CircuitSynthesizer
 	// MaxQubits limits subcircuit width (3, the paper's instantiation and
@@ -334,7 +344,15 @@ func (t *CircuitResynthTransformation) Name() string     { return "synth:" + t.S
 func (t *CircuitResynthTransformation) Epsilon() float64 { return t.DeclaredEps }
 func (t *CircuitResynthTransformation) Slow() bool       { return true }
 
+// propose samples a region and resynthesizes it, short of the final
+// splice. ctx cancels the synthesis call itself (for synthesizers that
+// support it), so a cancelled search stops mid-call instead of draining
+// the deadline.
 func (t *CircuitResynthTransformation) propose(ctx context.Context, c *circuit.Circuit, allowedEps float64, rng *rand.Rand) (*circuit.Region, *circuit.Circuit, float64, bool) {
+	// Sample the region width: 2-qubit regions synthesize in milliseconds
+	// (0..3 CX by the KAK bound), 3-qubit ones are the slow deep calls, so
+	// the mix keeps resynthesis throughput high at compressed budgets while
+	// preserving the paper's ≤3-qubit limit.
 	width := t.MaxQubits
 	if width <= 0 {
 		width = 3
@@ -346,7 +364,6 @@ func (t *CircuitResynthTransformation) propose(ctx context.Context, c *circuit.C
 	if region == nil || len(region.Indices) < 2 {
 		return nil, nil, 0, false
 	}
-	sub := region.Extract(c)
 	eps := t.DeclaredEps
 	if allowedEps < eps {
 		eps = allowedEps
@@ -354,34 +371,11 @@ func (t *CircuitResynthTransformation) propose(ctx context.Context, c *circuit.C
 	if eps < 0 {
 		return nil, nil, 0, false
 	}
-	replacement, claimed, err := t.Synth.Synthesize(ctx, sub, eps)
-	if err != nil || replacement == nil {
+	replacement, charged, ok := Resynthesize(ctx, t.Synth, region.Extract(c), eps, t.GateSet)
+	if !ok {
 		return nil, nil, 0, false
 	}
-	if replacement.NumQubits != sub.NumQubits {
-		return nil, nil, 0, false
-	}
-	if t.GateSet != nil && !t.GateSet.IsNative(replacement) {
-		return nil, nil, 0, false
-	}
-	// Budget admission: the claim must fit the allowance (over-reporting is
-	// rejected, not clamped), and so must the independently measured error.
-	// Both checks pass only a finite value within the allowance, so a NaN
-	// claim or a replacement with a NaN angle is rejected.
-	if !(claimed >= 0 && claimed <= eps) {
-		return nil, nil, 0, false
-	}
-	actual := linalg.HSDistance(sub.Unitary(), replacement.Unitary())
-	if !(actual <= eps) {
-		return nil, nil, 0, false
-	}
-	// Charge the worse of measurement and claim: sound under Thm 4.2 either
-	// way, and honest synthesizers (claim == achieved bound ≥ actual) keep
-	// their own accounting.
-	if claimed > actual {
-		actual = claimed
-	}
-	return region, replacement, actual, true
+	return region, replacement, charged, true
 }
 
 func (t *CircuitResynthTransformation) Apply(c *circuit.Circuit, allowedEps float64, rng *rand.Rand) (*circuit.Circuit, float64, bool) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
+	"github.com/guoq-dev/guoq/internal/rewrite"
 )
 
 // Q2/Q3 search-strategy variants. All consume the same transformation sets
@@ -48,6 +49,11 @@ func GUOQSeq(c *circuit.Circuit, ts []Transformation, opts Options, rewriteFirst
 // transformation. As §6 discusses, the queue saturates with near-identical
 // candidates and large circuits make it memory-heavy — which is the point
 // of the comparison.
+//
+// One rewrite.Engine holds the dequeued candidate: each transformation is
+// applied to it in place, its result snapshotted, and the application
+// rolled back, so the candidate's DAG is built once per dequeue rather
+// than once per transformation.
 func Beam(c *circuit.Circuit, ts []Transformation, opts Options, width int) *Result {
 	if opts.Cost == nil {
 		opts.Cost = TwoQubitCost()
@@ -69,6 +75,7 @@ func Beam(c *circuit.Circuit, ts []Transformation, opts Options, width int) *Res
 	queue := []cand{root}
 	best := root
 
+	eng := rewrite.NewEngine(c)
 	cancelled := opts.cancelled()
 	rngSeed := opts.Seed
 	for len(queue) > 0 {
@@ -81,15 +88,19 @@ func Beam(c *circuit.Circuit, ts []Transformation, opts Options, width int) *Res
 		cur := queue[0]
 		queue = queue[1:]
 		res.Iters++
+		eng.Reset(cur.c)
 		for _, t := range ts {
 			if cur.err+t.Epsilon() > opts.Epsilon {
 				continue
 			}
 			rngSeed++
-			out, eps, ok := applyFlat(opts.Context, t, cur.c, opts.Epsilon-cur.err, newRng(rngSeed))
+			mark := eng.Mark()
+			eps, ok := applyEngine(opts.Context, eng, t, opts.Epsilon-cur.err, newRng(rngSeed))
 			if !ok {
 				continue
 			}
+			out := eng.Snapshot()
+			eng.Rollback(mark)
 			fp := fingerprint(out)
 			if seen[fp] {
 				continue

@@ -346,9 +346,10 @@ func Apply(c *circuit.Circuit, matches []*Match) *circuit.Circuit {
 // anchor, returning the rewritten circuit and the number of sites replaced.
 // When nothing matches, the original circuit is returned unchanged.
 //
-// FullPass is the pure, stateless API: it rebuilds the DAG and rescans
-// every anchor on each call. Iterated callers (the GUOQ loop, fixed-pass
-// pipelines) should prefer an Engine, which keeps both incrementally.
+// FullPass is the stateless reference implementation: it rebuilds the DAG
+// and rescans every anchor on each call. Every search applies rules
+// through an Engine, which keeps both incrementally; FullPass is what the
+// engine's tests compare it against.
 func FullPass(c *circuit.Circuit, r *Rule, start int) (*circuit.Circuit, int) {
 	ms := FindMatches(c, r, start)
 	if len(ms) == 0 {

@@ -3,23 +3,21 @@
 // DAG-based matcher, and the full-pass application strategy of §5.3
 // ("start at a random node and replace every disjoint match").
 //
-// Two execution surfaces apply the rules. FullPass is the pure, stateless
-// API: it rebuilds the circuit DAG and rescans every anchor on each call,
-// and returns a fresh circuit — the right tool for one-shot rewrites and
-// for callers that need value semantics. Engine is the incremental API for
-// iterated search: it owns a mutable circuit whose DAG is maintained by
-// in-place window splices, caches per-rule no-match verdicts — known
-// failures are skipped without rematching — that survive across calls
-// (invalidated only inside a wire-adjacency halo of the gates a
-// transformation touched), skips a pass that already found nothing on the
-// same gate sequence, and exposes a transaction log (Mark/Rollback/Commit)
-// so speculative candidates — a rejected GUOQ move, a lookahead branch —
-// are reverted without copying circuits. Engine and
-// FullPass produce bit-for-bit identical results for identical inputs; the
-// engine's metamorphic test pins that equivalence over long random rule
-// sequences. Iterated callers (the GUOQ loop, fixed-pass pipelines,
-// lookahead, warm starts) should prefer an Engine; see the Engine type for
-// the full invalidation contract.
+// Engine applies the rules in every search: it owns a mutable circuit
+// whose DAG is maintained by in-place window splices, caches per-rule
+// no-match verdicts — known failures are skipped without rematching — that
+// survive across calls (invalidated only inside a wire-adjacency halo of
+// the gates a transformation touched), skips a pass that already found
+// nothing on the same gate sequence, and exposes a transaction log
+// (Mark/Rollback/Commit) so speculative candidates — a rejected GUOQ move,
+// a beam candidate's children, a lookahead branch — are reverted without
+// copying circuits. FullPass (FindMatches plus Apply) is the stateless
+// reference implementation: it rebuilds the circuit DAG and rescans every
+// anchor on each call, and returns a fresh circuit. No search uses it; the
+// engine's metamorphic test and fuzz target compare the Engine against it
+// over long random rule sequences, and the two produce bit-for-bit
+// identical results for identical inputs. See the Engine type for the full
+// invalidation contract.
 //
 // Every rule registered in this package is machine-verified: the test suite
 // checks pattern ≡ replacement (mod global phase) at randomized angles.
