@@ -708,7 +708,7 @@ func BenchmarkGUOQEndToEnd(b *testing.B) {
 	cost := opt.TwoQubitCost()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := tool.Optimize(bench.Circuit, gs, cost, 200*time.Millisecond, int64(i))
+		out, _ := tool.OptimizeStats(bench.Circuit, gs, cost, 200*time.Millisecond, int64(i))
 		if i == b.N-1 {
 			b.ReportMetric(float64(out.TwoQubitCount()), "final_2q_adder6")
 		}

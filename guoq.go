@@ -166,11 +166,14 @@ type Options struct {
 	// 0 disables approximate resynthesis entirely).
 	Epsilon float64
 	// Budget is sugar for a context deadline: Start derives its run context
-	// via context.WithTimeout(ctx, Budget), so cancellation and deadline
-	// are one mechanism. For Optimize, 0 keeps the historical 1 s default;
-	// for Start, 0 means no deadline — the session runs until the caller's
-	// ctx cancels or Stop is called (the anytime mode). Prefer passing a
-	// ctx with a deadline to Start; Budget remains for compatibility.
+	// via context.WithTimeout(ctx, Budget) and passes only that context
+	// on, so a Budget and a ctx deadline of the same length bound a run
+	// alike. A deadline, set either way, also caps each synthesis call at
+	// a quarter of the time left, at most 500 ms (500 ms without one). For
+	// Optimize, 0 keeps the historical 1 s default; for Start, 0 means no
+	// deadline — the session runs until the caller's ctx cancels or Stop is
+	// called (the anytime mode). Prefer passing a ctx with a deadline to
+	// Start; Budget remains for compatibility.
 	Budget time.Duration
 	// Seed makes runs reproducible (synchronous mode).
 	Seed int64

@@ -8,7 +8,7 @@
 package baselines
 
 import (
-	"time"
+	"context"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gateset"
@@ -20,9 +20,11 @@ import (
 type Optimizer interface {
 	// Name is the tool name as used in the paper's figures.
 	Name() string
-	// Optimize returns an improved circuit within the wall-clock budget.
-	// Implementations never return a worse circuit than the input.
-	Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit
+	// Optimize returns an improved circuit. ctx is the run's one time
+	// bound: a tool returns its best so far once ctx is done, so a deadline
+	// on ctx is the run's wall-clock budget. Implementations never return
+	// a worse circuit than the input.
+	Optimize(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, seed int64) *circuit.Circuit
 }
 
 // keepBetter guards the "never worse" contract.

@@ -28,13 +28,23 @@ func smallBench(t *testing.T, gs *gateset.GateSet) *circuit.Circuit {
 
 func TestEveryBaselineSoundAndNotWorse(t *testing.T) {
 	eps := 1e-8
-	tools := append(Table3(eps), NewPyZX(), NewSynthetiqPartition(eps), NewGUOQ(eps))
+	var tools []Optimizer
+	for _, name := range []string{"qiskit", "tket", "voqc", "bqskit", "queso", "quartz", "quarl",
+		"pyzx", "synthetiq", "guoq"} {
+		tool, err := ByName(name, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tools = append(tools, tool)
+	}
 	for _, gs := range []*gateset.GateSet{gateset.Nam, gateset.CliffordT} {
 		c := smallBench(t, gs)
 		orig := c.Unitary()
 		cost := opt.TwoQubitCost()
 		for _, tool := range tools {
-			out := tool.Optimize(c, gs, cost, 150*time.Millisecond, 1)
+			ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+			out := tool.Optimize(ctx, c, gs, cost, 1)
+			cancel()
 			if cost(out) > cost(c) {
 				t.Errorf("%s on %s: made the circuit worse", tool.Name(), gs.Name)
 			}
@@ -51,8 +61,8 @@ func TestEveryBaselineSoundAndNotWorse(t *testing.T) {
 func TestFixedPassDeterministic(t *testing.T) {
 	c := smallBench(t, gateset.Nam)
 	q := NewQiskit()
-	a := q.Optimize(c, gateset.Nam, opt.TwoQubitCost(), time.Second, 1)
-	b := q.Optimize(c, gateset.Nam, opt.TwoQubitCost(), time.Second, 2)
+	a := q.Optimize(context.Background(), c, gateset.Nam, opt.TwoQubitCost(), 1)
+	b := q.Optimize(context.Background(), c, gateset.Nam, opt.TwoQubitCost(), 2)
 	if !circuit.Equal(a, b) {
 		t.Fatal("fixed-pass optimizer is not deterministic")
 	}
@@ -60,7 +70,7 @@ func TestFixedPassDeterministic(t *testing.T) {
 
 func TestPyZXReducesTNotCX(t *testing.T) {
 	c := smallBench(t, gateset.CliffordT)
-	out := NewPyZX().Optimize(c, gateset.CliffordT, opt.TCost(), time.Second, 1)
+	out := NewPyZX().Optimize(context.Background(), c, gateset.CliffordT, opt.TCost(), 1)
 	if out.TwoQubitCount() != c.TwoQubitCount() {
 		t.Fatalf("pyzx proxy changed CX count %d -> %d", c.TwoQubitCount(), out.TwoQubitCount())
 	}
@@ -100,8 +110,8 @@ func TestGUOQBeatsQiskitOnRedundantCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	cost := opt.TwoQubitCost()
-	qiskit := NewQiskit().Optimize(c, gs, cost, time.Second, 1)
-	guoq := NewGUOQ(1e-8).Optimize(c, gs, cost, 2*time.Second, 1)
+	qiskit := NewQiskit().Optimize(context.Background(), c, gs, cost, 1)
+	guoq, _ := NewGUOQ(1e-8).OptimizeStats(c, gs, cost, 2*time.Second, 1)
 	if guoq.TwoQubitCount() > qiskit.TwoQubitCount() {
 		t.Fatalf("guoq (%d 2q) worse than qiskit (%d 2q)",
 			guoq.TwoQubitCount(), qiskit.TwoQubitCount())
@@ -154,7 +164,7 @@ func TestBudgetBoundsInFlightSynthesis(t *testing.T) {
 			Synth: blockingSynth{}, MaxQubits: 3, DeclaredEps: 1e-8,
 		}))
 		start := time.Now()
-		out := g.Optimize(c, gateset.Nam, opt.TwoQubitCost(), 100*time.Millisecond, 1)
+		out, _ := g.OptimizeStats(c, gateset.Nam, opt.TwoQubitCost(), 100*time.Millisecond, 1)
 		if elapsed := time.Since(start); elapsed > time.Second {
 			t.Fatalf("mode %d: a 100ms budget ran %v", mode, elapsed)
 		}
@@ -164,13 +174,9 @@ func TestBudgetBoundsInFlightSynthesis(t *testing.T) {
 	}
 }
 
-// A budget of 0 sets no wall-clock bound of its own, as for the other
-// optimizers, so under a context deadline the Quarl proxy searches past
-// its initial cleanup, which is all that a budget too short for one greedy
-// step returns.
-// With budget 0 and no deadline on its context, the Quarl proxy must still
-// return: it stops at its first plateau, and when two steps in a row find
-// no new best, instead of walking plateau moves or undoing its own steps.
+// With no deadline on its context, the Quarl proxy must still return: it
+// stops at its first plateau, and when two steps in a row find no new
+// best, instead of walking plateau moves or undoing its own steps.
 // Before, 8 of these 12 seeds ran until a 2 s context ended.
 func TestQuarlNoDeadlineReturns(t *testing.T) {
 	cost := opt.TwoQubitCost()
@@ -179,7 +185,7 @@ func TestQuarlNoDeadlineReturns(t *testing.T) {
 		defer close(done)
 		for seed := int64(1); seed <= 12; seed++ {
 			c := circuit.Random(4, 60, gateset.Nam.Gates, rand.New(rand.NewSource(seed)))
-			if out := NewQuarl().OptimizeContext(context.Background(), c, gateset.Nam, cost, 0, 1); cost(out) > cost(c) {
+			if out := NewQuarl().Optimize(context.Background(), c, gateset.Nam, cost, 1); cost(out) > cost(c) {
 				t.Errorf("seed %d: cost %.3f, worse than the input's %.3f", seed, cost(out), cost(c))
 			}
 		}
@@ -187,20 +193,63 @@ func TestQuarlNoDeadlineReturns(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(20 * time.Second):
-		t.Fatal("budget 0 without a deadline did not return within 20 s")
+		t.Fatal("a run without a deadline did not return within 20 s")
 	}
 }
 
+// Under a context deadline the Quarl proxy searches past its initial
+// cleanup, which is all that a deadline too short for one greedy step
+// returns.
 func TestQuarlBudgetZeroSearches(t *testing.T) {
 	// The search on this circuit ends on its own after about 6 ms, at cost
 	// 15.037 against the cleanup's 15.046.
 	c := circuit.Random(4, 60, gateset.Nam.Gates, rand.New(rand.NewSource(3)))
 	cost := opt.TwoQubitCost()
 	q := NewQuarl()
-	cleaned := cost(q.Optimize(c, gateset.Nam, cost, time.Nanosecond, 1))
+	expired, stop := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer stop()
+	cleaned := cost(q.Optimize(expired, c, gateset.Nam, cost, 1))
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	if got := cost(q.OptimizeContext(ctx, c, gateset.Nam, cost, 0, 1)); got >= cleaned {
-		t.Fatalf("budget 0 under a 200 ms context: cost %.3f, no better than the initial cleanup's %.3f", got, cleaned)
+	if got := cost(q.Optimize(ctx, c, gateset.Nam, cost, 1)); got >= cleaned {
+		t.Fatalf("under a 200 ms context: cost %.3f, no better than the initial cleanup's %.3f", got, cleaned)
+	}
+}
+
+// A deadline on the context caps each synthesis call exactly as a budget
+// of the same length does: at a quarter of the time left, at most 500 ms.
+// Without a deadline the cap is 500 ms.
+func TestDeadlineAndBudgetSetOneSynthesisCap(t *testing.T) {
+	c := smallBench(t, gateset.Nam)
+	cost := opt.TwoQubitCost()
+	synthCap := func(run func(g *GUOQ)) time.Duration {
+		var got time.Duration
+		g := NewGUOQVariant("cap", ModeRewrite, 1e-8)
+		g.MaxIters = 1
+		g.Registry = opt.NewRegistry(func(gs *gateset.GateSet, io opt.InstantiateOptions) ([]opt.Transformation, error) {
+			got = io.SynthTime
+			return opt.Instantiate(gs, io)
+		})
+		run(g)
+		return got
+	}
+	deadline := synthCap(func(g *GUOQ) {
+		ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
+		defer cancel()
+		g.OptimizeStatsContext(ctx, c, gateset.Nam, cost, 1)
+	})
+	budget := synthCap(func(g *GUOQ) {
+		g.OptimizeStats(c, gateset.Nam, cost, 400*time.Millisecond, 1)
+	})
+	none := synthCap(func(g *GUOQ) {
+		g.OptimizeStatsContext(context.Background(), c, gateset.Nam, cost, 1)
+	})
+	for name, got := range map[string]time.Duration{"400 ms deadline": deadline, "400 ms budget": budget} {
+		if got < 90*time.Millisecond || got > 100*time.Millisecond {
+			t.Errorf("%s: synthesis cap %v, want 90–100 ms", name, got)
+		}
+	}
+	if none != 500*time.Millisecond {
+		t.Errorf("no deadline: synthesis cap %v, want 500 ms", none)
 	}
 }

@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"context"
-	"time"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gateset"
@@ -112,16 +111,11 @@ func NewVOQC() *FixedPass {
 // Name implements Optimizer.
 func (f *FixedPass) Name() string { return f.Tool }
 
-// Optimize implements Optimizer. Fixed-pass tools ignore the budget and the
-// seed: they are deterministic and fast.
-func (f *FixedPass) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
-	return f.OptimizeContext(context.Background(), c, gs, cost, budget, seed)
-}
-
-// OptimizeContext is Optimize under ctx: cancellation is observed
-// between rounds (individual passes are fast and always run to completion,
-// so the committed state is a whole-pipeline prefix, never a torn pass).
-func (f *FixedPass) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, _ time.Duration, _ int64) *circuit.Circuit {
+// Optimize implements Optimizer. Fixed-pass tools ignore the seed: they are
+// deterministic and fast. Cancellation is observed between rounds
+// (individual passes are fast and always run to completion, so the
+// committed state is a whole-pipeline prefix, never a torn pass).
+func (f *FixedPass) Optimize(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, _ int64) *circuit.Circuit {
 	return keepBetter(c, f.run(ctx, c, gs).Circuit(), cost)
 }
 

@@ -32,7 +32,7 @@ func TestFixedPassSuiteFingerprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < len(suite); i += 8 {
-				out := f.Optimize(suite[i].Circuit, gs, opt.TwoQubitCost(), 0, 1)
+				out := f.Optimize(context.Background(), suite[i].Circuit, gs, opt.TwoQubitCost(), 1)
 				io.WriteString(h, out.WriteQASM())
 			}
 		}

@@ -108,37 +108,38 @@ func NewPartitionParallel(eps float64, workers int) *GUOQ {
 func (g *GUOQ) Name() string { return g.Tool }
 
 // Optimize implements Optimizer.
-func (g *GUOQ) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
-	out, _ := g.OptimizeStats(c, gs, cost, budget, seed)
+func (g *GUOQ) Optimize(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, seed int64) *circuit.Circuit {
+	out, _ := g.OptimizeStatsContext(ctx, c, gs, cost, seed)
 	return out
 }
 
-// OptimizeStats is Optimize plus the search statistics: the returned
-// Result carries the accumulated ε bound, iteration/acceptance counts and
-// exchange migrations for the circuit actually returned (BestError is 0
-// when the never-worse guard falls back to the input). The benchmark
-// recorder (internal/experiments.Bench) and the distributed CLIs consume
-// the statistics; plain comparisons use Optimize.
+// OptimizeStats is OptimizeStatsContext bounded by a wall-clock budget: a
+// positive budget becomes the deadline of a fresh context, and budget ≤ 0
+// sets none.
 func (g *GUOQ) OptimizeStats(c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) (*circuit.Circuit, *opt.Result) {
-	return g.OptimizeStatsContext(context.Background(), c, gs, cost, budget, seed)
+	ctx := context.Background()
+	if budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, budget)
+		defer cancel()
+	}
+	return g.OptimizeStatsContext(ctx, c, gs, cost, seed)
 }
 
-// OptimizeStatsContext is OptimizeStats under a context: the search ends at
-// whichever of ctx cancellation or the budget fires first, and the
-// statistics are accurate either way (the anytime contract — a cancelled
-// run's Result carries real before/after counts and the accumulated ε of
-// the circuit actually returned). A positive budget becomes a deadline on
-// ctx, which also stops a synthesis call in flight. budget ≤ 0 removes the
-// wall-clock bound entirely: the run ends only on cancellation (or
-// MaxIters), with synthesis calls individually capped at their 500 ms
-// default.
-func (g *GUOQ) OptimizeStatsContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) (*circuit.Circuit, *opt.Result) {
+// OptimizeStatsContext is Optimize plus the search statistics: the returned
+// Result carries the accumulated ε bound, iteration/acceptance counts and
+// exchange migrations for the circuit actually returned (BestError is 0
+// when the never-worse guard falls back to the input), accurate however
+// the run ends (the anytime contract). The search, and a synthesis call in
+// flight, end when ctx is done. A deadline on ctx also caps each synthesis
+// call at a quarter of the time left, at most 500 ms; without one the run
+// ends only on cancellation (or MaxIters), with synthesis calls capped at
+// 500 ms. The benchmark recorder (internal/experiments.Bench) and the
+// public Session consume the statistics; plain comparisons use Optimize.
+func (g *GUOQ) OptimizeStatsContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, seed int64) (*circuit.Circuit, *opt.Result) {
 	synthTime := 500 * time.Millisecond
-	if budget > 0 {
-		synthTime = budget / 4
-		if synthTime > 500*time.Millisecond {
-			synthTime = 500 * time.Millisecond
-		}
+	if deadline, ok := ctx.Deadline(); ok {
+		synthTime = min(time.Until(deadline)/4, synthTime)
 	}
 	// QUESO's rule compositions subsume rotation merging; our smaller
 	// hand-built libraries express that capability as the phase-folding
@@ -155,14 +156,6 @@ func (g *GUOQ) OptimizeStatsContext(ctx context.Context, c *circuit.Circuit, gs 
 	})
 	if err != nil {
 		return c, &opt.Result{Best: c}
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, budget)
-		defer cancel()
 	}
 	opts := opt.DefaultOptions()
 	opts.Epsilon = g.Epsilon

@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"context"
-	"time"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gateset"
@@ -51,17 +50,11 @@ func (p *Partition) Blocks(c *circuit.Circuit) []*circuit.Region {
 
 // Optimize implements Optimizer: one partition pass, resynthesizing each
 // block with its two-qubit count as the ceiling (opt.UnitarySynth) and
-// keeping the replacement only when it improves the cost.
-func (p *Partition) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
-	return p.OptimizeContext(context.Background(), c, gs, cost, budget, seed)
-}
-
-// OptimizeContext is Optimize under ctx: cancellation is observed
-// between blocks and by the synthesis call itself, so a cancelled pass
-// returns the blocks already improved. A positive budget becomes a
-// deadline on ctx. Each block goes through opt.Resynthesize, the check
-// every resynthesis passes.
-func (p *Partition) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
+// keeping the replacement only when it improves the cost. Cancellation is
+// observed between blocks and by the synthesis call itself, so a cancelled
+// pass returns the blocks already improved. Each block goes through
+// opt.Resynthesize, the check every resynthesis passes.
+func (p *Partition) Optimize(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, seed int64) *circuit.Circuit {
 	var syn synth.Synthesizer
 	if p.UseFinite || !gs.Continuous() {
 		fs := finite.New()
@@ -69,11 +62,6 @@ func (p *Partition) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs 
 		syn = fs
 	} else {
 		syn = numeric.New(gs)
-	}
-	if budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, budget)
-		defer cancel()
 	}
 
 	blocks := p.Blocks(c)

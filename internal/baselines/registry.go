@@ -2,20 +2,6 @@ package baselines
 
 import "fmt"
 
-// Table3 lists the state-of-the-art comparators of the paper's Table 3
-// (superoptimizers and fixed-pass tools) as implemented here.
-func Table3(eps float64) []Optimizer {
-	return []Optimizer{
-		NewQiskit(),
-		NewTket(),
-		NewVOQC(),
-		NewBQSKit(eps),
-		NewQUESO(),
-		NewQuartz(),
-		NewQuarl(),
-	}
-}
-
 // ByName resolves a tool name (paper spelling, lower case) to an optimizer.
 func ByName(name string, eps float64) (Optimizer, error) {
 	switch name {

@@ -3,7 +3,6 @@ package baselines
 import (
 	"context"
 	"math/rand"
-	"time"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gateset"
@@ -32,15 +31,9 @@ func NewQuartz() *BeamSearch { return &BeamSearch{Tool: "quartz", Width: 64} }
 // Name implements Optimizer.
 func (b *BeamSearch) Name() string { return b.Tool }
 
-// Optimize implements Optimizer.
-func (b *BeamSearch) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
-	return b.OptimizeContext(context.Background(), c, gs, cost, budget, seed)
-}
-
-// OptimizeContext is Optimize under ctx: the beam loop returns its
-// best-so-far once ctx is done. A positive budget becomes a deadline on
-// ctx.
-func (b *BeamSearch) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
+// Optimize implements Optimizer: the beam loop returns its best-so-far
+// once ctx is done.
+func (b *BeamSearch) Optimize(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, seed int64) *circuit.Circuit {
 	reg := b.Registry
 	if reg == nil {
 		reg = opt.DefaultRegistry()
@@ -48,11 +41,6 @@ func (b *BeamSearch) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs
 	ts, err := reg.Build(gs, opt.InstantiateOptions{EpsilonF: 1e-8})
 	if err != nil {
 		return c
-	}
-	if budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, budget)
-		defer cancel()
 	}
 	opts := opt.DefaultOptions()
 	opts.Cost = cost
@@ -84,27 +72,18 @@ func (l *Lookahead) Name() string { return l.Tool }
 // rolled back via the engine's transaction marks, so the per-branch circuit
 // copies (and DAG rebuilds) of the pure FullPass pipeline disappear; the
 // chosen step is then re-applied (deterministic) and committed.
-func (l *Lookahead) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
-	return l.OptimizeContext(context.Background(), c, gs, cost, budget, seed)
-}
-
-// OptimizeContext is Optimize under ctx: cancellation is checked at
-// every outer greedy step and after every rollout (the committed best is
-// returned mid-rollout). A positive budget becomes a deadline on ctx.
+// Cancellation is checked at every outer greedy step and after every
+// rollout (the committed best is returned mid-rollout).
 //
-// Without a deadline the search stops at its first plateau, and when two
-// steps in a row find no new best: a random plateau move can be followed
-// by another forever, and a step whose lookahead promised a gain that the
-// next step does not deliver can be undone by that step, again and again.
-func (l *Lookahead) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
+// Without a deadline on ctx the search stops at its first plateau, and
+// when two steps in a row find no new best: a random plateau move can be
+// followed by another forever, and a step whose lookahead promised a gain
+// that the next step does not deliver can be undone by that step, again
+// and again.
+func (l *Lookahead) Optimize(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, seed int64) *circuit.Circuit {
 	rules, err := rewrite.RulesFor(gs.Name)
 	if err != nil {
 		return c
-	}
-	if budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, budget)
-		defer cancel()
 	}
 	_, bounded := ctx.Deadline()
 	rng := rand.New(rand.NewSource(seed))
@@ -203,14 +182,9 @@ func (p *PyZX) Name() string { return "pyzx" }
 // single-qubit simplifications to a fixpoint: reducing H gates between
 // folds merges phase regions, which is (a fragment of) what PyZX's
 // full_reduce achieves with Hadamard gadgets. Multi-qubit gates are never
-// touched, so the CX count is exactly preserved.
-func (p *PyZX) Optimize(c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, budget time.Duration, seed int64) *circuit.Circuit {
-	return p.OptimizeContext(context.Background(), c, gs, cost, budget, seed)
-}
-
-// OptimizeContext is Optimize under ctx: cancellation is observed
+// touched, so the CX count is exactly preserved. Cancellation is observed
 // between fixpoint rounds.
-func (p *PyZX) OptimizeContext(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, cost opt.Cost, _ time.Duration, _ int64) *circuit.Circuit {
+func (p *PyZX) Optimize(ctx context.Context, c *circuit.Circuit, gs *gateset.GateSet, _ opt.Cost, _ int64) *circuit.Circuit {
 	rules, _ := rewrite.RulesFor(gs.Name)
 	var oneQ []*rewrite.Rule
 	for _, r := range rules {

@@ -159,7 +159,9 @@ func Bench(cfg Config, bo BenchOptions) ([]CircuitResult, error) {
 			runtime.ReadMemStats(&ms0)
 		}
 		start := time.Now()
-		out, stats := runner.OptimizeStatsContext(ctx, b.Circuit, gs, cost, cfg.Budget, cfg.Seed)
+		runCtx, cancel := context.WithTimeout(ctx, cfg.Budget)
+		out, stats := runner.OptimizeStatsContext(runCtx, b.Circuit, gs, cost, cfg.Seed)
+		cancel()
 		wall := time.Since(start)
 		r := CircuitResult{
 			Name:           b.Name,

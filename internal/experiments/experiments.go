@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -24,7 +25,9 @@ import (
 // tool on a server; the defaults here compress both axes proportionally so
 // a full figure regenerates in minutes on a laptop (see DESIGN.md §3).
 type Config struct {
-	// Budget is the wall-clock optimization budget per tool per circuit.
+	// Budget is the wall-clock optimization budget per tool per circuit:
+	// each run gets a context with this timeout, which for GUOQ also caps
+	// each synthesis call at a quarter of it, at most 500 ms.
 	Budget time.Duration
 	// Trials is the number of seeded GUOQ runs per benchmark (10 in the
 	// paper) used for the mean and 95% confidence interval.
@@ -204,12 +207,21 @@ func Tally(rs []BenchResult) (better, match, worse int) {
 	return
 }
 
+// optimize runs one tool on one circuit under a context whose timeout is
+// the Config's budget, so every tool gets the same wall-clock time per run.
+func (cfg Config) optimize(tool baselines.Optimizer, c *circuit.Circuit, gs *gateset.GateSet,
+	cost opt.Cost, seed int64) *circuit.Circuit {
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.Budget)
+	defer cancel()
+	return tool.Optimize(ctx, c, gs, cost, seed)
+}
+
 // runTool executes an optimizer over trials and returns metric values.
 func runTool(tool baselines.Optimizer, b benchmarks.Named, gs *gateset.GateSet,
 	cost opt.Cost, m Metric, cfg Config, trials int) []float64 {
 	vals := make([]float64, 0, trials)
 	for t := 0; t < trials; t++ {
-		out := tool.Optimize(b.Circuit, gs, cost, cfg.Budget, cfg.Seed+int64(t)*7919)
+		out := cfg.optimize(tool, b.Circuit, gs, cost, cfg.Seed+int64(t)*7919)
 		vals = append(vals, m.Eval(b.Circuit, out))
 	}
 	return vals

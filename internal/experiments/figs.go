@@ -84,7 +84,8 @@ type Fig7Series struct {
 }
 
 // Fig7 regenerates the barenco_tof_10 / qft_20 time-series comparison of
-// rewrite-only vs resynth-only vs combined search on ibmq20.
+// rewrite-only vs resynth-only vs combined search on ibmq20. Each approach
+// is the GUOQ runner every other figure uses, given 4× the budget.
 func Fig7(cfg Config) ([]Fig7Series, error) {
 	cfg.normalize()
 	suite, err := benchmarks.SuiteFor(gateset.IBMQ20)
@@ -105,28 +106,9 @@ func Fig7(cfg Config) ([]Fig7Series, error) {
 			{"rewrite only", baselines.ModeRewrite},
 			{"resynth only", baselines.ModeResynth},
 		} {
-			ts, err := opt.Instantiate(gateset.IBMQ20, opt.InstantiateOptions{
-				EpsilonF:  cfg.Epsilon,
-				SynthTime: cfg.Budget / 4,
-			})
-			if err != nil {
-				return nil, err
-			}
-			var set []opt.Transformation
-			switch approach.mode {
-			case baselines.ModeRewrite:
-				set = opt.FilterFast(ts)
-			case baselines.ModeResynth:
-				set = opt.FilterSlow(ts)
-			default:
-				set = ts
-			}
 			series := Fig7Series{Bench: benchName, Approach: approach.name}
-			opts := opt.DefaultOptions()
-			opts.Epsilon = cfg.Epsilon
-			opts.Cost = opt.TwoQubitCost()
-			opts.Seed = cfg.Seed
-			opts.OnEvent = func(e opt.Event) {
+			g := baselines.NewGUOQVariant(approach.name, approach.mode, cfg.Epsilon)
+			g.OnEvent = func(e opt.Event) {
 				if e.Best != nil {
 					series.Times = append(series.Times, e.Elapsed)
 					series.Counts = append(series.Counts, e.Best.TwoQubitCount())
@@ -134,8 +116,7 @@ func Fig7(cfg Config) ([]Fig7Series, error) {
 			}
 			// The long-horizon experiment.
 			ctx, cancel := context.WithTimeout(context.Background(), cfg.Budget*4)
-			opts.Context = ctx
-			opt.GUOQ(b.Circuit, set, opts)
+			g.Optimize(ctx, b.Circuit, gateset.IBMQ20, opt.TwoQubitCost(), cfg.Seed)
 			cancel()
 			out = append(out, series)
 			fmt.Fprintf(cfg.Out, "== Fig7 %s / %s ==\n", benchName, approach.name)
@@ -216,10 +197,10 @@ func Fig14(cfg Config) ([]Summary, error) {
 
 	var tRed, cxRed []BenchResult
 	for _, b := range suite {
-		base := pyzx.Optimize(b.Circuit, gs, opt.TCost(), cfg.Budget, cfg.Seed)
+		base := cfg.optimize(pyzx, b.Circuit, gs, opt.TCost(), cfg.Seed)
 		var tVals, cxVals []float64
 		for trial := 0; trial < cfg.Trials; trial++ {
-			out := guoq.Optimize(base, gs, strict, cfg.Budget, cfg.Seed+int64(trial)*7919)
+			out := cfg.optimize(guoq, base, gs, strict, cfg.Seed+int64(trial)*7919)
 			tVals = append(tVals, TReduction().Eval(base, out))
 			cxVals = append(cxVals, TwoQubitReduction().Eval(base, out))
 		}

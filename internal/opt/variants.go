@@ -51,9 +51,10 @@ func GUOQSeq(c *circuit.Circuit, ts []Transformation, opts Options, rewriteFirst
 // of the comparison.
 //
 // One rewrite.Engine holds the dequeued candidate: each transformation is
-// applied to it in place, its result snapshotted, and the application
-// rolled back, so the candidate's DAG is built once per dequeue rather
-// than once per transformation.
+// applied to it in place, its result fingerprinted (and snapshotted only
+// when new), and the application rolled back, so the candidate's DAG is
+// built once per dequeue rather than once per transformation, and a
+// duplicate is never copied.
 func Beam(c *circuit.Circuit, ts []Transformation, opts Options, width int) *Result {
 	if opts.Cost == nil {
 		opts.Cost = TwoQubitCost()
@@ -99,13 +100,14 @@ func Beam(c *circuit.Circuit, ts []Transformation, opts Options, width int) *Res
 			if !ok {
 				continue
 			}
-			out := eng.Snapshot()
-			eng.Rollback(mark)
-			fp := fingerprint(out)
+			fp := fingerprint(eng.Circuit())
 			if seen[fp] {
+				eng.Rollback(mark)
 				continue
 			}
 			seen[fp] = true
+			out := eng.Snapshot()
+			eng.Rollback(mark)
 			nc := cand{c: out, err: cur.err + eps, cost: opts.Cost(out)}
 			res.Accepted++
 			if nc.cost < best.cost {

@@ -24,7 +24,7 @@ func TestGUOQPreservesCliffordCircuitExactly(t *testing.T) {
 		t.Fatal("translated hidden shift should be Clifford-only")
 	}
 	tool := baselines.NewGUOQ(1e-8)
-	out := tool.Optimize(c, gs, opt.TCost(), 400*time.Millisecond, 5)
+	out, _ := tool.OptimizeStats(c, gs, opt.TCost(), 400*time.Millisecond, 5)
 	if !IsClifford(out) {
 		// The optimizer may only introduce T gates in T-reducing moves; on
 		// a T-free circuit it should stay Clifford, but a resynthesis call

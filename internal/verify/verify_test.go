@@ -87,7 +87,7 @@ func TestOptimizerOnWideBenchmark(t *testing.T) {
 		t.Fatalf("expected a wide benchmark, got %d qubits", b.Circuit.NumQubits)
 	}
 	tool := baselines.NewGUOQ(1e-8)
-	out := tool.Optimize(b.Circuit, gs, opt.TwoQubitCost(), 500*time.Millisecond, 7)
+	out, _ := tool.OptimizeStats(b.Circuit, gs, opt.TwoQubitCost(), 500*time.Millisecond, 7)
 	if err := MustBeEquivalent(b.Circuit, out, 1e-6, 11); err != nil {
 		t.Fatal(err)
 	}

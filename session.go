@@ -121,8 +121,9 @@ func Start(ctx context.Context, c *Circuit, o Options) (*Session, error) {
 		return nil, err
 	}
 
-	// Options.Budget is sugar for a context deadline: both cancellation
-	// paths converge on one mechanism inside the search loop.
+	// Options.Budget is sugar for a context deadline: from here on ctx is
+	// the run's one time bound, for the search loop and for the cap on each
+	// synthesis call.
 	var cancel context.CancelFunc
 	if o.Budget > 0 {
 		ctx, cancel = context.WithTimeout(ctx, o.Budget)
@@ -177,7 +178,7 @@ func Start(ctx context.Context, c *Circuit, o Options) (*Session, error) {
 	}
 
 	go func() {
-		out, stats := runner.OptimizeStatsContext(ctx, c, gs, cost, o.Budget, o.Seed)
+		out, stats := runner.OptimizeStatsContext(ctx, c, gs, cost, o.Seed)
 		res := s.resultFor(out, stats.BestError, stats.Iters, stats.Accepted, stats.Migrations, time.Since(s.start))
 		res.Rules = publicRules(stats.Rules)
 		s.mu.Lock()
